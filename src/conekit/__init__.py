@@ -1,6 +1,5 @@
 """conekit: numerics for bipartite entanglement cones and their C*-convex images."""
 
-from ._kernels import backend_name
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,

@@ -1,12 +1,8 @@
 """Hot inner loop of the product/low-Schmidt-rank expectation minimizer.
 
 The kernel alternates two constrained eigen-solves over the tensor factors
-of v = sum_t x_t (x) y_t.  It is written in numba-compilable numpy and
-compiled with @njit when available; set CONEKIT_NO_NUMBA=1 to force the
-pure-numpy path.  benchmarks/bench_seesaw.py compares the two.
+of v = sum_t x_t (x) y_t.
 """
-
-import os
 
 import numpy as np
 
@@ -23,7 +19,20 @@ def prepare_layouts(w: np.ndarray, m: int, n: int):
     return wx, wy
 
 
-def _seesaw_minimize_impl(m, n, k, wx, wy, y0, iters, ftol):
+def _bottom_block_vector(layout, frame, k, m, n):
+    """Bottom eigenvector of the (k*m) Hermitian contraction of W with frame.
+
+    layout is wx (m, n as given) or wy (roles of m and n swapped); frame is
+    the orthonormal (n, k) frame of the factor held fixed.  Returns the
+    eigenvalues and the eigenvector unpacked as an (m, k) factor matrix.
+    """
+    a = ((frame.conj().T @ layout).reshape(k * m * m, n) @ frame).reshape(k, m, m, k)
+    h = a.transpose(0, 1, 3, 2).reshape(k * m, k * m)
+    evals, evecs = np.linalg.eigh((h + h.conj().T) * 0.5)
+    return evals, evecs[:, 0].reshape(k, m).T
+
+
+def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol):
     """Minimize v* W v over unit v = sum_{t<k} x_t (x) y_t.
 
     With the k-column frame y held orthonormal, the optimal stacked x is the
@@ -32,73 +41,18 @@ def _seesaw_minimize_impl(m, n, k, wx, wy, y0, iters, ftol):
     the value is nonincreasing.  Returns (value, x_frame, y_frame) with
     v = sum_t x[:, t] (x) y[:, t] of unit norm.
     """
-    q0, _ = np.linalg.qr(np.ascontiguousarray(y0))
-    y_frame = np.ascontiguousarray(q0)
+    y_frame, _ = np.linalg.qr(y0)
     x_pair = np.zeros((m, k), dtype=np.complex128)
     y_pair = np.zeros((n, k), dtype=np.complex128)
     val = np.inf
     prev = np.inf
     for _ in range(iters):
-        # x-step: contract both sides of W with the orthonormal y frame.
-        a1 = np.ascontiguousarray(y_frame.conj().T) @ wx
-        a2 = np.ascontiguousarray(a1).reshape(k * m * m, n) @ y_frame
-        h = np.empty((k * m, k * m), dtype=np.complex128)
-        for t in range(k):
-            for i in range(m):
-                for s in range(k):
-                    for i2 in range(m):
-                        h[t * m + i, s * m + i2] = a2[(t * m + i) * m + i2, s]
-        h = (h + np.ascontiguousarray(h.conj().T)) * 0.5
-        evals, evecs = np.linalg.eigh(h)
-        xflat = evecs[:, 0]
-        for t in range(k):
-            for i in range(m):
-                x_pair[i, t] = xflat[t * m + i]
-        qx, _ = np.linalg.qr(np.ascontiguousarray(x_pair))
-        x_frame = np.ascontiguousarray(qx)
-
-        # y-step: same contraction with the roles of the factors swapped.
-        b1 = np.ascontiguousarray(x_frame.conj().T) @ wy
-        b2 = np.ascontiguousarray(b1).reshape(k * n * n, m) @ x_frame
-        h2 = np.empty((k * n, k * n), dtype=np.complex128)
-        for t in range(k):
-            for j in range(n):
-                for s in range(k):
-                    for l in range(n):
-                        h2[t * n + j, s * n + l] = b2[(t * n + j) * n + l, s]
-        h2 = (h2 + np.ascontiguousarray(h2.conj().T)) * 0.5
-        evals2, evecs2 = np.linalg.eigh(h2)
-        val = evals2[0]
-        yflat = evecs2[:, 0]
-        for t in range(k):
-            for j in range(n):
-                y_pair[j, t] = yflat[t * n + j]
-        x_pair = x_frame.copy()
-        y_frame, _ = np.linalg.qr(np.ascontiguousarray(y_pair))
-        y_frame = np.ascontiguousarray(y_frame)
+        _, x_stack = _bottom_block_vector(wx, y_frame, k, m, n)
+        x_pair, _ = np.linalg.qr(x_stack)
+        evals, y_pair = _bottom_block_vector(wy, x_pair, k, n, m)
+        val = evals[0]
+        y_frame, _ = np.linalg.qr(y_pair)
         if prev - val < ftol * (1.0 + abs(val)):
             break
         prev = val
     return val, x_pair, y_pair
-
-
-seesaw_minimize_numpy = _seesaw_minimize_impl
-
-_DISABLED = os.environ.get("CONEKIT_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via CONEKIT_NO_NUMBA")
-    from numba import njit
-
-    seesaw_minimize_numba = njit(cache=True)(_seesaw_minimize_impl)
-    NUMBA_ENABLED = True
-except ImportError:
-    seesaw_minimize_numba = None
-    NUMBA_ENABLED = False
-
-seesaw_minimize = seesaw_minimize_numba if NUMBA_ENABLED else seesaw_minimize_numpy
-
-
-def backend_name() -> str:
-    """Active kernel backend, "numba" or "numpy"."""
-    return "numba" if NUMBA_ENABLED else "numpy"

@@ -127,27 +127,20 @@ def is_separable_decidable(
     return MembershipReport(Verdict.INDETERMINATE, float(evals[0]), tol, None)
 
 
-def _deterministic_init(w: np.ndarray, dims: BipartiteDims, level: int) -> np.ndarray:
-    """Right frame spanned by the top factors of the ground-state eigenvector."""
-    _, evecs = np.linalg.eigh(w)
-    ground = evecs[:, 0].reshape(dims.m, dims.n)
-    _, _, vh = np.linalg.svd(ground)
-    return np.ascontiguousarray(vh[:level, :].T)
-
-
 def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.ndarray:
+    """Right frame spanned by the top `level` Schmidt factors of v."""
     _, _, vh = np.linalg.svd(v.reshape(dims.m, dims.n))
-    return np.ascontiguousarray(vh[:level, :].T)
+    return vh[:level, :].T
 
 
-def _optimize_level(w, wx, wy, dims, level, cfg, warm_v):
+def _optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
     m, n = dims.m, dims.n
-    inits = [_deterministic_init(w, dims, level)]
+    inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
         inits.append(_frame_from_vector(warm_v, dims, level))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, level, r])
-        inits.append(np.ascontiguousarray(ginibre(rng, n, level)))
+        inits.append(ginibre(rng, n, level))
     best_val = np.inf
     best_pair = None
     for y0 in inits:
@@ -160,26 +153,47 @@ def _optimize_level(w, wx, wy, dims, level, cfg, warm_v):
     x, y = best_pair
     v = (x @ y.T).reshape(dims.total)
     v = v / np.linalg.norm(v)
-    value = float(np.real(np.vdot(v, w @ v)))
+    value = float(np.real(np.vdot(v, h @ v)))
     return value, v, x, y
+
+
+def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, ground: np.ndarray):
+    """Optimize levels 1..k of the Hermitian h; returns level k's (value, v, x, y).
+
+    Every level starts from the Schmidt frame of the ground-state vector, and
+    each level after the first also from the previous level's minimizer.
+    """
+    wx, wy = _kernels.prepare_layouts(h, dims.m, dims.n)
+    v = None
+    for level in range(1, k + 1):
+        value, v, x, y = _optimize_level(h, wx, wy, ground, dims, level, cfg, v)
+    return value, v, x, y
+
+
+def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig):
+    """min_product_expectation on an already Hermitian h."""
+    value, _, x, y = _seesaw(h, dims, 1, cfg, np.linalg.eigh(h)[1][:, 0])
+    z = x[:, 0] / np.linalg.norm(x[:, 0])
+    yv = y[:, 0] / np.linalg.norm(y[:, 0])
+    return value, z, yv
 
 
 def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     """Heuristic minimum of v* w v over unit v of Schmidt rank at most k.
 
     Levels 1..k are optimized in turn and each level warm-starts from the
-    previous minimizer, so the value is nonincreasing in k by construction;
-    at k = d the alternation contains an unconstrained eigen-step and returns
-    the exact bottom eigenvalue.  The value is always an upper bound on the
-    true constrained minimum.
+    previous minimizer, so the value is nonincreasing in k by construction.
+    At k = d the rank constraint is void, and the exact bottom eigenpair of
+    w is returned without running the see-saw.  Below d the value is an
+    upper bound on the true constrained minimum.
     """
     if not (1 <= k <= dims.d):
         raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
     h = hermitian_part(w, dims, cfg.tol)
-    wx, wy = _kernels.prepare_layouts(h, dims.m, dims.n)
-    value, v = np.inf, None
-    for level in range(1, k + 1):
-        value, v, _, _ = _optimize_level(h, wx, wy, dims, level, cfg, v)
+    evals, evecs = np.linalg.eigh(h)
+    if k == dims.d:
+        return float(evals[0]), evecs[:, 0]
+    value, v, _, _ = _seesaw(h, dims, k, cfg, evecs[:, 0])
     return value, v
 
 
@@ -188,12 +202,7 @@ def min_product_expectation(w, dims: BipartiteDims, cfg: SeesawConfig):
 
     Identical to min_sr_k_expectation at k = 1, but returns the factor pair.
     """
-    h = hermitian_part(w, dims, cfg.tol)
-    wx, wy = _kernels.prepare_layouts(h, dims.m, dims.n)
-    value, _, x, y = _optimize_level(h, wx, wy, dims, 1, cfg, None)
-    z = x[:, 0] / np.linalg.norm(x[:, 0])
-    yv = y[:, 0] / np.linalg.norm(y[:, 0])
-    return value, z, yv
+    return _min_product(hermitian_part(w, dims, cfg.tol), dims, cfg)
 
 
 def is_block_positive_heuristic(
@@ -211,7 +220,7 @@ def is_block_positive_heuristic(
     if lam_min >= -cfg.tol:
         cert = {"kind": "psd_sufficient", "min_eig": lam_min}
         return MembershipReport(Verdict.IN, lam_min, cfg.tol, cert)
-    value, z, y = min_product_expectation(h, dims, cfg)
+    value, z, y = _min_product(h, dims, cfg)
     if value < -cfg.tol:
         cert = {
             "kind": "product_pair",

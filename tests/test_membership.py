@@ -3,6 +3,7 @@ import pytest
 
 from conekit import (
     BipartiteDims,
+    ConekitError,
     HermiticityError,
     PreconditionError,
     SeesawConfig,
@@ -270,6 +271,26 @@ class TestBlockPositiveHeuristic:
         value = float(np.real(np.vdot(p, conjugated @ p)))
         assert value < -report.tol
         assert abs(value - report.certificate["expectation"]) <= 10 * report.tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, d: is_psd(x, d),
+        lambda x, d: is_ppt(x, d),
+        lambda x, d: is_block_positive_heuristic(x, d, FAST_CFG),
+        lambda x, d: min_sr_k_expectation(x, d, 1, FAST_CFG),
+        lambda x, d: sr(x[0], d),
+    ],
+    ids=["is_psd", "is_ppt", "blockpos", "min_sr_k", "sr"],
+)
+def test_non_finite_input_rejected(call, bad):
+    d = BipartiteDims(2, 2)
+    x = np.eye(d.total, dtype=complex)
+    x[0, 0] = bad
+    with pytest.raises(ConekitError):
+        call(x, d)
 
 
 class TestSeesawConfig:
