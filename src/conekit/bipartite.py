@@ -127,7 +127,11 @@ def realign(a, dims: BipartiteDims) -> np.ndarray:
     vec(R) vec(S)^T, so the singular values of the realignment are exactly
     the operator Schmidt coefficients.
     """
-    a = as_matrix(dims, a)
+    return _realign(as_matrix(dims, a), dims)
+
+
+def _realign(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    # The reshuffle of an already coerced operator.
     m, n = dims.m, dims.n
     return a.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
 
@@ -206,7 +210,7 @@ def op_schmidt_decompose(
     a = as_matrix(dims, a)
     if np.linalg.norm(a) == 0.0:
         raise ZeroInputError("cannot decompose the zero operator")
-    u, s, vh = np.linalg.svd(realign(a, dims), full_matrices=False)
+    u, s, vh = np.linalg.svd(_realign(a, dims), full_matrices=False)
     m, n = dims.m, dims.n
     r = s.shape[0]
     return OpSchmidtDecomp(

@@ -77,12 +77,9 @@ def normalization_sum(family: KrausFamily) -> np.ndarray:
 
 
 def _op_ranks(family: KrausFamily, tol: float) -> list[int]:
-    # Zero coefficients are allowed; they contribute rank 0.
-    ranks = []
-    for a in family.ops:
-        a = as_matrix(family.dims, a)
-        ranks.append(0 if np.linalg.norm(a) == 0.0 else osr(a, family.dims, tol))
-    return ranks
+    # Zero coefficients are allowed; they contribute rank 0.  osr coerces
+    # each nonzero operator itself.
+    return [0 if np.linalg.norm(a) == 0.0 else osr(a, family.dims, tol) for a in family.ops]
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:

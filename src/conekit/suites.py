@@ -1,12 +1,20 @@
 """Seeded randomized verification suites, one per constructive theorem.
 
-Each suite runs independent trials, derives one generator per trial from
-(seed, trial index), and collects counterexample payloads that re-run
-deterministically.  Reports serialize byte-identically for identical
-configurations, wall time aside.
+One table, `_SUITES`, holds what each suite is: its trial function, its
+default trial count (or fixed case count), the residual bound its report
+declares, its precondition, and whether it is exploratory.  `run_suite` is
+the only loop over trials; `rerun_trial` re-executes one trial through the
+same lookup and precondition, so it refuses exactly what the suite refuses.
+The `suite_*` functions and `probe_intermediate` are named entry points
+into `run_suite`.
+
+Every trial draws from one generator derived from (seed, trial index), and
+failure payloads carry that pair, so they re-run deterministically.  Reports
+serialize byte-identically for identical configurations, wall time aside.
 """
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +98,12 @@ class SuiteReport:
         return obj
 
 
+# Every trial function is called as trial(rng, t, dims, tol, k=..., extra_inputs=...)
+# and returns (ok, residual, info); every precondition check is called as
+# check(dims=..., tol=..., k=..., extra_inputs=...) and raises PreconditionError.
+# Each takes what it needs and ignores the rest.
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
@@ -98,44 +112,11 @@ def _derived_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def _run(suite_id, dims, trials, seed, tolerances, trial_fn) -> SuiteReport:
-    start = time.perf_counter()
-    failures = []
-    passes = 0
-    max_residual = 0.0
-    not_applicable = []
-    for t in range(trials):
-        ok, residual, info = trial_fn(t)
-        max_residual = max(max_residual, residual)
-        if ok:
-            passes += 1
-            if info and info.get("not_applicable"):
-                not_applicable.append(t)
-        else:
-            payload = {"trial": t, "seed": [seed, t], "residual": residual}
-            if info:
-                payload["info"] = info
-            failures.append(payload)
-    return SuiteReport(
-        suite_id=suite_id,
-        dims=dims,
-        trials=trials,
-        passes=passes,
-        failures=failures,
-        seed=seed,
-        tolerances=tolerances,
-        max_residual=max_residual,
-        wall_time=time.perf_counter() - start,
-        extra={"not_applicable_trials": not_applicable} if not_applicable else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Schmidt rank sub-multiplicativity: SR(Av) <= OSR(A) * SR(v)
 
 
-def _trial_srank(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _trial_srank(rng, t, dims, tol, **_):
     k = int(rng.integers(1, dims.d + 1))
     r = int(rng.integers(1, dims.d + 1))
     a = random_operator_with_osr(rng, dims, k)
@@ -158,14 +139,7 @@ def suite_lemma_srank(
     dims: BipartiteDims, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Random operators with planted OSR against vectors with planted SR."""
-    return _run(
-        "srank",
-        dims,
-        trials,
-        seed,
-        {"tol": tol},
-        lambda t: _trial_srank(dims, seed, t, tol),
-    )
+    return run_suite("srank", dims, seed, trials, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +149,7 @@ def suite_lemma_srank(
 STRICT_ENLARGEMENT_CASES = 6
 
 
-def _trial_strict_enlargement(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _trial_strict_enlargement(rng, t, dims, tol, **_):
     if t == 0:
         target = max_entangled_vector(dims)
     elif t == STRICT_ENLARGEMENT_CASES - 1:
@@ -206,14 +179,7 @@ def suite_strict_enlargement(
     dims: BipartiteDims, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Unitary images of product projectors leave the separable cone."""
-    return _run(
-        "strict-enlargement",
-        dims,
-        STRICT_ENLARGEMENT_CASES,
-        seed,
-        {"tol": tol, "residual_bound": RESIDUAL_BOUND},
-        lambda t: _trial_strict_enlargement(dims, seed, t, tol),
-    )
+    return run_suite("strict-enlargement", dims, seed, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +187,7 @@ def suite_strict_enlargement(
 # unitary-lifted product projectors.
 
 
-def _trial_cone_collapse(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _trial_cone_collapse(rng, t, dims, tol, **_):
     total = dims.total
     if t == 0:
         y = np.eye(total, dtype=np.complex128)
@@ -257,14 +222,7 @@ def suite_cone_collapse_pplus(
     dims: BipartiteDims, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Spectral decompositions recombine from lifted product projectors."""
-    return _run(
-        "cone-collapse",
-        dims,
-        trials,
-        seed,
-        {"tol": tol, "residual_bound": RESIDUAL_BOUND},
-        lambda t: _trial_cone_collapse(dims, seed, t, tol),
-    )
+    return run_suite("cone-collapse", dims, seed, trials, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +230,14 @@ def suite_cone_collapse_pplus(
 # the decidable region mn <= 6).
 
 
-def _trial_local_stability(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _separability_decidable(dims, **_):
+    if dims.total > 6:
+        raise PreconditionError(
+            "separability is only decidable for mn <= 6; use 2x2 or 2x3"
+        )
+
+
+def _trial_local_stability(rng, t, dims, tol, **_):
     if t == 0:
         ops = [kron(haar_unitary(rng, dims.m), haar_unitary(rng, dims.n))]
         family = KrausFamily(dims, ops, Mode.EXACT, osr_bound=1, locality=Locality.LOCAL)
@@ -292,18 +256,7 @@ def suite_local_stability(
     dims: BipartiteDims, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Local exact combinations of separable inputs stay separable."""
-    if dims.total > 6:
-        raise PreconditionError(
-            "separability is only decidable for mn <= 6; use 2x2 or 2x3"
-        )
-    return _run(
-        "local-stability",
-        dims,
-        trials,
-        seed,
-        {"tol": tol},
-        lambda t: _trial_local_stability(dims, seed, t, tol),
-    )
+    return run_suite("local-stability", dims, seed, trials, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +266,7 @@ def suite_local_stability(
 WITNESS_CASES = 6
 
 
-def _trial_witness_not_cstar(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _trial_witness_not_cstar(rng, t, dims, tol, **_):
     if t == 0 and dims.m == dims.n:
         witness = swap_operator(dims)
     elif t == 1:
@@ -348,22 +300,20 @@ def suite_witness_not_cstar(
     dims: BipartiteDims, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Conjugated witnesses take negative product expectations."""
-    return _run(
-        "witness-not-cstar",
-        dims,
-        WITNESS_CASES,
-        seed,
-        {"tol": tol, "residual_bound": RESIDUAL_BOUND_TIGHT},
-        lambda t: _trial_witness_not_cstar(dims, seed, t, tol),
-    )
+    return run_suite("witness-not-cstar", dims, seed, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # PPT stability under product-coefficient families.
 
 
-def _trial_ppt_stability(dims, seed, t, tol, extra_inputs=None):
-    rng = _trial_rng(seed, t)
+def _extra_inputs_ppt(dims, tol, extra_inputs, **_):
+    for x in extra_inputs or ():
+        if is_ppt(x, dims, tol).verdict is not Verdict.IN:
+            raise PreconditionError("extra inputs must be PPT")
+
+
+def _trial_ppt_stability(rng, t, dims, tol, extra_inputs, **_):
     if t == 0:
         family = KrausFamily(
             dims,
@@ -402,26 +352,14 @@ def suite_ppt_stability(
     are checked for PPT membership and then substituted into the sampled
     input slots of every trial.
     """
-    if extra_inputs:
-        for x in extra_inputs:
-            if is_ppt(x, dims, tol).verdict is not Verdict.IN:
-                raise PreconditionError("extra inputs must be PPT")
-    return _run(
-        "ppt-stability",
-        dims,
-        trials,
-        seed,
-        {"tol": tol},
-        lambda t: _trial_ppt_stability(dims, seed, t, tol, extra_inputs),
-    )
+    return run_suite("ppt-stability", dims, seed, trials, tol, extra_inputs=extra_inputs)
 
 
 # ---------------------------------------------------------------------------
 # Full collapse: the rank-one scheme reaches every pure state from PPT inputs.
 
 
-def _trial_ppt_collapse(dims, seed, t, tol):
-    rng = _trial_rng(seed, t)
+def _trial_ppt_collapse(rng, t, dims, tol, **_):
     total = dims.total
     if t == 0:
         v = max_entangled_vector(dims)
@@ -454,14 +392,7 @@ def suite_ppt_collapse(
     dims: BipartiteDims, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
     """Collapse construction residuals, OSR bounds, and PPT input checks."""
-    return _run(
-        "ppt-collapse",
-        dims,
-        trials,
-        seed,
-        {"tol": tol, "residual_bound": RESIDUAL_BOUND_TIGHT},
-        lambda t: _trial_ppt_collapse(dims, seed, t, tol),
-    )
+    return run_suite("ppt-collapse", dims, seed, trials, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +433,14 @@ def structured_exact_family(
     return KrausFamily(dims, ops, Mode.EXACT, osr_bound=k)
 
 
-def _trial_probe(dims, seed, t, tol, k):
-    rng = _trial_rng(seed, t)
+def _probe_k_in_range(dims, k, **_):
+    if k is None:
+        raise PreconditionError("probe-intermediate needs k")
+    if not (1 <= k <= dims.d):
+        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
+
+
+def _trial_probe(rng, t, dims, tol, k, **_):
     family = structured_exact_family(rng, dims, k)
     inputs = []
     for i in range(len(family.ops)):
@@ -519,6 +456,23 @@ def _trial_probe(dims, seed, t, tol, k):
     return True, 0.0, info
 
 
+def _exploratory_extra(seed, k, infos) -> dict:
+    # Non-PPT outputs are evidence, never failures.
+    evidence = [
+        {"trial": t, "seed": [seed, t], "gamma_min_eig": info["gamma_min_eig"]}
+        for t, info in enumerate(infos)
+        if not info["ppt"]
+    ]
+    return {
+        "verdict": "exploratory",
+        "k": k,
+        "ppt_outputs": len(infos) - len(evidence),
+        "non_ppt_outputs": len(evidence),
+        "most_negative_gamma_eigenvalue": min([0.0] + [e["gamma_min_eig"] for e in evidence]),
+        "evidence": evidence,
+    }
+
+
 def probe_intermediate(
     dims: BipartiteDims, k: int, trials: int, seed: int, tol: float = DEFAULT_TOL
 ) -> SuiteReport:
@@ -528,55 +482,55 @@ def probe_intermediate(
     partial-transpose eigenvalue, never as failures, and the report carries
     no theorem verdict.
     """
-    if not (1 <= k <= dims.d):
-        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
-    start = time.perf_counter()
-    ppt_count = 0
-    non_ppt = []
-    most_negative = 0.0
-    for t in range(trials):
-        _, _, info = _trial_probe(dims, seed, t, tol, k)
-        if info["ppt"]:
-            ppt_count += 1
-        else:
-            non_ppt.append({"trial": t, "seed": [seed, t], "gamma_min_eig": info["gamma_min_eig"]})
-            most_negative = min(most_negative, info["gamma_min_eig"])
-    report = SuiteReport(
-        suite_id="probe-intermediate",
-        dims=dims,
-        trials=trials,
-        passes=trials,
-        failures=[],
-        seed=seed,
-        tolerances={"tol": tol, "k": k},
-        max_residual=0.0,
-        wall_time=time.perf_counter() - start,
-        extra={
-            "verdict": "exploratory",
-            "k": k,
-            "ppt_outputs": ppt_count,
-            "non_ppt_outputs": len(non_ppt),
-            "most_negative_gamma_eigenvalue": most_negative,
-            "evidence": non_ppt,
-        },
-    )
-    return report
+    return run_suite("probe-intermediate", dims, seed, trials, tol, k=k)
 
 
 # ---------------------------------------------------------------------------
-# Registry: re-run a single trial of any suite from its embedded seed.
+# The suite table and its driver.
 
-_TRIALS = {
-    "srank": _trial_srank,
-    "strict-enlargement": _trial_strict_enlargement,
-    "cone-collapse": _trial_cone_collapse,
-    "local-stability": _trial_local_stability,
-    "witness-not-cstar": _trial_witness_not_cstar,
-    "ppt-stability": _trial_ppt_stability,
-    "ppt-collapse": _trial_ppt_collapse,
+
+@dataclass(frozen=True)
+class _Suite:
+    trial: Callable
+    trials: int  # default trial count, or the case count of a fixed suite
+    fixed: bool = False
+    residual_bound: float | None = None
+    check: Callable | None = None
+    exploratory: bool = False
+
+
+_SUITES = {
+    "srank": _Suite(_trial_srank, 1000),
+    "strict-enlargement": _Suite(
+        _trial_strict_enlargement, STRICT_ENLARGEMENT_CASES, fixed=True,
+        residual_bound=RESIDUAL_BOUND,
+    ),
+    "cone-collapse": _Suite(_trial_cone_collapse, 200, residual_bound=RESIDUAL_BOUND),
+    "local-stability": _Suite(_trial_local_stability, 500, check=_separability_decidable),
+    "witness-not-cstar": _Suite(
+        _trial_witness_not_cstar, WITNESS_CASES, fixed=True,
+        residual_bound=RESIDUAL_BOUND_TIGHT,
+    ),
+    "ppt-stability": _Suite(_trial_ppt_stability, 500, check=_extra_inputs_ppt),
+    "ppt-collapse": _Suite(_trial_ppt_collapse, 200, residual_bound=RESIDUAL_BOUND_TIGHT),
+    "probe-intermediate": _Suite(
+        _trial_probe, 200, check=_probe_k_in_range, exploratory=True
+    ),
 }
 
-SUITE_IDS = tuple(_TRIALS) + ("probe-intermediate",)
+SUITE_IDS = tuple(_SUITES)
+
+
+def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs) -> _Suite:
+    """Look a suite up and refuse what it cannot run."""
+    suite = _SUITES.get(suite_id)
+    if suite is None:
+        raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
+    if suite.check is not None:
+        suite.check(dims=dims, tol=tol, k=k, extra_inputs=extra_inputs)
+    return suite
 
 
 def rerun_trial(
@@ -588,16 +542,15 @@ def rerun_trial(
     k: int | None = None,
     extra_inputs: list | None = None,
 ):
-    """Re-execute one trial from its embedded seed; returns (ok, residual, info)."""
-    if suite_id == "probe-intermediate":
-        if k is None:
-            raise PreconditionError("probe-intermediate needs k")
-        return _trial_probe(dims, seed, trial, tol, k)
-    if suite_id == "ppt-stability":
-        return _trial_ppt_stability(dims, seed, trial, tol, extra_inputs)
-    if suite_id not in _TRIALS:
-        raise PreconditionError(f"unknown suite {suite_id!r}")
-    return _TRIALS[suite_id](dims, seed, trial, tol)
+    """Re-execute one trial from its embedded seed; returns (ok, residual, info).
+
+    Raises PreconditionError wherever `run_suite` would, and for a trial
+    index that no report of the suite contains.
+    """
+    suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
+    if trial < 0 or (suite.fixed and trial >= suite.trials):
+        raise PreconditionError(f"{suite_id} has no trial {trial}")
+    return suite.trial(_trial_rng(seed, trial), trial, dims, tol, k=k, extra_inputs=extra_inputs)
 
 
 def run_suite(
@@ -609,24 +562,49 @@ def run_suite(
     k: int | None = None,
     extra_inputs: list | None = None,
 ) -> SuiteReport:
-    """Dispatch a suite by identifier (the CLI front door)."""
-    default_trials = 500
-    if suite_id == "srank":
-        return suite_lemma_srank(dims, trials or 1000, seed, tol)
-    if suite_id == "strict-enlargement":
-        return suite_strict_enlargement(dims, seed, tol)
-    if suite_id == "cone-collapse":
-        return suite_cone_collapse_pplus(dims, trials or 200, seed, tol)
-    if suite_id == "local-stability":
-        return suite_local_stability(dims, trials or default_trials, seed, tol)
-    if suite_id == "witness-not-cstar":
-        return suite_witness_not_cstar(dims, seed, tol)
-    if suite_id == "ppt-stability":
-        return suite_ppt_stability(dims, trials or default_trials, seed, tol, extra_inputs)
-    if suite_id == "ppt-collapse":
-        return suite_ppt_collapse(dims, trials or 200, seed, tol)
-    if suite_id == "probe-intermediate":
-        if k is None:
-            raise PreconditionError("probe-intermediate needs k")
-        return probe_intermediate(dims, k, trials or 200, seed, tol)
-    raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    """Run a suite by identifier (the CLI front door).
+
+    `trials=None` runs the suite's default count; a fixed-case suite always
+    runs all of its cases.  A count below 1 is refused.
+    """
+    suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
+    if trials is not None and trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    if trials is None or suite.fixed:
+        trials = suite.trials
+    start = time.perf_counter()
+    results = [
+        suite.trial(_trial_rng(seed, t), t, dims, tol, k=k, extra_inputs=extra_inputs)
+        for t in range(trials)
+    ]
+    failures = []
+    not_applicable = []
+    for t, (ok, residual, info) in enumerate(results):
+        if ok:
+            if info and info.get("not_applicable"):
+                not_applicable.append(t)
+        else:
+            payload = {"trial": t, "seed": [seed, t], "residual": residual}
+            if info:
+                payload["info"] = info
+            failures.append(payload)
+    tolerances = {"tol": tol}
+    if suite.residual_bound is not None:
+        tolerances["residual_bound"] = suite.residual_bound
+    if suite.exploratory:
+        tolerances["k"] = k
+        extra = _exploratory_extra(seed, k, [info for _, _, info in results])
+    else:
+        extra = {"not_applicable_trials": not_applicable} if not_applicable else None
+    return SuiteReport(
+        suite_id=suite_id,
+        dims=dims,
+        trials=trials,
+        passes=trials - len(failures),
+        failures=failures,
+        seed=seed,
+        tolerances=tolerances,
+        max_residual=max([0.0] + [residual for _, residual, _ in results]),
+        wall_time=time.perf_counter() - start,
+        extra=extra,
+    )

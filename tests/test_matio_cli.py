@@ -306,6 +306,17 @@ class TestCliVerify:
     def test_usage_error_exits_13(self):
         assert main(["verify", "no-such-suite", "--m", "2", "--n", "2"]) == 13
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_exits_13(self, tmp_path, capsys, monkeypatch, source):
+        args = ["verify", "srank", "--m", "2", "--n", "2", "--trials", "5",
+                "--out", str(tmp_path / "r.json")]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("CONEKIT_SEED", "-1")
+        assert main(args) == 13
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
     def test_determinism_of_report_files(self, tmp_path):
         args = ["verify", "srank", "--m", "2", "--n", "2", "--trials", "20", "--seed", "9"]
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -3,9 +3,11 @@ import pytest
 
 from conekit import (
     BipartiteDims,
+    SUITE_IDS,
     PreconditionError,
     Verdict,
     is_ppt,
+    max_entangled_vector,
     probe_intermediate,
     rerun_trial,
     run_suite,
@@ -68,8 +70,6 @@ class TestSuitesPass:
 
     def test_ppt_stability_rejects_non_ppt_extras(self):
         d = BipartiteDims(2, 2)
-        from conekit import max_entangled_vector
-
         b = max_entangled_vector(d)
         with pytest.raises(PreconditionError):
             suite_ppt_stability(d, 5, SEED, extra_inputs=[np.outer(b, b.conj())])
@@ -176,6 +176,23 @@ class TestRerun:
         with pytest.raises(PreconditionError):
             rerun_trial("nope", dims, SEED, 0)
 
+    @pytest.mark.parametrize("suite_id,k", [(s, None) for s in SUITE_IDS[:-1]]
+                             + [("probe-intermediate", 1), ("probe-intermediate", 2)])
+    def test_rerun_reproduces_report(self, suite_id, k):
+        # Re-running every trial of a report finds exactly its failures, with
+        # the same residuals, and for the probe exactly its evidence.
+        d = BipartiteDims(2, 2)
+        report = run_suite(suite_id, d, SEED, trials=12, k=k)
+        reruns = [rerun_trial(suite_id, d, SEED, t, k=k) for t in range(report.trials)]
+        failed = {t: res for t, (ok, res, _) in enumerate(reruns) if not ok}
+        assert failed == {p["trial"]: p["residual"] for p in report.failures}
+        if suite_id == "probe-intermediate":
+            escaped = {t: info["gamma_min_eig"] for t, (_, _, info) in enumerate(reruns)
+                       if not info["ppt"]}
+            evidence = report.extra["evidence"]
+            assert escaped == {e["trial"]: e["gamma_min_eig"] for e in evidence}
+            assert (k == 2) == bool(evidence)
+
 
 class TestDispatcher:
     def test_run_suite_routes_all_ids(self):
@@ -206,6 +223,58 @@ class TestDispatcher:
     def test_report_passes_plus_failures_is_trials(self, dims):
         report = suite_ppt_stability(dims, 15, SEED, tol=1e-16)
         assert report.passes + len(report.failures) == report.trials
+
+
+def _bell_projector(d):
+    b = max_entangled_vector(d)
+    return np.outer(b, b.conj())
+
+
+# Refusals a suite and its trial re-runs share: (suite id, dims, seed, kwargs).
+SHARED_REFUSALS = {
+    "local-stability-3x3": ("local-stability", (3, 3), SEED, {}),
+    "probe-k-above-d": ("probe-intermediate", (2, 2), SEED, {"k": 5}),
+    "probe-k-zero": ("probe-intermediate", (2, 2), SEED, {"k": 0}),
+    "ppt-stability-non-ppt-extra": (
+        "ppt-stability", (2, 2), SEED, {"extra_inputs": [_bell_projector(BipartiteDims(2, 2))]}
+    ),
+    "negative-seed": ("srank", (2, 2), -1, {}),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(SHARED_REFUSALS))
+    def test_suite_and_rerun_refuse_alike(self, case):
+        suite_id, (m, n), seed, kwargs = SHARED_REFUSALS[case]
+        d = BipartiteDims(m, n)
+        with pytest.raises(PreconditionError):
+            run_suite(suite_id, d, seed, trials=3, **kwargs)
+        with pytest.raises(PreconditionError):
+            rerun_trial(suite_id, d, seed, 0, **kwargs)
+
+    @pytest.mark.parametrize("suite_id,trial", [
+        ("srank", -1),
+        ("strict-enlargement", 6),
+        ("witness-not-cstar", 6),
+        ("witness-not-cstar", -2),
+    ])
+    def test_rerun_refuses_trials_no_report_contains(self, suite_id, trial):
+        with pytest.raises(PreconditionError):
+            rerun_trial(suite_id, BipartiteDims(2, 2), SEED, trial)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_counts_below_one_refused(self, trials):
+        d = BipartiteDims(2, 2)
+        with pytest.raises(PreconditionError):
+            run_suite("srank", d, SEED, trials=trials)
+        with pytest.raises(PreconditionError):
+            suite_lemma_srank(d, trials, SEED)
+
+    def test_fixed_suites_run_all_cases(self):
+        d = BipartiteDims(2, 2)
+        for suite_id in ("strict-enlargement", "witness-not-cstar"):
+            assert run_suite(suite_id, d, SEED).trials == 6
+            assert run_suite(suite_id, d, SEED, trials=2).trials == 6
 
 
 class TestExtraInputsFlow:
