@@ -92,9 +92,7 @@ def basis_vec(dim: int, i: int) -> np.ndarray:
 
 def max_entangled_vector(dims: BipartiteDims) -> np.ndarray:
     """Unit vector sum_i e_i (x) f_i / sqrt(d); Schmidt rank d."""
-    v = np.zeros(dims.total, dtype=np.complex128)
-    for i in range(dims.d):
-        v[i * dims.n + i] = 1.0
+    v = np.eye(dims.m, dims.n, dtype=np.complex128).reshape(dims.total)
     return v / np.sqrt(dims.d)
 
 
@@ -103,11 +101,10 @@ def swap_operator(dims: BipartiteDims) -> np.ndarray:
     if dims.m != dims.n:
         raise DimError("swap operator needs equal factor dimensions")
     m = dims.m
-    f = np.zeros((m * m, m * m), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            f[i * m + j, j * m + i] = 1.0
-    return f
+    # Row i*m + j holds a one at column j*m + i: the identity with its
+    # column pair (i, j) swapped.
+    eye = np.eye(m * m, dtype=np.complex128)
+    return eye.reshape(m * m, m, m).transpose(0, 2, 1).reshape(m * m, m * m)
 
 
 def partial_transpose(x, dims: BipartiteDims) -> np.ndarray:
@@ -178,10 +175,9 @@ class OpSchmidtDecomp:
     def reconstruct(self) -> np.ndarray:
         """Rebuild the operator from all stored triplets."""
         total = self.dims.total
-        out = np.zeros((total, total), dtype=np.complex128)
-        for c, r, s in zip(self.coeffs, self.left, self.right):
-            out += c * np.kron(r, s)
-        return out
+        return np.einsum("t,tik,tjl->ijkl", self.coeffs, self.left, self.right).reshape(
+            total, total
+        )
 
 
 def schmidt_decompose(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> SchmidtDecomp:
@@ -234,32 +230,19 @@ def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
 
 
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is exactly x (unit), built deterministically.
+    """Unitary whose first column is x (unit), as a phase-corrected reflection.
 
-    Standard basis vectors are Gram-Schmidt'd against the running basis and
-    kept while independent; a second orthonormalization pass suppresses
-    rounding drift without disturbing the leading column.
+    With phi = x[0]/|x[0]| (1 when x[0] = 0) and y = x/phi, the basis is
+    B = -phi (I - (y + e_0)(y + e_0)* / (1 + y[0])), a Householder
+    reflection (Golub & Van Loan, Matrix Computations, sec. 5.1) times a
+    phase.  B e_0 = x, and since y[0] = |x[0]| >= 0 the denominator is at
+    least 1, so no cancellation occurs for any unit x.
     """
-    dim = x.shape[0]
-    cols = [x]
-    # Any partial orthonormal set leaves a standard vector with residual
-    # norm at least 1/sqrt(dim), so this threshold never starves the basis.
-    keep = 0.5 / np.sqrt(dim)
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        y = basis_vec(dim, i)
-        for b in cols:
-            y = y - b * np.vdot(b, y)
-        nrm = np.linalg.norm(y)
-        if nrm > keep:
-            cols.append(y / nrm)
-    basis = np.empty((dim, dim), dtype=np.complex128)
-    for j, y in enumerate(cols):
-        for jj in range(j):
-            y = y - basis[:, jj] * np.vdot(basis[:, jj], y)
-        basis[:, j] = y / np.linalg.norm(y)
-    return basis
+    a = abs(x[0])
+    phi = x[0] / a if a > 0.0 else 1.0
+    h = x / phi
+    h[0] += 1.0
+    return -phi * (np.eye(x.shape[0]) - np.outer(h, h.conj() / (1.0 + a)))
 
 
 def lift_product_to_target(
@@ -267,9 +250,11 @@ def lift_product_to_target(
 ) -> np.ndarray:
     """Unitary U with U(u (x) v) = w, for unit u, v, w.
 
-    Both u (x) v and w are completed to orthonormal bases and the bases are
-    paired column by column, so the image of the product vector is exact up
-    to rounding.
+    u (x) v and w are each completed to a unitary basis by one
+    phase-corrected Householder reflection (`complete_orthonormal_basis`),
+    and U = B_w B_{u(x)v}*, which sends the first column of one basis to
+    the first column of the other, so the image of the product vector is
+    exact up to rounding.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)

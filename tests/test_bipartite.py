@@ -18,6 +18,7 @@ from conekit import (
     sr,
     swap_operator,
 )
+from conekit.bipartite import complete_orthonormal_basis
 from conekit.sampling import (
     ginibre,
     random_product_vector,
@@ -185,6 +186,66 @@ class TestSrankInequality:
             assert sr(av, dims) <= osr(a, dims) * sr(v, dims)
 
 
+class TestClosedForms:
+    # Oracles: the defining index formulas, written out entry by entry.
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (4, 5), (8, 8)])
+    def test_max_entangled_vector(self, m, n):
+        d = BipartiteDims(m, n)
+        expected = np.zeros(d.total, dtype=np.complex128)
+        for i in range(d.d):
+            expected[i * n + i] = 1.0
+        assert np.array_equal(max_entangled_vector(d), expected / np.sqrt(d.d))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_swap_operator(self, m):
+        expected = np.zeros((m * m, m * m), dtype=np.complex128)
+        for i in range(m):
+            for j in range(m):
+                expected[i * m + j, j * m + i] = 1.0
+        assert np.array_equal(swap_operator(BipartiteDims(m, m)), expected)
+
+
+def _assert_basis_completion(x):
+    b = complete_orthonormal_basis(x)
+    assert b.shape == (x.shape[0], x.shape[0])
+    assert np.linalg.norm(b[:, 0] - x) <= 1e-14
+    assert np.linalg.norm(b.conj().T @ b - np.eye(x.shape[0])) <= 1e-13
+
+
+class TestCompleteOrthonormalBasis:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 64])
+    @pytest.mark.parametrize(
+        "make", [lambda e: e, lambda e: -e, lambda e: 1j * e, lambda e: e[::-1].copy()],
+        ids=["e0", "minus_e0", "i_e0", "e_last"],
+    )
+    def test_standard_vectors(self, dim, make):
+        # e_last has x[0] = 0 (for dim > 1), where the phase defaults to 1.
+        _assert_basis_completion(make(basis_vec(dim, 0)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 25, 36, 49, 64])
+    def test_random_unit_vectors(self, dim):
+        gen = np.random.default_rng(dim)
+        for _ in range(20):
+            _assert_basis_completion(random_unit_vector(gen, dim))
+
+    def test_does_not_modify_input(self):
+        x = random_unit_vector(np.random.default_rng(3), 6)
+        before = x.copy()
+        complete_orthonormal_basis(x)
+        assert np.array_equal(x, before)
+
+
+def _assert_random_lifts(dims, seeds):
+    for seed in seeds:
+        gen = np.random.default_rng(seed)
+        u = random_unit_vector(gen, dims.m)
+        v = random_unit_vector(gen, dims.n)
+        w = random_unit_vector(gen, dims.total)
+        lift = lift_product_to_target(u, v, w, dims)
+        assert np.linalg.norm(lift @ product_vec(u, v) - w) <= 1e-12
+        assert np.linalg.norm(lift.conj().T @ lift - np.eye(dims.total)) <= 1e-12
+
+
 class TestLift:
     def test_bell_target(self):
         d = BipartiteDims(2, 2)
@@ -200,14 +261,11 @@ class TestLift:
         assert np.linalg.norm(lift @ w - w) <= 1e-12
 
     def test_random_seeds(self, dims):
-        for seed in range(100):
-            gen = np.random.default_rng(seed)
-            u = random_unit_vector(gen, dims.m)
-            v = random_unit_vector(gen, dims.n)
-            w = random_unit_vector(gen, dims.total)
-            lift = lift_product_to_target(u, v, w, dims)
-            assert np.linalg.norm(lift @ product_vec(u, v) - w) <= 1e-12
-            assert np.linalg.norm(lift.conj().T @ lift - np.eye(dims.total)) <= 1e-12
+        _assert_random_lifts(dims, range(100))
+
+    @pytest.mark.parametrize("m,n", [(4, 5), (8, 8)])
+    def test_random_seeds_beyond_desk_dims(self, m, n):
+        _assert_random_lifts(BipartiteDims(m, n), range(20))
 
     def test_rejects_non_unit(self, dims):
         u = 2.0 * basis_vec(dims.m, 0)

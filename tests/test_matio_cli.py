@@ -303,6 +303,17 @@ class TestCliVerify:
         )
         assert code == 12
 
+    def test_witness_coarse_tol_exits_0(self, tmp_path):
+        out = str(tmp_path / "w.json")
+        code = main(
+            ["verify", "witness-not-cstar", "--m", "2", "--n", "2", "--tol", "0.7",
+             "--out", out]
+        )
+        assert code == 0
+        report = json.loads(open(out).read())
+        assert report["passes"] == report["trials"] == 6
+        assert 1 in report["extra"]["not_applicable_trials"]
+
     def test_usage_error_exits_13(self):
         assert main(["verify", "no-such-suite", "--m", "2", "--n", "2"]) == 13
 

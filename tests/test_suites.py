@@ -58,6 +58,14 @@ class TestSuitesPass:
         # as not applicable rather than silently passing.
         assert report.extra == {"not_applicable_trials": [2]}
 
+    def test_witness_not_cstar_coarse_tol(self):
+        # At tol 0.5 the 3x3 Gamma(Bell) and rank-r witnesses have
+        # lambda_min >= -tol: those cases are not applicable, not errors.
+        report = run_suite("witness-not-cstar", BipartiteDims(3, 3), SEED, tol=0.5)
+        assert report.passes == report.trials == 6
+        assert not report.failures
+        assert report.extra == {"not_applicable_trials": [1, 2, 3, 4, 5]}
+
     def test_ppt_stability(self, dims):
         report = suite_ppt_stability(dims, 60, SEED)
         assert report.passes == report.trials
