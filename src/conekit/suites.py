@@ -24,6 +24,7 @@ from .bipartite import (
     BipartiteDims,
     as_matrix,
     basis_vec,
+    complete_orthonormal_basis,
     kron,
     lift_product_to_target,
     max_entangled_vector,
@@ -401,37 +402,6 @@ def suite_ppt_collapse(
 # Exploratory probe of the intermediate hulls between PPT and PSD.
 
 
-def _gram_schmidt_rotation(x: np.ndarray) -> np.ndarray:
-    """Unitary with first column x: x, then standard vectors Gram-Schmidt'd in order.
-
-    Any completion is a valid rotation, but the columns after the first
-    decide which OSR-k family a seed draws, so the probe keeps this one:
-    a different completion (such as `complete_orthonormal_basis`) changes
-    the probe's seeded tallies from k = 3 on.
-    """
-    dim = x.shape[0]
-    cols = [x]
-    # Any partial orthonormal set leaves a standard vector with residual
-    # norm at least 1/sqrt(dim), so this threshold never starves the basis.
-    keep = 0.5 / np.sqrt(dim)
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        y = basis_vec(dim, i)
-        for b in cols:
-            y = y - b * np.vdot(b, y)
-        nrm = np.linalg.norm(y)
-        if nrm > keep:
-            cols.append(y / nrm)
-    # A second pass suppresses rounding drift without disturbing column 0.
-    basis = np.empty((dim, dim), dtype=np.complex128)
-    for j, y in enumerate(cols):
-        for jj in range(j):
-            y = y - basis[:, jj] * np.vdot(basis[:, jj], y)
-        basis[:, j] = y / np.linalg.norm(y)
-    return basis
-
-
 def structured_exact_family(
     rng: np.random.Generator, dims: BipartiteDims, k: int, tol: float = DEFAULT_TOL
 ) -> KrausFamily:
@@ -448,7 +418,7 @@ def structured_exact_family(
     ur = haar_unitary(rng, n)
     coeffs = rng.uniform(0.3, 1.0, size=k).astype(np.complex128)
     coeffs /= np.linalg.norm(coeffs)
-    rotation = _gram_schmidt_rotation(coeffs)
+    rotation = complete_orthonormal_basis(coeffs)
     basis = []
     for s in range(k):
         w = np.zeros(total, dtype=np.complex128)
