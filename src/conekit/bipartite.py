@@ -128,9 +128,11 @@ def realign(a, dims: BipartiteDims) -> np.ndarray:
 
 
 def _realign(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    # The reshuffle of an already coerced operator.
+    # The reshuffle of an already coerced operator, or of each operator in a
+    # stack of shape (..., mn, mn).
     m, n = dims.m, dims.n
-    return a.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    lead = a.shape[:-2]
+    return a.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
 
 
 def _rank_from_singulars(s: np.ndarray, tol: float) -> int:

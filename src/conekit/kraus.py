@@ -17,12 +17,14 @@ import numpy as np
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _check_tol,
+    _rank_from_singulars,
+    _realign,
     as_matrix,
     as_vector,
     basis_vec,
     kron,
     lift_product_to_target,
-    osr,
     product_vec,
     sr,
 )
@@ -33,6 +35,9 @@ from .sampling import random_exact_kraus_ops, random_operator_with_osr
 EXACT_RESIDUAL_BOUND = 1e-9
 CONTRACTIVE_EXCESS_BOUND = 1e-9
 COMPLETION_MODE_CUTOFF = 1e-12
+# Operators per stacked realignment SVD in _op_ranks.  Small batches keep the
+# stack, and the peak memory of large families, bounded.
+OSR_BATCH = 4
 
 
 class Mode(str, enum.Enum):
@@ -66,20 +71,28 @@ class ConicCombination:
     terms: list
 
 
-def normalization_sum(family: KrausFamily) -> np.ndarray:
-    """The operator sum A_i* A_i of the family."""
-    total = family.dims.total
-    s = np.zeros((total, total), dtype=np.complex128)
-    for a in family.ops:
-        a = as_matrix(family.dims, a)
+def _normalization_sum(dims: BipartiteDims, ops: list) -> np.ndarray:
+    # The operator sum A_i* A_i over already coerced operators, in family order.
+    s = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    for a in ops:
         s += a.conj().T @ a
     return s
 
 
-def _op_ranks(family: KrausFamily, tol: float) -> list[int]:
-    # Zero coefficients are allowed; they contribute rank 0.  osr coerces
-    # each nonzero operator itself.
-    return [0 if np.linalg.norm(a) == 0.0 else osr(a, family.dims, tol) for a in family.ops]
+def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
+    """The OSR of each coerced operator, OSR_BATCH realignments per SVD.
+
+    Each rank follows `osr`'s rule (singular values at or above tol times
+    the largest); zero operators are allowed and contribute rank 0.
+    """
+    _check_tol(tol)
+    ranks = []
+    for start in range(0, len(ops), OSR_BATCH):
+        stack = np.stack(ops[start:start + OSR_BATCH])
+        singulars = np.linalg.svd(_realign(stack, dims), compute_uv=False)
+        zero = np.linalg.norm(stack, axis=(1, 2)) == 0.0
+        ranks += [0 if z else _rank_from_singulars(s, tol) for z, s in zip(zero, singulars)]
+    return ranks
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -90,7 +103,8 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
     """
     if not family.ops:
         raise PreconditionError("cannot validate an empty Kraus family")
-    s = normalization_sum(family)
+    ops = [as_matrix(family.dims, a) for a in family.ops]
+    s = _normalization_sum(family.dims, ops)
     evals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     violations = []
     if family.mode is Mode.EXACT:
@@ -103,7 +117,7 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
             violations.append({"invariant": "contractive_normalization", "residual": residual})
     ranks = None
     if family.osr_bound is not None:
-        ranks = _op_ranks(family, tol)
+        ranks = _op_ranks(family.dims, ops, tol)
         bad = [i for i, r in enumerate(ranks) if r > family.osr_bound]
         if bad:
             violations.append(
@@ -116,7 +130,7 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
             )
     if family.locality is Locality.LOCAL:
         if ranks is None:
-            ranks = _op_ranks(family, tol)
+            ranks = _op_ranks(family.dims, ops, tol)
         bad = [i for i, r in enumerate(ranks) if r > 1]
         if bad:
             violations.append({"invariant": "locality", "ops": bad})
@@ -131,7 +145,11 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
 
 
 def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The conjugation sum A_i* X_i A_i of a validated family."""
+    """The conjugation sum A_i* X_i A_i of a validated family.
+
+    The family is validated on every call, so operators replaced or changed
+    in place since an earlier validation are checked again.
+    """
     report = validate(family, tol)
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
@@ -229,7 +247,8 @@ def complete_to_identity(
     """
     dims = partial.dims
     total = dims.total
-    s = normalization_sum(partial)
+    ops = [as_matrix(dims, a) for a in partial.ops]
+    s = _normalization_sum(dims, ops)
     evals_s = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     if evals_s[-1] > 1.0 + CONTRACTIVE_EXCESS_BOUND:
         raise PreconditionError(
@@ -257,9 +276,9 @@ def complete_to_identity(
     appended = [
         np.sqrt(mu) * np.outer(anchors[j], u.conj()) for j, (mu, u) in enumerate(modes)
     ]
-    ops = [as_matrix(dims, a) for a in partial.ops] + appended
+    ops = ops + appended
     family = KrausFamily(dims, ops, Mode.EXACT, seed=partial.seed)
-    ranks = _op_ranks(family, tol)
+    ranks = _op_ranks(dims, ops, tol)
     family.osr_bound = max(ranks) if any(ranks) else 1
     family.locality = Locality.LOCAL if family.osr_bound <= 1 else Locality.GLOBAL
     return family

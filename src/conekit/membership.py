@@ -68,8 +68,11 @@ def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarr
 
 def is_psd(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport:
     """PSD test by extremal eigenvalue, with the eigenpair as certificate."""
-    h = hermitian_part(x, dims, tol)
-    evals, evecs = np.linalg.eigh(h)
+    return _psd_report(*np.linalg.eigh(hermitian_part(x, dims, tol)), tol)
+
+
+def _psd_report(evals: np.ndarray, evecs: np.ndarray, tol: float) -> MembershipReport:
+    # is_psd's verdict from the eigen-decomposition of the Hermitian part.
     lam = float(evals[0])
     cert = {"kind": "eigenpair", "eigenvalue": lam, "vector": evecs[:, 0].copy()}
     verdict = Verdict.IN if lam >= -tol else Verdict.OUT
@@ -78,7 +81,13 @@ def is_psd(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport
 
 def is_ppt(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport:
     """PPT test: both the matrix and its partial transpose must be PSD."""
-    direct = is_psd(x, dims, tol)
+    return _ppt_report(is_psd(x, dims, tol), x, dims, tol)
+
+
+def _ppt_report(
+    direct: MembershipReport, x, dims: BipartiteDims, tol: float
+) -> MembershipReport:
+    # is_ppt's verdict, given is_psd's report on x for the matrix side.
     transposed = is_psd(partial_transpose(as_matrix(dims, x), dims), dims, tol)
     min_eig = min(direct.min_eig, transposed.min_eig)
     if direct.verdict is Verdict.IN and transposed.verdict is Verdict.IN:
@@ -109,7 +118,9 @@ def is_separable_decidable(
     if evals[0] < -tol:
         raise PreconditionError(f"input is not PSD (min eigenvalue {evals[0]:.3e})")
 
-    ppt = is_ppt(h, dims, tol)
+    # h is exactly Hermitian, so is_psd(h) would decompose h again to the
+    # same eigenpairs; the matrix side reuses this one.
+    ppt = _ppt_report(_psd_report(evals, evecs, tol), h, dims, tol)
     if dims.total <= 6:
         cert = dict(ppt.certificate, decided_by="ppt_criterion")
         return MembershipReport(ppt.verdict, ppt.min_eig, tol, cert)

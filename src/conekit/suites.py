@@ -2,11 +2,12 @@
 
 One table, `_SUITES`, holds what each suite is: its trial function, its
 default trial count (or fixed case count), the residual bound its report
-declares, its precondition, and whether it is exploratory.  `run_suite` is
-the only loop over trials; `rerun_trial` re-executes one trial through the
-same lookup and precondition, so it refuses exactly what the suite refuses.
-The `suite_*` functions and `probe_intermediate` are named entry points
-into `run_suite`.
+declares, its precondition, whether it is exploratory, and whether it
+samples PPT inputs (its report then records the sampler's environment).
+`run_suite` is the only loop over trials; `rerun_trial` re-executes one
+trial through the same lookup and precondition, so it refuses exactly what
+the suite refuses.  The `suite_*` functions and `probe_intermediate` are
+named entry points into `run_suite`.
 
 Every trial draws from one generator derived from (seed, trial index), and
 failure payloads carry that pair, so they re-run deterministically.  Reports
@@ -49,6 +50,7 @@ from .kraus import (
 )
 from .membership import Verdict, is_ppt, is_separable_decidable
 from .sampling import (
+    PPT_ENVIRONMENT,
     ginibre,
     haar_unitary,
     random_ppt,
@@ -373,21 +375,25 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     family, inputs = collapse_construction(v, dims)
     s = sum(a.conj().T @ a for a in family.ops)
     norm_residual = float(np.linalg.norm(s - np.eye(total)))
+    # apply validates every operator's OSR against the bound that
+    # complete_to_identity certified as the largest of those same ranks.
     out = apply(family, inputs)
     out_residual = float(np.linalg.norm(out - np.outer(v, v.conj())))
-    ranks = [0 if np.linalg.norm(a) == 0.0 else osr(a, dims) for a in family.ops]
+    max_osr = family.osr_bound
+    # The inputs repeat one shared matrix; each distinct one is checked once.
+    distinct = {id(x): x for x in inputs}.values()
     inputs_ppt = all(
         np.linalg.norm(x) == 0.0 or is_ppt(x, dims, tol).verdict is Verdict.IN
-        for x in inputs
+        for x in distinct
     )
     residual = max(norm_residual, out_residual)
     ok = (
         norm_residual <= RESIDUAL_BOUND_TIGHT
         and out_residual <= RESIDUAL_BOUND_TIGHT
-        and max(ranks) <= dims.d
+        and max_osr <= dims.d
         and inputs_ppt
     )
-    info = {"norm_residual": norm_residual, "out_residual": out_residual, "max_osr": max(ranks)}
+    info = {"norm_residual": norm_residual, "out_residual": out_residual, "max_osr": max_osr}
     return ok, residual, None if ok else info
 
 
@@ -500,6 +506,7 @@ class _Suite:
     residual_bound: float | None = None
     check: Callable | None = None
     exploratory: bool = False
+    samples_ppt: bool = False  # draws inputs from random_ppt
 
 
 _SUITES = {
@@ -514,10 +521,12 @@ _SUITES = {
         _trial_witness_not_cstar, WITNESS_CASES, fixed=True,
         residual_bound=RESIDUAL_BOUND_TIGHT,
     ),
-    "ppt-stability": _Suite(_trial_ppt_stability, 500, check=_extra_inputs_ppt),
+    "ppt-stability": _Suite(
+        _trial_ppt_stability, 500, check=_extra_inputs_ppt, samples_ppt=True
+    ),
     "ppt-collapse": _Suite(_trial_ppt_collapse, 200, residual_bound=RESIDUAL_BOUND_TIGHT),
     "probe-intermediate": _Suite(
-        _trial_probe, 200, check=_probe_k_in_range, exploratory=True
+        _trial_probe, 200, check=_probe_k_in_range, exploratory=True, samples_ppt=True
     ),
 }
 
@@ -594,6 +603,8 @@ def run_suite(
     tolerances = {"tol": tol}
     if suite.residual_bound is not None:
         tolerances["residual_bound"] = suite.residual_bound
+    if suite.samples_ppt:
+        tolerances["ppt_environment"] = f"{PPT_ENVIRONMENT}mn"
     if suite.exploratory:
         tolerances["k"] = k
         extra = _exploratory_extra(seed, k, [info for _, _, info in results])

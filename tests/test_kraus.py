@@ -33,8 +33,10 @@ from conekit import (
     validate,
     witness_conjugation,
 )
+from conekit.kraus import OSR_BATCH, _op_ranks
 from conekit.sampling import (
     haar_unitary,
+    random_operator_with_osr,
     random_ppt,
     random_product_vector,
     random_psd,
@@ -143,6 +145,63 @@ class TestApply:
         fam = family_of(dims, [0.1 * np.eye(dims.total)])
         with pytest.raises(PreconditionError):
             apply_family(fam, [np.eye(dims.total)])
+
+    # Each case breaks a family that an earlier call certified valid: a
+    # global unitary in front of an operator keeps the normalization but
+    # raises its OSR, and a rescaled operator breaks the normalization.
+    @pytest.mark.parametrize("change", ["replace", "rotate_in_place", "scale_in_place"])
+    @pytest.mark.parametrize("certify", ["validate", "complete_to_identity"])
+    def test_changed_operator_refused(self, dims, rng, certify, change):
+        if certify == "validate":
+            fam = random_family(dims, 2, 1, Mode.EXACT, seed=4000)
+            assert validate(fam).verdict is Verdict.IN
+        else:
+            v = random_unit_vector(rng, dims.total)
+            prefix = np.outer(basis_vec(dims.total, 0), v.conj()) / 2
+            fam = complete_to_identity(family_of(dims, [prefix]))
+            assert fam.osr_bound < dims.d**2
+        inputs = [np.eye(dims.total)] * len(fam.ops)
+        apply_family(fam, inputs)
+        rotation = haar_unitary(rng, dims.total)
+        if change == "replace":
+            fam.ops[0] = rotation @ fam.ops[0]
+        elif change == "rotate_in_place":
+            fam.ops[0][...] = rotation @ fam.ops[0]
+        else:
+            fam.ops[0] *= 2.0
+        assert validate(fam).verdict is Verdict.OUT
+        with pytest.raises(PreconditionError):
+            apply_family(fam, inputs)
+
+
+def _osr_loop(dims, ops, tol=1e-9):
+    # The per-operator reference for the stacked rank pass.
+    return [0 if np.linalg.norm(a) == 0.0 else osr(a, dims, tol) for a in ops]
+
+
+class TestOpRanks:
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 5), (8, 8)])
+    def test_matches_osr_loop(self, m, n):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n])
+        # Every planted k, zero operators among them, and a count that is
+        # not a multiple of the batch size.
+        ops = [random_operator_with_osr(rng, d, k) for k in range(1, d.d + 1)]
+        ops += [np.zeros((d.total, d.total), dtype=np.complex128)]
+        ops += [haar_unitary(rng, d.total) for _ in range(OSR_BATCH + 1)]
+        ops.insert(1, np.zeros((d.total, d.total), dtype=np.complex128))
+        ranks = _op_ranks(d, ops, 1e-9)
+        assert ranks == _osr_loop(d, ops)
+        assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
+
+    def test_matches_osr_loop_on_seeded_families(self, dims):
+        for seed in range(6):
+            for k in range(1, dims.d + 1):
+                fam = random_family(dims, 3, k, Mode.EXACT, seed=seed)
+                assert _op_ranks(dims, fam.ops, 1e-9) == _osr_loop(dims, fam.ops)
+            v = random_unit_vector(np.random.default_rng(seed), dims.total)
+            fam, _ = collapse_construction(v, dims)
+            assert _op_ranks(dims, fam.ops, 1e-9) == _osr_loop(dims, fam.ops)
 
 
 class TestRandomFamily:

@@ -23,6 +23,7 @@ from conekit import (
     swap_operator,
     witness_conjugation,
 )
+from conekit.membership import hermitian_part
 from conekit.sampling import (
     random_ppt,
     random_product_vector,
@@ -144,6 +145,35 @@ class TestSeparableDecidable:
             verdict = is_separable_decidable(np.outer(w, w.conj()), d).verdict
             expected = Verdict.IN if sr(w, d) == 1 else Verdict.OUT
             assert verdict is expected
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_is_ppt_of_hermitian_part(self, m, n):
+        # The decision reuses its own eigh for the matrix side of the PPT
+        # test; wherever that test decides, verdicts and certificates must
+        # equal those of is_ppt run on the Hermitian part, bit for bit.
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 5])
+        inputs = [random_psd(rng, d.total), random_ppt(rng, d), np.eye(d.total) / d.total]
+        for r in range(1, d.d + 1):
+            v = random_vector_with_sr(rng, d, r)
+            inputs.append(0.8 * np.outer(v, v.conj()) + 0.2 * random_psd(rng, d.total))
+        decided = 0
+        for x in inputs:
+            x = x + 1e-13 * hermitian(rng, d.total)
+            report = is_separable_decidable(x, d)
+            reference = is_ppt(hermitian_part(x, d), d)
+            cert = dict(report.certificate or {})
+            if d.total <= 6:
+                assert cert.pop("decided_by") == "ppt_criterion"
+            elif cert.get("kind") != "ppt_side":
+                continue  # decided without the PPT test
+            decided += 1
+            assert report.verdict is reference.verdict
+            assert report.min_eig == reference.min_eig
+            assert cert.keys() == reference.certificate.keys()
+            for key, value in reference.certificate.items():
+                assert np.array_equal(cert[key], value), key
+        assert decided >= 2
 
     def test_separable_implies_ppt(self, dims, rng):
         for _ in range(100):

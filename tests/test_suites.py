@@ -285,6 +285,26 @@ class TestRefusals:
             assert run_suite(suite_id, d, SEED, trials=2).trials == 6
 
 
+class TestEnvelope:
+    # Every suite either runs across the whole m*n <= 64 envelope or refuses
+    # up front.  At 4x5 and 8x8 a PPT sampler whose environment sits below
+    # the ~4mn threshold exhausts its rejection cap.
+    @pytest.mark.parametrize("m,n", [(4, 5), (8, 8)])
+    @pytest.mark.parametrize("suite_id", SUITE_IDS)
+    def test_runs_or_refuses(self, suite_id, m, n):
+        k = 2 if suite_id == "probe-intermediate" else None
+        try:
+            report = run_suite(suite_id, BipartiteDims(m, n), SEED, trials=3, k=k)
+        except PreconditionError:
+            assert suite_id == "local-stability"
+            return
+        assert report.passes == report.trials
+        if suite_id in ("ppt-stability", "probe-intermediate"):
+            assert report.tolerances["ppt_environment"] == "5mn"
+        else:
+            assert "ppt_environment" not in report.tolerances
+
+
 class TestExtraInputsFlow:
     def test_extras_substituted_into_trials(self, rng):
         d = BipartiteDims(2, 2)
