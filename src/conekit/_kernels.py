@@ -1,10 +1,23 @@
 """Hot inner loop of the product/low-Schmidt-rank expectation minimizer.
 
 The kernel alternates two constrained eigen-solves over the tensor factors
-of v = sum_t x_t (x) y_t.
+of v = sum_t x_t (x) y_t.  It runs a whole stack of R restarts at once:
+starting frames come in as an (R, n, k) array, every half-step is one
+matmul pair, one batched `np.linalg.eigh` and one batched `np.linalg.qr`
+over the restarts still running (numpy's linalg broadcasts over leading
+axes), and a restart leaves the running set at the iteration where it
+converges.  numpy and LAPACK solve each matrix of a stack exactly as they
+would solve it alone, so every restart's result is bit-identical to a run
+of that restart by itself (tests/test_kernels.py pins this against a looped
+reference).  Stacks are cut into blocks of SEESAW_BATCH restarts, which
+bounds the (rows, k, m*m*n) contraction intermediates for any number of
+restarts.
 """
 
 import numpy as np
+
+# Restarts per stacked block in seesaw_minimize.
+SEESAW_BATCH = 64
 
 
 def prepare_layouts(w: np.ndarray, m: int, n: int):
@@ -19,40 +32,67 @@ def prepare_layouts(w: np.ndarray, m: int, n: int):
     return wx, wy
 
 
-def _bottom_block_vector(layout, frame, k, m, n):
-    """Bottom eigenvector of the (k*m) Hermitian contraction of W with frame.
+def _bottom_block_vectors(layout, frames, k, m, n):
+    """Bottom eigenpair of each (k*m) Hermitian contraction of W with a frame.
 
-    layout is wx (m, n as given) or wy (roles of m and n swapped); frame is
-    the orthonormal (n, k) frame of the factor held fixed.  Returns the
-    eigenvalues and the eigenvector unpacked as an (m, k) factor matrix.
+    layout is wx (m, n as given) or wy (roles of m and n swapped); frames is
+    an (R, n, k) stack of orthonormal frames of the factor held fixed.
+    Returns the R bottom eigenvalues and the R eigenvectors unpacked as an
+    (R, m, k) stack of factor matrices.
     """
-    a = ((frame.conj().T @ layout).reshape(k * m * m, n) @ frame).reshape(k, m, m, k)
-    h = a.transpose(0, 1, 3, 2).reshape(k * m, k * m)
-    evals, evecs = np.linalg.eigh((h + h.conj().T) * 0.5)
-    return evals, evecs[:, 0].reshape(k, m).T
+    r = frames.shape[0]
+    a = (frames.conj().transpose(0, 2, 1) @ layout).reshape(r, k * m * m, n) @ frames
+    h = a.reshape(r, k, m, m, k).transpose(0, 1, 2, 4, 3).reshape(r, k * m, k * m)
+    evals, evecs = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) * 0.5)
+    return evals[:, 0], evecs[:, :, 0].reshape(r, k, m).transpose(0, 2, 1)
 
 
 def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol):
-    """Minimize v* W v over unit v = sum_{t<k} x_t (x) y_t.
+    """Minimize v* W v over unit v = sum_{t<k} x_t (x) y_t from each start.
 
     With the k-column frame y held orthonormal, the optimal stacked x is the
     bottom eigenvector of a (k*m) Hermitian contraction of W, and symmetrically
     for y; each half-step minimizes over a superset of the current iterate, so
-    the value is nonincreasing.  Returns (value, x_frame, y_frame) with
-    v = sum_t x[:, t] (x) y[:, t] of unit norm.
+    the value is nonincreasing.
+
+    y0 is an (R, n, k) stack of starting frames, run in blocks of
+    SEESAW_BATCH restarts.  A restart stops at the first iteration whose
+    decrease is below ftol * (1 + |value|), or after iters iterations; its
+    value and frames are those of that iteration.  Returns (values, x, y) of
+    shapes (R,), (R, m, k) and (R, n, k), with v = sum_t x[r, :, t] (x)
+    y[r, :, t] of unit norm for each restart r.
     """
+    blocks = [
+        _seesaw_block(m, n, k, wx, wy, y0[start:start + SEESAW_BATCH], iters, ftol)
+        for start in range(0, y0.shape[0], SEESAW_BATCH)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol):
+    # seesaw_minimize on one block; `active` lists the restarts still
+    # running, and the other rows of values, x_out and y_out stay frozen.
+    rows = y0.shape[0]
+    values = np.full(rows, np.inf)
+    x_out = np.zeros((rows, m, k), dtype=np.complex128)
+    y_out = np.zeros((rows, n, k), dtype=np.complex128)
+    active = np.arange(rows)
     y_frame, _ = np.linalg.qr(y0)
-    x_pair = np.zeros((m, k), dtype=np.complex128)
-    y_pair = np.zeros((n, k), dtype=np.complex128)
-    val = np.inf
-    prev = np.inf
+    prev = np.full(rows, np.inf)
     for _ in range(iters):
-        _, x_stack = _bottom_block_vector(wx, y_frame, k, m, n)
+        _, x_stack = _bottom_block_vectors(wx, y_frame, k, m, n)
         x_pair, _ = np.linalg.qr(x_stack)
-        evals, y_pair = _bottom_block_vector(wy, x_pair, k, n, m)
-        val = evals[0]
+        val, y_pair = _bottom_block_vectors(wy, x_pair, k, n, m)
         y_frame, _ = np.linalg.qr(y_pair)
-        if prev - val < ftol * (1.0 + abs(val)):
-            break
+        values[active] = val
+        x_out[active] = x_pair
+        y_out[active] = y_pair
+        running = ~(prev - val < ftol * (1.0 + np.abs(val)))
+        if not running.all():
+            active = active[running]
+            if active.size == 0:
+                break
+            y_frame = y_frame[running]
+            val = val[running]
         prev = val
-    return val, x_pair, y_pair
+    return values, x_out, y_out

@@ -71,7 +71,10 @@ def kron(a, b) -> np.ndarray:
         raise DimError(f"first factor must be square, got shape {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimError(f"second factor must be square, got shape {b.shape}")
-    return np.kron(a, b)
+    # The outer product of the index pairs, (i, j, k, l) -> a[i, k] b[j, l]:
+    # the same products as np.kron without its generic axis bookkeeping.
+    total = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(total, total)
 
 
 def product_vec(u, v) -> np.ndarray:
@@ -80,7 +83,7 @@ def product_vec(u, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if u.ndim != 1 or v.ndim != 1:
         raise DimError("product_vec expects two 1-d vectors")
-    return np.kron(u, v)
+    return (u[:, None] * v[None, :]).reshape(-1)
 
 
 def basis_vec(dim: int, i: int) -> np.ndarray:

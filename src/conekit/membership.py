@@ -9,6 +9,7 @@ reported Indeterminate.
 """
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,11 @@ class SeesawConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.seed < 0:
+        for name in ("seed", "restarts", "iters_per_restart"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        if not (0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a nonnegative 64-bit integer")
         if self.restarts < 1 or self.iters_per_restart < 1:
             raise PreconditionError("restarts and iters_per_restart must be >= 1")
@@ -145,6 +150,9 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
 
 
 def _optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
+    # All inits of the level run as one stack: the ground frame, the warm
+    # frame, then the seeded random frames.  argmin keeps the first of equal
+    # values, so an earlier init wins a tie.
     m, n = dims.m, dims.n
     inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
@@ -152,16 +160,11 @@ def _optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, level, r])
         inits.append(ginibre(rng, n, level))
-    best_val = np.inf
-    best_pair = None
-    for y0 in inits:
-        val, x, y = _kernels.seesaw_minimize(
-            m, n, level, wx, wy, y0, cfg.iters_per_restart, 1e-13
-        )
-        if val < best_val:
-            best_val = val
-            best_pair = (x, y)
-    x, y = best_pair
+    values, xs, ys = _kernels.seesaw_minimize(
+        m, n, level, wx, wy, np.stack(inits), cfg.iters_per_restart, 1e-13
+    )
+    best = int(np.argmin(values))
+    x, y = xs[best], ys[best]
     v = (x @ y.T).reshape(dims.total)
     v = v / np.linalg.norm(v)
     value = float(np.real(np.vdot(v, h @ v)))

@@ -6,7 +6,7 @@ owned by the caller; suites derive one generator per trial.
 
 import numpy as np
 
-from .bipartite import BipartiteDims, partial_transpose, product_vec
+from .bipartite import BipartiteDims, kron, partial_transpose, product_vec
 from .errors import DegenerateSampleError
 
 PPT_REJECTION_CAP = 1000
@@ -59,7 +59,7 @@ def random_operator_with_osr(
         raise ValueError(f"k must lie in [1, {dims.d}], got {k}")
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for _ in range(k):
-        out += np.kron(ginibre(rng, dims.m, dims.m), ginibre(rng, dims.n, dims.n))
+        out += kron(ginibre(rng, dims.m, dims.m), ginibre(rng, dims.n, dims.n))
     return out
 
 

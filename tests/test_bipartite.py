@@ -65,6 +65,16 @@ class TestKron:
         with pytest.raises(DimError):
             kron(np.ones((2, 3)), np.eye(2))
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 2), (8, 8)])
+    def test_equals_numpy_kron(self, m, n):
+        # The broadcast outer product forms the same products as np.kron,
+        # so the two agree bit for bit, for matrices and for vectors.
+        rng = np.random.default_rng([m, n])
+        a, b = ginibre(rng, m, m), ginibre(rng, n, n)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+        u, v = ginibre(rng, m, 1)[:, 0], ginibre(rng, n, 1)[:, 0]
+        assert np.array_equal(product_vec(u, v), np.kron(u, v))
+
 
 class TestPartialTranspose:
     def test_identity_fixed_point(self, dims):

@@ -9,7 +9,10 @@ from conftest import DESK_DIMS, hermitian
 
 
 def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol):
-    """Reference kernel that assembles each block entry by entry."""
+    """Reference kernel for one (n, k) start, assembling blocks entry by entry.
+
+    Returns (value, x, y, iterations run).
+    """
 
     def block_vector(layout, frame, m, n):
         a = (frame.conj().T @ layout).reshape(k * m * m, n) @ frame
@@ -28,14 +31,29 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol):
 
     y_frame = np.linalg.qr(y0)[0]
     prev = np.inf
-    for _ in range(iters):
+    for it in range(1, iters + 1):
         x = np.linalg.qr(block_vector(wx, y_frame, m, n)[1])[0]
         val, y = block_vector(wy, x, n, m)
         y_frame = np.linalg.qr(y)[0]
         if prev - val < ftol * (1.0 + abs(val)):
             break
         prev = val
-    return val, x, y
+    return val, x, y, it
+
+
+def assert_rows_match_looped(m, n, k, wx, wy, y0, iters, ftol):
+    """Every row of a stacked run is bit-equal to the reference run alone."""
+    values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol)
+    assert values.shape == (len(y0),)
+    assert xs.shape == (len(y0), m, k) and ys.shape == (len(y0), n, k)
+    counts = []
+    for row, start in enumerate(y0):
+        val, x, y, it = looped_seesaw(m, n, k, wx, wy, start, iters, ftol)
+        assert values[row] == val, row
+        assert np.array_equal(xs[row], x), row
+        assert np.array_equal(ys[row], y), row
+        counts.append(it)
+    return counts
 
 
 def expectation(w, m, n, x, y):
@@ -76,10 +94,11 @@ class TestKernel:
         wx, wy = _kernels.prepare_layouts(w, m, n)
         lam_min = np.linalg.eigvalsh(w)[0]
         for k in range(1, dims.d + 1):
-            y0 = ginibre(rng, n, k)
-            val, x, y = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13)
-            assert abs(val - expectation(w, m, n, x, y)) <= 1e-10
-            assert val >= lam_min - 1e-10
+            y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
+            values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13)
+            for val, x, y in zip(values, xs, ys):
+                assert abs(val - expectation(w, m, n, x, y)) <= 1e-10
+                assert val >= lam_min - 1e-10
 
     def test_matches_looped_reference(self, dims, rng):
         # Same arithmetic, so the results must agree bit for bit.
@@ -87,17 +106,34 @@ class TestKernel:
         w = hermitian(rng, dims.total)
         wx, wy = _kernels.prepare_layouts(w, m, n)
         for k in range(1, dims.d + 1):
-            y0 = ginibre(rng, n, k)
-            got = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13)
-            want = looped_seesaw(m, n, k, wx, wy, y0, 100, 1e-13)
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
-            assert np.array_equal(got[2], want[2])
+            y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
+            assert_rows_match_looped(m, n, k, wx, wy, y0, 100, 1e-13)
 
     def test_full_rank_reaches_ground_state(self, dims, rng):
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
         wx, wy = _kernels.prepare_layouts(w, m, n)
-        y0 = ginibre(rng, n, dims.d)
-        val, _, _ = _kernels.seesaw_minimize(m, n, dims.d, wx, wy, y0, 100, 1e-13)
-        assert abs(val - np.linalg.eigvalsh(w)[0]) <= 1e-9
+        y0 = ginibre(rng, n, dims.d)[None]
+        values, _, _ = _kernels.seesaw_minimize(m, n, dims.d, wx, wy, y0, 100, 1e-13)
+        assert abs(values[0] - np.linalg.eigvalsh(w)[0]) <= 1e-9
+
+    def test_stack_matches_looped_rows(self, rng):
+        # One stack longer than a batch, whose rows leave the running set at
+        # different iterations (a settled start almost at once, some only at
+        # the cap); each row must still equal its own run alone.
+        dims = BipartiteDims(3, 3)
+        m, n, k = dims.m, dims.n, 2
+        w = hermitian(rng, dims.total)
+        wx, wy = _kernels.prepare_layouts(w, m, n)
+        cap = 40
+        settled = _kernels.seesaw_minimize(
+            m, n, k, wx, wy, ginibre(rng, n, k)[None], 200, 1e-13
+        )[2]
+        fresh = [ginibre(rng, n, k) for _ in range(_kernels.SEESAW_BATCH + 5)]
+        y0 = np.concatenate([settled, np.stack(fresh)])
+        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, cap, 1e-13)
+        assert len(y0) > _kernels.SEESAW_BATCH
+        assert counts[0] < 10
+        assert cap in counts[:_kernels.SEESAW_BATCH]
+        assert cap in counts[_kernels.SEESAW_BATCH:]
+        assert len(set(counts)) >= 5

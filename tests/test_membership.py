@@ -23,8 +23,10 @@ from conekit import (
     swap_operator,
     witness_conjugation,
 )
-from conekit.membership import hermitian_part
+from conekit import _kernels, membership
+from conekit.membership import _frame_from_vector, hermitian_part
 from conekit.sampling import (
+    ginibre,
     random_ppt,
     random_product_vector,
     random_psd,
@@ -33,6 +35,7 @@ from conekit.sampling import (
 )
 
 from conftest import hermitian
+from test_kernels import looped_seesaw
 
 FAST_CFG = SeesawConfig(seed=11, restarts=4, iters_per_restart=60)
 
@@ -331,3 +334,135 @@ class TestSeesawConfig:
             SeesawConfig(seed=0, restarts=0)
         with pytest.raises(PreconditionError):
             SeesawConfig(seed=0, tol=2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 1.5},
+            {"seed": 2.0},
+            {"seed": "3"},
+            {"seed": None},
+            {"seed": True},
+            {"seed": 2**64},
+            {"seed": 2**70},
+            {"seed": 0, "restarts": 2.5},
+            {"seed": 0, "restarts": False},
+            {"seed": 0, "iters_per_restart": 10.0},
+            {"seed": 0, "iters_per_restart": True},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_integral_and_oversized(self, kwargs):
+        with pytest.raises(PreconditionError):
+            SeesawConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 2**64 - 1},
+            {"seed": np.int64(7), "restarts": np.int32(3)},
+            {"seed": np.uint64(2**63), "iters_per_restart": np.int16(5)},
+        ],
+        ids=repr,
+    )
+    def test_accepts_integral_types(self, kwargs):
+        SeesawConfig(**kwargs)
+
+
+def looped_optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
+    """The per-restart loop of _optimize_level, on the looped reference kernel."""
+    m, n = dims.m, dims.n
+    inits = [_frame_from_vector(ground, dims, level)]
+    if warm_v is not None:
+        inits.append(_frame_from_vector(warm_v, dims, level))
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, level, r])
+        inits.append(ginibre(rng, n, level))
+    best_val = np.inf
+    best_pair = None
+    for y0 in inits:
+        val, x, y, _ = looped_seesaw(m, n, level, wx, wy, y0, cfg.iters_per_restart, 1e-13)
+        if val < best_val:
+            best_val = val
+            best_pair = (x, y)
+    x, y = best_pair
+    v = (x @ y.T).reshape(dims.total)
+    v = v / np.linalg.norm(v)
+    value = float(np.real(np.vdot(v, h @ v)))
+    return value, v, x, y
+
+
+def assert_same(got, want):
+    """Bit-for-bit equality of results, reports and certificates."""
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    elif isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert_same(got[key], want[key])
+    elif hasattr(got, "certificate"):
+        assert got.verdict is want.verdict
+        assert got.min_eig == want.min_eig
+        assert got.tol == want.tol
+        assert_same(got.certificate, want.certificate)
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestStackedLevelPin:
+    """The stacked level returns exactly what the per-restart loop returned."""
+
+    @staticmethod
+    def calls(w, dims, cfg):
+        # Every see-saw entry point at every k < d, plus the blockpos verdict.
+        out = [min_sr_k_expectation(w, dims, k, cfg) for k in range(1, dims.d)]
+        out.append(min_product_expectation(w, dims, cfg))
+        out.append(is_block_positive_heuristic(w, dims, cfg))
+        return out
+
+    def assert_matches_loop(self, w, dims, cfg, monkeypatch):
+        got = self.calls(w, dims, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(membership, "_optimize_level", looped_optimize_level)
+            want = self.calls(w, dims, cfg)
+        assert_same(tuple(got), tuple(want))
+        return got
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_matches_per_restart_loop(self, m, n, seed, monkeypatch):
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, seed % 97])
+        cfg = SeesawConfig(seed=seed, restarts=5, iters_per_restart=60)
+        v = random_vector_with_sr(rng, dims, dims.d)
+        inputs = [
+            hermitian(rng, dims.total),  # out, or indeterminate
+            partial_transpose(np.outer(v, v.conj()), dims),  # block-positive
+        ]
+        verdicts = set()
+        for w in inputs:
+            verdicts.add(self.assert_matches_loop(w, dims, cfg, monkeypatch)[-1].verdict)
+        assert verdicts == {Verdict.OUT, Verdict.INDETERMINATE}
+
+    def test_tie_goes_to_first_init(self, monkeypatch):
+        # Two product basis states share the exact minimum -1, and restarts
+        # land on either one: the ground-frame init, first in the stack, wins.
+        dims = BipartiteDims(2, 2)
+        diag = np.array([-1.0, 0.5, 0.7, -1.0])
+        w = np.diag(diag).astype(complex)
+        cfg = SeesawConfig(seed=0, restarts=8, iters_per_restart=60)
+        ground = np.linalg.eigh(w)[1][:, 0]
+        inits = [_frame_from_vector(ground, dims, 1)]
+        inits += [ginibre(np.random.default_rng([0, 1, r]), 2, 1) for r in range(8)]
+        wx, wy = _kernels.prepare_layouts(w, 2, 2)
+        values, _, ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, np.stack(inits), 60, 1e-13)
+        tied = np.flatnonzero(values == values.min())
+        assert tied[0] == 0 and len(tied) == len(inits)
+        assert any(abs(abs(ys[t, 0, 0]) - abs(ys[0, 0, 0])) > 0.5 for t in tied)
+        value, z, y = min_product_expectation(w, dims, cfg)
+        assert value == -1.0
+        assert np.isclose(abs(y[0]), abs(ys[0, 0, 0]))
+        report = self.assert_matches_loop(w, dims, cfg, monkeypatch)[-1]
+        assert report.verdict is Verdict.OUT
