@@ -8,6 +8,7 @@ not given.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,7 +26,8 @@ from .bipartite import (
 )
 from .errors import ConekitError, DimError, MatrixFileError
 from .kraus import (
-    apply,
+    _conjugation_sum,
+    _require_valid,
     collapse_construction,
     embed_schmidt_k,
     validate,
@@ -154,10 +156,11 @@ def _cmd_construct(args) -> int:
         dims, target = _load_vector(args.target)
         family, inputs = collapse_construction(target, dims, tol)
         validation = validate(family, tol)
-        out = apply(family, inputs, tol)
+        _require_valid(validation)
+        out = _conjugation_sum(family, inputs)
         out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
         norm_residual = validation.certificate["normalization_residual"]
-        ok = validation.verdict is Verdict.IN and out_residual <= 1e-10
+        ok = out_residual <= 1e-10
         report_obj = {
             "construct": "collapse",
             "ops": len(family.ops),
@@ -185,10 +188,10 @@ def _cmd_construct(args) -> int:
         else:
             u_vec = _default_product_vector(dims)
         family = embed_schmidt_k(target, u_vec, dims, args.k, tol)
-        validation = validate(family, tol)
-        out = apply(family, [np.eye(dims.total)], tol)
+        _require_valid(validate(family, tol))
+        out = _conjugation_sum(family, [np.eye(dims.total)])
         out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
-        ok = validation.verdict is Verdict.IN and out_residual <= 1e-10
+        ok = out_residual <= 1e-10
         report_obj = {
             "construct": "embed_k",
             "k": args.k,
@@ -288,7 +291,12 @@ def _cmd_verify(args) -> int:
     return EXIT_IN if not report.failures else EXIT_OUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The conekit argument parser, built once per process.
+
+    Parsing never changes the parser, so `main` reuses it across calls.
+    """
     parser = _Parser(prog="conekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

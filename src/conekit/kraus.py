@@ -150,11 +150,20 @@ def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
     The family is validated on every call, so operators replaced or changed
     in place since an earlier validation are checked again.
     """
-    report = validate(family, tol)
+    _require_valid(validate(family, tol))
+    return _conjugation_sum(family, inputs)
+
+
+def _require_valid(report: MembershipReport) -> None:
+    """Refuse a family whose `validate` report is not In."""
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
             f"family fails validation: {report.certificate['violations']}"
         )
+
+
+def _conjugation_sum(family: KrausFamily, inputs) -> np.ndarray:
+    """A_i* X_i A_i for a family the caller has just validated."""
     if len(inputs) != len(family.ops):
         raise DimError(
             f"need one input per operator, got {len(inputs)} for {len(family.ops)}"

@@ -3,7 +3,15 @@
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly: parsing a canonically written file and writing it again is
 byte-identical.  Keys are emitted sorted, and writes go through a temp file
-plus rename so readers never observe partial output.
+plus rename so readers never observe partial output; the file gets the mode
+that the umask gives a newly created file.
+
+Float arrays are written an array at a time: one finiteness check per array,
+then each innermost row through a single "%.17g" template, which for every
+finite double gives the same text as formatting its entries one by one.  A
+complex array is written as {"im": ..., "re": ...} with real arrays for both
+parts.  Integer and bool arrays, and 0-d arrays, are written as the nested
+lists or scalars of `tolist()`.
 """
 
 import enum
@@ -26,10 +34,11 @@ def _float_str(x: float) -> str:
 
 
 def jsonable(obj):
-    """Convert reports/certificates into plain JSON data.
+    """Convert reports/certificates into data `canonical_dumps` can emit.
 
-    Complex arrays become {"re": ..., "im": ...} nested lists; real arrays
-    become nested lists; numpy scalars and enums collapse to Python values.
+    Float arrays stay arrays and complex arrays become {"re": ..., "im": ...}
+    float arrays; other arrays become nested lists; numpy scalars and enums
+    collapse to Python values.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -47,7 +56,9 @@ def jsonable(obj):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
+            return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
+        if obj.dtype.kind == "f" and obj.ndim:
+            return obj
         return obj.tolist()
     if isinstance(obj, dict):
         return {str(key): jsonable(value) for key, value in obj.items()}
@@ -92,17 +103,52 @@ def _emit(obj, pieces):
             pieces.append(": ")
             _emit(obj[key], pieces)
         pieces.append("}")
+    elif isinstance(obj, np.ndarray):
+        pieces.append(_float_array_str(obj))
     else:
         raise MatrixFileError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _float_array_str(arr: np.ndarray) -> str:
+    """Nested-list text of a float array of ndim >= 1, as `_emit` would write
+    `arr.tolist()`, formatted one innermost row at a time."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        _float_str(float(arr[~finite][0]))  # raises, naming the first bad entry
+    *lead, width = arr.shape
+    rows = arr.reshape(math.prod(lead), width).tolist()
+    template = "[" + ", ".join(["%.17g"] * width) + "]"
+    items = [template % tuple(row) for row in rows]
+    # Close the leading axes from the innermost out.
+    for axis in range(len(lead) - 1, -1, -1):
+        size = lead[axis]
+        items = [
+            "[" + ", ".join(items[i * size:(i + 1) * size]) + "]"
+            for i in range(math.prod(lead[:axis]))
+        ]
+    return items[0]
+
+
+def _new_file_mode() -> int:
+    # The mode open(path, "w") gives a new file.  Reading the umask means
+    # setting it, briefly, for the whole process.
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_text(path: str, text: str):
-    """Write via a sibling temp file and rename, so output is all-or-nothing."""
+    """Write via a sibling temp file and rename, so output is all-or-nothing.
+
+    The temp file is private (0600) while it is written and gets the mode
+    of a newly created file before the rename.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -125,7 +171,7 @@ def _nested_to_array(re_part, im_part, what: str) -> np.ndarray:
 
 def array_to_obj(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.complex128)
-    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+    return {"re": arr.real, "im": arr.imag}
 
 
 def load_array(path: str):
@@ -198,10 +244,17 @@ def load_kraus_family(path: str) -> KrausFamily:
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        dims = BipartiteDims(int(obj["m"]), int(obj["n"]))
+        m, n, bound, seed = obj["m"], obj["n"], obj.get("osr_bound"), obj.get("seed")
+        if not (type(m) is int and type(n) is int):
+            raise TypeError("m and n must be integers")
+        if not all(x is None or type(x) is int for x in (bound, seed)):
+            raise TypeError("osr_bound and seed must be integers or null")
+        dims = BipartiteDims(m, n)
         mode = Mode(obj["mode"])
         locality = Locality(obj.get("locality", "global"))
         raw_ops = obj["ops"]
+        if not isinstance(raw_ops, list):
+            raise TypeError("ops must be a list")
     except (KeyError, TypeError, ValueError, DimError) as exc:
         raise MatrixFileError(f"{path}: bad Kraus family header: {exc}") from exc
     ops = []
@@ -213,14 +266,13 @@ def load_kraus_family(path: str) -> KrausFamily:
         if arr.shape != (total, total):
             raise DimError(f"{path}: op {i} has shape {arr.shape}, expected {(total, total)}")
         ops.append(arr)
-    bound = obj.get("osr_bound")
     return KrausFamily(
         dims,
         ops,
         mode,
-        osr_bound=None if bound is None else int(bound),
+        osr_bound=bound,
         locality=locality,
-        seed=obj.get("seed"),
+        seed=seed,
     )
 
 
@@ -251,16 +303,17 @@ def suite_csv_row(report) -> str:
 
 
 def append_csv_summary(path: str, report):
-    """Append one summary row, writing the header when the file is new.
+    """Append one summary row, writing the header when the file is new or empty.
 
     The whole file is rewritten through a temp file so a crash mid-append
     never leaves a torn row.
     """
+    text = ""
     if os.path.exists(path):
         with open(path) as handle:
             text = handle.read()
-        if text and not text.endswith("\n"):
-            text += "\n"
-    else:
+    if not text:
         text = SUITE_CSV_HEADER + "\n"
+    elif not text.endswith("\n"):
+        text += "\n"
     atomic_write_text(path, text + suite_csv_row(report) + "\n")

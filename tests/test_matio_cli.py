@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conekit import (
     random_family,
     swap_operator,
 )
-from conekit import matio
+from conekit import cli, kraus, matio
 from conekit.cli import main
 from conekit.errors import MatrixFileError
 from conekit.suites import suite_lemma_srank
@@ -96,7 +97,158 @@ class TestMatrixFiles:
         assert matio.canonical_dumps({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
 
+def _per_element(obj) -> str:
+    """Reference text of `tolist()` output, one entry at a time."""
+    if isinstance(obj, list):
+        return "[" + ", ".join(_per_element(item) for item in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    return format(obj, ".17g")
+
+
+_SPECIAL = np.array(
+    [-0.0, 0.0, 5e-324, 2.5e-310, -1e-320, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1.0, 1e16, -2.5]
+)
+_GOLDEN_ARRAYS = {
+    "special": _SPECIAL,
+    "special_2d": _SPECIAL[:12].reshape(3, 4),
+    "special_3d": _SPECIAL[:12].reshape(2, 3, 2),
+    "empty": np.zeros((0,)),
+    "empty_rows": np.zeros((0, 4)),
+    "empty_cols": np.zeros((4, 0)),
+    "empty_middle": np.zeros((2, 0, 3)),
+    "empty_last_3d": np.zeros((2, 3, 0)),
+    "one_by_one": np.full((1, 1, 1), 0.1),
+    "random_4d": np.random.default_rng(5).standard_normal((2, 3, 2, 5)),
+    "float32": np.array([0.1, 1 / 3, -0.0, 1e-45, 3.4028235e38], dtype=np.float32),
+    "float16": np.array([[0.1, 65504.0], [6e-8, -0.0]], dtype=np.float16),
+    "int": np.arange(-3, 9).reshape(3, 4),
+    "bool": np.array([[True, False], [False, True]]),
+    "zero_d_float": np.array(0.1),
+    "zero_d_int": np.array(7),
+}
+
+
+class TestArrayEmission:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_ARRAYS))
+    def test_real_arrays_match_per_element_format(self, name):
+        arr = _GOLDEN_ARRAYS[name]
+        assert matio.canonical_dumps(arr) == _per_element(arr.tolist())
+        assert matio.canonical_dumps({"x": [arr]}) == '{"x": [' + _per_element(arr.tolist()) + "]}"
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("shape", [(11,), (0,), (0, 3), (3, 0), (2, 3, 1), ()])
+    def test_complex_arrays_match_per_element_format(self, dtype, shape):
+        count = int(np.prod(shape))
+        parts = _SPECIAL[np.abs(_SPECIAL) < 1e38]  # finite in single precision too
+        values = (parts[:count] - 1j * parts[::-1][:count]).astype(dtype)
+        arr = values.reshape(shape)
+        want = (
+            '{"im": ' + _per_element(arr.imag.tolist())
+            + ', "re": ' + _per_element(arr.real.tolist()) + "}"
+        )
+        assert matio.canonical_dumps(arr) == want
+
+    def test_array_to_obj_writes_what_nested_lists_would(self, rng):
+        arr = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        lists = {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+        assert matio.canonical_dumps(matio.array_to_obj(arr)) == matio.canonical_dumps(lists)
+
+    @pytest.mark.parametrize(
+        "arr, bad",
+        [
+            (np.array([1.0, np.inf, np.nan]), "inf"),
+            (np.array([[1.0, 2.0], [np.nan, -np.inf]]), "nan"),
+            (np.array([[0.0, -np.inf], [np.nan, 0.0]], dtype=np.float32), "-inf"),
+        ],
+    )
+    def test_non_finite_entry_names_first_bad_value(self, arr, bad):
+        with pytest.raises(MatrixFileError, match=f"^non-finite value {bad} cannot"):
+            matio.canonical_dumps({"x": arr})
+
+    def test_non_finite_im_part_is_reported_before_re(self):
+        re_part = np.array([1.0, np.nan])
+        im_part = np.array([np.inf, 0.0])
+        arr = np.empty(2, dtype=complex)
+        arr.real, arr.imag = re_part, im_part
+        with pytest.raises(MatrixFileError, match="^non-finite value inf cannot"):
+            matio.canonical_dumps(arr)
+
+    def test_non_finite_scalar_before_array_in_emission_order(self):
+        with pytest.raises(MatrixFileError, match="^non-finite value nan cannot"):
+            matio.canonical_dumps({"a": float("nan"), "b": np.array([np.inf])})
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.json"
+        previous = os.umask(umask)
+        try:
+            matio.atomic_write_text(str(path), "{}\n")
+            matio.save_array(str(tmp_path / "x.json"), BipartiteDims(1, 1), np.eye(1))
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+        assert (tmp_path / "x.json").stat().st_mode & 0o777 == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "x.json"]
+
+
+class TestKrausFamilyHeader:
+    def _write(self, tmp_path, **header):
+        d = BipartiteDims(2, 2)
+        fam = random_family(d, 2, 1, Mode.EXACT, seed=4)
+        path = tmp_path / "fam.json"
+        matio.save_kraus_family(str(path), fam)
+        obj = json.loads(path.read_text())
+        obj.update(header)
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"m": 2.9},
+            {"m": 2.0},
+            {"n": True},
+            {"m": "2"},
+            {"osr_bound": 1.7},
+            {"osr_bound": 1.0},
+            {"osr_bound": True},
+            {"osr_bound": "1"},
+            {"seed": 4.5},
+            {"seed": "4"},
+            {"ops": 5},
+            {"ops": {"re": [[1]], "im": [[0]]}},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_header_refused(self, tmp_path, header):
+        with pytest.raises(MatrixFileError, match="bad Kraus family header"):
+            matio.load_kraus_family(self._write(tmp_path, **header))
+
+    @pytest.mark.parametrize("value", [None, 1, 4])
+    def test_integer_or_null_bound_and_seed_load(self, tmp_path, value):
+        fam = matio.load_kraus_family(self._write(tmp_path, osr_bound=value, seed=value))
+        assert fam.osr_bound == value
+        assert fam.seed == value
+        assert fam.dims == BipartiteDims(2, 2)
+
+
 class TestCsvSummary:
+    def test_empty_file_gets_header(self, tmp_path):
+        report = suite_lemma_srank(BipartiteDims(2, 2), 4, 3)
+        path = tmp_path / "summary.csv"
+        path.write_text("")
+        matio.append_csv_summary(str(path), report)
+        lines = path.read_text().split("\n")
+        assert lines[0] == matio.SUITE_CSV_HEADER
+        assert lines[1] == matio.suite_csv_row(report)
+        assert lines[2:] == [""]
+
     def test_header_and_rows(self, tmp_path):
         d = BipartiteDims(2, 2)
         report = suite_lemma_srank(d, 10, 3)
@@ -157,6 +309,22 @@ class TestCliCheck:
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 123
 
+    @pytest.mark.parametrize("env", [None, "41"])
+    def test_seed_does_not_leak_between_calls(self, tmp_path, capsys, monkeypatch, env):
+        if env is None:
+            monkeypatch.delenv("CONEKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONEKIT_SEED", env)
+        path = write_matrix(tmp_path / "i.json", 2, 2, np.eye(4))
+        args = ["check", "blockpos", path, "--restarts", "2", "--iters", "20"]
+        assert main(args + ["--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == int(env or 0)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_malformed_file_exit_11(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("nope")
@@ -196,6 +364,39 @@ class TestCliConstruct:
         assert fam.mode is Mode.EXACT
         assert (tmp_path / "col_inputs.json").exists()
         assert (tmp_path / "col_report.json").exists()
+
+    @pytest.mark.parametrize("kind", ["collapse", "embed_k"])
+    def test_family_validated_once(self, bell_vec_file, tmp_path, monkeypatch, kind):
+        calls = []
+        validate = kraus.validate
+
+        def counting(family, tol=1e-9):
+            calls.append(len(family.ops))
+            return validate(family, tol)
+
+        monkeypatch.setattr(kraus, "validate", counting)
+        monkeypatch.setattr(cli, "validate", counting)
+        flags = ["--target", bell_vec_file] if kind == "collapse" else ["--v", bell_vec_file, "--k", "2"]
+        assert main(["construct", kind, *flags, "--out", str(tmp_path / "c")]) == 0
+        assert len(calls) == 1
+
+    def test_invalid_family_refused_without_outputs(self, bell_vec_file, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        from conekit.membership import Verdict
+
+        validate = kraus.validate
+
+        def failing(family, tol=1e-9):
+            report = validate(family, tol)
+            report.certificate["violations"] = [{"invariant": "exact_normalization"}]
+            return dataclasses.replace(report, verdict=Verdict.OUT)
+
+        monkeypatch.setattr(cli, "validate", failing)
+        prefix = str(tmp_path / "col")
+        assert main(["construct", "collapse", "--target", bell_vec_file, "--out", prefix]) == 13
+        assert capsys.readouterr().err.startswith("error: family fails validation")
+        assert not any(p.name.startswith("col_") for p in tmp_path.iterdir())
 
     def test_embed_k(self, bell_vec_file, tmp_path, capsys):
         prefix = str(tmp_path / "emb")
