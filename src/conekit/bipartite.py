@@ -145,7 +145,7 @@ def _rank_from_singulars(s: np.ndarray, tol: float) -> int:
 
 def _check_tol(tol: float):
     if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        raise PreconditionError(f"tol must lie in (0, 1), got {tol}")
 
 
 @dataclass(frozen=True)

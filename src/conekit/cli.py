@@ -75,17 +75,12 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _load_matrix(path: str):
+def _load(path: str, ndim: int):
+    """(dims, array) of a file that must hold a vector (ndim 1) or a matrix (2)."""
     dims, arr, _ = matio.load_array(path)
-    if arr.ndim != 2:
-        raise DimError(f"{path}: expected a matrix, found a vector")
-    return dims, arr
-
-
-def _load_vector(path: str):
-    dims, arr, _ = matio.load_array(path)
-    if arr.ndim != 1:
-        raise DimError(f"{path}: expected a vector, found a matrix")
+    if arr.ndim != ndim:
+        want, found = ("vector", "matrix") if ndim == 1 else ("matrix", "vector")
+        raise DimError(f"{path}: expected a {want}, found a {found}")
     return dims, arr
 
 
@@ -106,137 +101,96 @@ def _print_json(obj):
     print(matio.canonical_dumps(obj))
 
 
+_CHECKS = {"psd": is_psd, "ppt": is_ppt, "sep": is_separable_decidable}
+
+
 def _cmd_check(args) -> int:
-    dims, mat = _load_matrix(args.file)
-    if args.kind == "psd":
-        report = is_psd(mat, dims, args.tol)
-        _print_json(_report_obj("psd", report))
-    elif args.kind == "ppt":
-        report = is_ppt(mat, dims, args.tol)
-        _print_json(_report_obj("ppt", report))
-    elif args.kind == "sep":
-        report = is_separable_decidable(mat, dims, args.tol)
-        _print_json(_report_obj("sep", report))
-    else:
+    dims, mat = _load(args.file, 2)
+    seed = None
+    if args.kind == "blockpos":
         seed = _resolve_seed(args.seed)
         cfg = SeesawConfig(
             seed=seed, restarts=args.restarts, iters_per_restart=args.iters, tol=args.tol
         )
         report = is_block_positive_heuristic(mat, dims, cfg)
-        _print_json(_report_obj("blockpos", report, seed=seed))
+    else:
+        report = _CHECKS[args.kind](mat, dims, args.tol)
+    _print_json(_report_obj(args.kind, report, seed=seed))
     return _VERDICT_EXIT[report.verdict]
 
 
 def _cmd_rank(args) -> int:
-    if args.kind == "sr":
-        dims, vec = _load_vector(args.file)
-        print(sr(vec, dims, args.tol))
-    else:
-        dims, mat = _load_matrix(args.file)
-        print(osr(mat, dims, args.tol))
+    rank, ndim = {"sr": (sr, 1), "osr": (osr, 2)}[args.kind]
+    dims, arr = _load(args.file, ndim)
+    print(rank(arr, dims, args.tol))
     return 0
 
 
-def _default_product_vector(dims: BipartiteDims) -> np.ndarray:
-    return product_vec(basis_vec(dims.m, 0), basis_vec(dims.n, 0))
+# Each construction takes the parsed arguments and returns (ok, report
+# fields, {file suffix: writer of that file}); _cmd_construct does the rest.
 
 
-def _write_construct_outputs(prefix: str, report_obj: dict, files: dict) -> None:
-    for suffix, writer in files.items():
-        writer(f"{prefix}_{suffix}.json")
-    matio.atomic_write_text(
-        f"{prefix}_report.json", matio.canonical_dumps(report_obj) + "\n"
-    )
-    _print_json(report_obj)
+def _construct_collapse(args):
+    dims, target = _load(args.target, 1)
+    family, inputs = collapse_construction(target, dims, args.tol)
+    validation = validate(family, args.tol)
+    _require_valid(validation)
+    out = _conjugation_sum(family, inputs)
+    out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
+    fields = {
+        "ops": len(family.ops),
+        "osr_bound": family.osr_bound,
+        "normalization_residual": validation.certificate["normalization_residual"],
+        "output_residual": out_residual,
+    }
+    outputs = {
+        "family": lambda p: matio.save_kraus_family(p, family),
+        "inputs": lambda p: matio.save_matrix_list(p, dims, inputs),
+    }
+    return out_residual <= 1e-10, fields, outputs
 
 
-def _cmd_construct(args) -> int:
-    tol = args.tol
-    if args.kind == "collapse":
-        dims, target = _load_vector(args.target)
-        family, inputs = collapse_construction(target, dims, tol)
-        validation = validate(family, tol)
-        _require_valid(validation)
-        out = _conjugation_sum(family, inputs)
-        out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
-        norm_residual = validation.certificate["normalization_residual"]
-        ok = out_residual <= 1e-10
-        report_obj = {
-            "construct": "collapse",
-            "ops": len(family.ops),
-            "osr_bound": family.osr_bound,
-            "normalization_residual": norm_residual,
-            "output_residual": out_residual,
-            "verdict": "pass" if ok else "fail",
-        }
-        _write_construct_outputs(
-            args.out,
-            report_obj,
-            {
-                "family": lambda p: matio.save_kraus_family(p, family),
-                "inputs": lambda p: matio.save_matrix_list(p, dims, inputs),
-            },
-        )
-        return EXIT_IN if ok else EXIT_OUT
+def _construct_embed_k(args):
+    dims, target = _load(args.v, 1)
+    if args.u is not None:
+        u_dims, u_vec = _load(args.u, 1)
+        if u_dims != dims:
+            raise DimError("u and v must carry the same bipartite dims")
+    else:
+        u_vec = product_vec(basis_vec(dims.m, 0), basis_vec(dims.n, 0))
+    family = embed_schmidt_k(target, u_vec, dims, args.k, args.tol)
+    _require_valid(validate(family, args.tol))
+    out = _conjugation_sum(family, [np.eye(dims.total)])
+    out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
+    fields = {"k": args.k, "osr": family.osr_bound, "output_residual": out_residual}
+    outputs = {"family": lambda p: matio.save_kraus_family(p, family)}
+    return out_residual <= 1e-10, fields, outputs
 
-    if args.kind == "embed_k":
-        dims, target = _load_vector(args.v)
-        if args.u is not None:
-            u_dims, u_vec = _load_vector(args.u)
-            if u_dims != dims:
-                raise DimError("u and v must carry the same bipartite dims")
-        else:
-            u_vec = _default_product_vector(dims)
-        family = embed_schmidt_k(target, u_vec, dims, args.k, tol)
-        _require_valid(validate(family, tol))
-        out = _conjugation_sum(family, [np.eye(dims.total)])
-        out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
-        ok = out_residual <= 1e-10
-        report_obj = {
-            "construct": "embed_k",
-            "k": args.k,
-            "osr": family.osr_bound,
-            "output_residual": out_residual,
-            "verdict": "pass" if ok else "fail",
-        }
-        _write_construct_outputs(
-            args.out, report_obj, {"family": lambda p: matio.save_kraus_family(p, family)}
-        )
-        return EXIT_IN if ok else EXIT_OUT
 
-    if args.kind == "witness_break":
-        dims, witness = _load_matrix(args.w)
-        if args.z is not None:
-            z_dims, z = _load_vector(args.z)
-            if z_dims != dims:
-                raise DimError("z must carry the same bipartite dims as w")
-        else:
-            _, evecs = np.linalg.eigh((witness + witness.conj().T) / 2.0)
-            z = evecs[:, 0]
-        u = basis_vec(dims.m, 0)
-        v = basis_vec(dims.n, 0)
-        conjugated, product = witness_conjugation(witness, z, u, v, dims, tol)
-        expectation = float(np.real(np.vdot(product, conjugated @ product)))
-        ok = expectation < -tol
-        report_obj = {
-            "construct": "witness_break",
-            "product_expectation": expectation,
-            "verdict": "pass" if ok else "fail",
-        }
-        _write_construct_outputs(
-            args.out,
-            report_obj,
-            {
-                "conjugated": lambda p: matio.save_array(p, dims, conjugated),
-                "violating_vector": lambda p: matio.save_array(p, dims, product),
-            },
-        )
-        return EXIT_IN if ok else EXIT_OUT
+def _construct_witness_break(args):
+    dims, witness = _load(args.w, 2)
+    if args.z is not None:
+        z_dims, z = _load(args.z, 1)
+        if z_dims != dims:
+            raise DimError("z must carry the same bipartite dims as w")
+    else:
+        _, evecs = np.linalg.eigh((witness + witness.conj().T) / 2.0)
+        z = evecs[:, 0]
+    u = basis_vec(dims.m, 0)
+    v = basis_vec(dims.n, 0)
+    conjugated, product = witness_conjugation(witness, z, u, v, dims, args.tol)
+    expectation = float(np.real(np.vdot(product, conjugated @ product)))
+    outputs = {
+        "conjugated": lambda p: matio.save_array(p, dims, conjugated),
+        "violating_vector": lambda p: matio.save_array(p, dims, product),
+    }
+    return expectation < -args.tol, {"product_expectation": expectation}, outputs
 
-    # lift
-    u_dims, u = _load_vector(args.u)
-    v_dims, v = _load_vector(args.v)
-    dims, w = _load_vector(args.w)
+
+def _construct_lift(args):
+    u_dims, u = _load(args.u, 1)
+    v_dims, v = _load(args.v, 1)
+    dims, w = _load(args.w, 1)
     if (u_dims.total, v_dims.total) != (dims.m, dims.n):
         raise DimError("u must live in C^m and v in C^n for the dims of w")
     unitary = lift_product_to_target(u, v, w, dims)
@@ -245,15 +199,30 @@ def _cmd_construct(args) -> int:
         np.linalg.norm(unitary.conj().T @ unitary - np.eye(dims.total))
     )
     ok = mapping_residual <= 1e-12 and unitarity_residual <= 1e-12
-    report_obj = {
-        "construct": "lift",
-        "mapping_residual": mapping_residual,
-        "unitarity_residual": unitarity_residual,
-        "verdict": "pass" if ok else "fail",
-    }
-    _write_construct_outputs(
-        args.out, report_obj, {"unitary": lambda p: matio.save_array(p, dims, unitary)}
-    )
+    fields = {"mapping_residual": mapping_residual, "unitarity_residual": unitarity_residual}
+    return ok, fields, {"unitary": lambda p: matio.save_array(p, dims, unitary)}
+
+
+# kind -> (required flags, construction); the parser's choices come from here.
+_CONSTRUCTS = {
+    "collapse": (("target",), _construct_collapse),
+    "embed_k": (("v", "k"), _construct_embed_k),
+    "witness_break": (("w",), _construct_witness_break),
+    "lift": (("u", "v", "w"), _construct_lift),
+}
+
+
+def _cmd_construct(args) -> int:
+    required, construction = _CONSTRUCTS[args.kind]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise ConekitError(f"construct {args.kind} needs {', '.join(missing)}")
+    ok, fields, outputs = construction(args)
+    report_obj = {"construct": args.kind, **fields, "verdict": "pass" if ok else "fail"}
+    for suffix, write in outputs.items():
+        write(f"{args.out}_{suffix}.json")
+    matio.save_json(f"{args.out}_report.json", report_obj)
+    _print_json(report_obj)
     return EXIT_IN if ok else EXIT_OUT
 
 
@@ -264,7 +233,7 @@ def _cmd_verify(args) -> int:
     if args.extra_inputs:
         extra_inputs = []
         for path in args.extra_inputs:
-            in_dims, mat = _load_matrix(path)
+            in_dims, mat = _load(path, 2)
             if in_dims != dims:
                 raise DimError(f"{path}: dims {in_dims} do not match --m/--n")
             extra_inputs.append(mat)
@@ -278,9 +247,7 @@ def _cmd_verify(args) -> int:
         extra_inputs=extra_inputs,
     )
     out_path = args.out or f"{args.suite.replace('-', '_')}_report.json"
-    matio.atomic_write_text(
-        out_path, matio.canonical_dumps(report.to_obj(include_wall_time=True)) + "\n"
-    )
+    matio.save_json(out_path, report.to_obj(include_wall_time=True))
     if args.csv:
         matio.append_csv_summary(args.csv, report)
     print(
@@ -301,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="cone membership test on a matrix file")
-    check.add_argument("kind", choices=["psd", "ppt", "sep", "blockpos"])
+    check.add_argument("kind", choices=[*_CHECKS, "blockpos"])
     check.add_argument("file")
     check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     check.add_argument("--seed", type=int, default=None)
@@ -316,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.set_defaults(func=_cmd_rank)
 
     construct = sub.add_parser("construct", help="run one of the explicit constructions")
-    construct.add_argument("kind", choices=["collapse", "embed_k", "witness_break", "lift"])
+    construct.add_argument("kind", choices=list(_CONSTRUCTS))
     construct.add_argument("--target", help="target vector file (collapse)")
     construct.add_argument("--v", help="vector file (embed_k target, lift factor)")
     construct.add_argument("--u", help="vector file (embed_k product vector, lift factor)")
@@ -351,20 +318,6 @@ def _check_required(args) -> None:
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 1:
         raise ConekitError(f"--trials must be >= 1, got {trials}")
-    required = {
-        "collapse": ["target"],
-        "embed_k": ["v", "k"],
-        "witness_break": ["w"],
-        "lift": ["u", "v", "w"],
-    }
-    if getattr(args, "command", None) == "construct":
-        missing = [
-            f"--{name}" for name in required[args.kind] if getattr(args, name) is None
-        ]
-        if missing:
-            raise ConekitError(
-                f"construct {args.kind} needs {', '.join(missing)}"
-            )
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,14 @@ Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly: parsing a canonically written file and writing it again is
 byte-identical.  Keys are emitted sorted, and writes go through a temp file
 plus rename so readers never observe partial output; the file gets the mode
-that the umask gives a newly created file.
+that the umask gives a newly created file.  `save_json` is the one writer of
+canonical JSON files and `_read_json` the one reader, so every file error
+reads the same.
+
+`canonical_dumps` walks a document once.  Enums are written as their value,
+numpy scalars as the matching Python value, dict keys as strings, tuples as
+lists, and a complex scalar as {"im": ..., "re": ...}; anything else (a set,
+a Python complex) raises MatrixFileError.
 
 Float arrays are written an array at a time: one finiteness check per array,
 then each innermost row through a single "%.17g" template, which for every
@@ -33,58 +40,23 @@ def _float_str(x: float) -> str:
     return format(x, ".17g")
 
 
-def jsonable(obj):
-    """Convert reports/certificates into data `canonical_dumps` can emit.
-
-    Float arrays stay arrays and complex arrays become {"re": ..., "im": ...}
-    float arrays; other arrays become nested lists; numpy scalars and enums
-    collapse to Python values.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": jsonable(obj.real), "im": jsonable(obj.imag)}
-        if obj.dtype.kind == "f" and obj.ndim:
-            return obj
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(key): jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(item) for item in obj]
-    raise MatrixFileError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit decimals."""
     pieces = []
-    _emit(jsonable(obj), pieces)
+    _emit(obj, pieces)
     return "".join(pieces)
 
 
 def _emit(obj, pieces):
+    # A str or int enum takes the str or int branch, which writes its value.
     if obj is None:
         pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, int):
-        pieces.append(repr(obj))
-    elif isinstance(obj, float):
-        pieces.append(_float_str(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(repr(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(_float_str(float(obj)))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
@@ -95,16 +67,26 @@ def _emit(obj, pieces):
             _emit(item, pieces)
         pieces.append("]")
     elif isinstance(obj, dict):
+        keyed = {str(key): value for key, value in obj.items()}
         pieces.append("{")
-        for i, key in enumerate(sorted(obj)):
+        for i, key in enumerate(sorted(keyed)):
             if i:
                 pieces.append(", ")
             pieces.append(json.dumps(key))
             pieces.append(": ")
-            _emit(obj[key], pieces)
+            _emit(keyed[key], pieces)
         pieces.append("}")
     elif isinstance(obj, np.ndarray):
-        pieces.append(_float_array_str(obj))
+        if obj.dtype.kind == "c":
+            _emit({"re": obj.real, "im": obj.imag}, pieces)
+        elif obj.dtype.kind == "f" and obj.ndim:
+            pieces.append(_float_array_str(obj))
+        else:
+            _emit(obj.tolist(), pieces)
+    elif isinstance(obj, np.complexfloating):
+        _emit({"re": obj.real, "im": obj.imag}, pieces)
+    elif isinstance(obj, enum.Enum):
+        _emit(obj.value, pieces)
     else:
         raise MatrixFileError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -156,6 +138,11 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def save_json(path: str, obj):
+    """Write `canonical_dumps(obj)` plus a newline through `atomic_write_text`."""
+    atomic_write_text(path, canonical_dumps(obj) + "\n")
+
+
 def _nested_to_array(re_part, im_part, what: str) -> np.ndarray:
     try:
         re_arr = np.asarray(re_part, dtype=np.float64)
@@ -169,6 +156,16 @@ def _nested_to_array(re_part, im_part, what: str) -> np.ndarray:
     return re_arr + 1j * im_arr
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def array_to_obj(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.complex128)
     return {"re": arr.real, "im": arr.imag}
@@ -180,13 +177,7 @@ def load_array(path: str):
     The array is either a length-mn vector or an mn x mn matrix; anything
     else is malformed.
     """
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise MatrixFileError(f"{path}: top level must be an object")
     for key in ("m", "n", "re", "im"):
@@ -219,7 +210,7 @@ def save_array(path: str, dims: BipartiteDims, arr, meta: dict | None = None):
     obj.update(array_to_obj(arr))
     if meta:
         obj["meta"] = {str(k): str(v) for k, v in meta.items()}
-    atomic_write_text(path, canonical_dumps(obj) + "\n")
+    save_json(path, obj)
 
 
 def save_kraus_family(path: str, family: KrausFamily):
@@ -230,19 +221,13 @@ def save_kraus_family(path: str, family: KrausFamily):
         "osr_bound": family.osr_bound,
         "locality": family.locality.value,
         "seed": family.seed,
-        "ops": [array_to_obj(np.asarray(a, dtype=np.complex128)) for a in family.ops],
+        "ops": [array_to_obj(a) for a in family.ops],
     }
-    atomic_write_text(path, canonical_dumps(obj) + "\n")
+    save_json(path, obj)
 
 
 def load_kraus_family(path: str) -> KrausFamily:
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _read_json(path)
     try:
         m, n, bound, seed = obj["m"], obj["n"], obj.get("osr_bound"), obj.get("seed")
         if not (type(m) is int and type(n) is int):
@@ -280,9 +265,9 @@ def save_matrix_list(path: str, dims: BipartiteDims, mats: list):
     obj = {
         "m": dims.m,
         "n": dims.n,
-        "mats": [array_to_obj(np.asarray(x, dtype=np.complex128)) for x in mats],
+        "mats": [array_to_obj(x) for x in mats],
     }
-    atomic_write_text(path, canonical_dumps(obj) + "\n")
+    save_json(path, obj)
 
 
 SUITE_CSV_HEADER = "suite_id,m,n,trials,passes,max_residual,seed"

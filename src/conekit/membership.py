@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bipartite import DEFAULT_TOL, BipartiteDims, as_matrix, partial_transpose, sr
+from .bipartite import (
+    DEFAULT_TOL,
+    BipartiteDims,
+    _check_tol,
+    as_matrix,
+    partial_transpose,
+    sr,
+)
 from .errors import HermiticityError, PreconditionError
 from .sampling import ginibre
 
@@ -62,8 +69,10 @@ def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarr
     """Symmetrized copy of x; rejects matrices that are not nearly Hermitian.
 
     Asymmetry up to 100*tol (relative to the Frobenius norm) is absorbed as
-    serialization round-off.
+    serialization round-off.  Every membership test enters here, so this is
+    where a tolerance outside (0, 1) is refused.
     """
+    _check_tol(tol)
     x = as_matrix(dims, x)
     asym = np.linalg.norm(x - x.conj().T)
     if asym > 100.0 * tol * max(np.linalg.norm(x), 1.0):

@@ -7,7 +7,7 @@ owned by the caller; suites derive one generator per trial.
 import numpy as np
 
 from .bipartite import BipartiteDims, kron, partial_transpose, product_vec
-from .errors import DegenerateSampleError
+from .errors import DegenerateSampleError, PreconditionError
 
 PPT_REJECTION_CAP = 1000
 # random_ppt draws induced states with environment K = PPT_ENVIRONMENT * mn.
@@ -42,7 +42,7 @@ def random_vector_with_sr(
 ) -> np.ndarray:
     """Unit vector with Schmidt rank exactly r (planted orthonormal frames)."""
     if not (1 <= r <= dims.d):
-        raise ValueError(f"rank must lie in [1, {dims.d}], got {r}")
+        raise PreconditionError(f"rank must lie in [1, {dims.d}], got {r}")
     left = haar_unitary(rng, dims.m)[:, :r]
     right = haar_unitary(rng, dims.n)[:, :r]
     # Coefficients bounded away from zero keep the planted rank unambiguous.
@@ -56,7 +56,7 @@ def random_operator_with_osr(
 ) -> np.ndarray:
     """Sum of k Gaussian product terms; operator Schmidt rank at most k."""
     if not (1 <= k <= dims.d):
-        raise ValueError(f"k must lie in [1, {dims.d}], got {k}")
+        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for _ in range(k):
         out += kron(ginibre(rng, dims.m, dims.m), ginibre(rng, dims.n, dims.n))

@@ -23,6 +23,7 @@ import numpy as np
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _check_tol,
     as_matrix,
     basis_vec,
     complete_orthonormal_basis,
@@ -41,6 +42,8 @@ from .kraus import (
     KrausFamily,
     Locality,
     Mode,
+    _conjugation_sum,
+    _require_valid,
     apply,
     collapse_construction,
     conic_scale,
@@ -167,7 +170,7 @@ def _trial_strict_enlargement(rng, t, dims, tol, **_):
     family = KrausFamily(dims, [unitary.conj().T], Mode.EXACT)
     if validate(family).verdict is not Verdict.IN:
         return False, np.inf, {"stage": "family_validation"}
-    image = apply(family, [x0])
+    image = _conjugation_sum(family, [x0])
     projector_residual = float(np.linalg.norm(image - np.outer(target, target.conj())))
     rank = sr(target, dims, tol)
     report = is_separable_decidable(image, dims, tol)
@@ -373,11 +376,12 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     else:
         v = random_unit_vector(rng, total)
     family, inputs = collapse_construction(v, dims)
-    s = sum(a.conj().T @ a for a in family.ops)
-    norm_residual = float(np.linalg.norm(s - np.eye(total)))
-    # apply validates every operator's OSR against the bound that
+    # Validation checks every operator's OSR against the bound that
     # complete_to_identity certified as the largest of those same ranks.
-    out = apply(family, inputs)
+    validation = validate(family)
+    _require_valid(validation)
+    norm_residual = validation.certificate["normalization_residual"]
+    out = _conjugation_sum(family, inputs)
     out_residual = float(np.linalg.norm(out - np.outer(v, v.conj())))
     max_osr = family.osr_bound
     # The inputs repeat one shared matrix; each distinct one is checked once.
@@ -540,6 +544,7 @@ def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs) -> _Suite:
         raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     if seed < 0:
         raise PreconditionError("seed must be nonnegative")
+    _check_tol(tol)
     if suite.check is not None:
         suite.check(dims=dims, tol=tol, k=k, extra_inputs=extra_inputs)
     return suite

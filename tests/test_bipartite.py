@@ -5,6 +5,7 @@ from conekit import (
     BipartiteDims,
     DimError,
     NormError,
+    PreconditionError,
     ZeroInputError,
     basis_vec,
     kron,
@@ -21,6 +22,7 @@ from conekit import (
 from conekit.bipartite import complete_orthonormal_basis
 from conekit.sampling import (
     ginibre,
+    random_operator_with_osr,
     random_product_vector,
     random_unit_vector,
     random_vector_with_sr,
@@ -282,3 +284,29 @@ class TestLift:
         v = basis_vec(dims.n, 0)
         with pytest.raises(NormError):
             lift_product_to_target(u, v, max_entangled_vector(dims), dims)
+
+
+BAD_TOLS = [0.0, 1.0, -1.0, 5.0]
+
+
+class TestToleranceRefused:
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d, tol: sr(bell(d), d, tol),
+            lambda d, tol: schmidt_decompose(bell(d), d, tol),
+            lambda d, tol: osr(np.eye(d.total), d, tol),
+            lambda d, tol: op_schmidt_decompose(np.eye(d.total), d, tol),
+        ],
+        ids=["sr", "schmidt_decompose", "osr", "op_schmidt_decompose"],
+    )
+    def test_raises_precondition_error(self, call, tol):
+        with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+            call(BipartiteDims(2, 2), tol)
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("sampler", [random_vector_with_sr, random_operator_with_osr])
+    def test_samplers_refuse_ranks_outside_range(self, rng, sampler, rank):
+        with pytest.raises(PreconditionError, match=r"must lie in \[1, 2\]"):
+            sampler(rng, BipartiteDims(2, 2), rank)

@@ -8,6 +8,7 @@ from conekit import (
     BipartiteDims,
     KrausFamily,
     Mode,
+    Verdict,
     basis_vec,
     max_entangled_vector,
     product_vec,
@@ -95,6 +96,45 @@ class TestMatrixFiles:
 
     def test_sorted_keys(self):
         assert matio.canonical_dumps({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
+
+
+# Pinned canonical_dumps text for each kind of value the walk converts.
+_GOLDEN_DUMPS = [
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (np.int64(-5), "-5"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.complex128(1.5 - 0.25j), '{"im": -0.25, "re": 1.5}'),
+    (Verdict.IN, '"in"'),
+    (Mode.EXACT, '"exact"'),
+    ({3: 1, 1: "a"}, '{"1": "a", "3": 1}'),
+    ((1, 2.5, "x"), '[1, 2.5, "x"]'),
+    ([{"a": (np.float32(0.1),)}], '[{"a": [0.10000000149011612]}]'),
+    (np.array(0.1), "0.10000000000000001"),
+    (np.array(1 - 1j), '{"im": -1, "re": 1}'),
+    (np.arange(4), "[0, 1, 2, 3]"),
+    (np.array([True, False]), "[true, false]"),
+    (np.zeros(0), "[]"),
+    (np.array([[1 + 2j, 0.5], [-0j, 3]]), '{"im": [[2, 0], [-0, 0]], "re": [[1, 0.5], [-0, 3]]}'),
+]
+
+
+class TestSingleWalk:
+    @pytest.mark.parametrize("obj, text", _GOLDEN_DUMPS, ids=lambda x: repr(x)[:40])
+    def test_pinned_text(self, obj, text):
+        assert matio.canonical_dumps(obj) == text
+        assert matio.canonical_dumps({"x": [obj]}) == '{"x": [' + text + "]}"
+
+    @pytest.mark.parametrize("obj, name", [({1}, "set"), (1 + 2j, "complex"), (object(), "object")])
+    def test_unsupported_types_raise(self, obj, name):
+        with pytest.raises(MatrixFileError, match=f"^cannot serialize object of type {name}$"):
+            matio.canonical_dumps({"x": obj})
+
+    def test_save_json_writes_canonical_line(self, tmp_path):
+        path = tmp_path / "r.json"
+        matio.save_json(str(path), {"b": np.float64(0.1), "a": Mode.EXACT})
+        assert path.read_text() == '{"a": "exact", "b": 0.10000000000000001}\n'
 
 
 def _per_element(obj) -> str:
@@ -330,6 +370,13 @@ class TestCliCheck:
         path.write_text("nope")
         assert main(["check", "psd", str(path)]) == 11
 
+    def test_binary_file_exit_11(self, tmp_path, capsys):
+        # Undecodable bytes must not escape as a traceback, whose exit 1 reads as "out".
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xbe\x00\xff")
+        assert main(["check", "psd", str(path)]) == 11
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+
     def test_vector_where_matrix_expected_exit_12(self, bell_vec_file):
         assert main(["check", "psd", bell_vec_file]) == 12
 
@@ -350,6 +397,15 @@ class TestCliRank:
         path = write_matrix(tmp_path / "swap.json", 2, 2, swap_operator(BipartiteDims(2, 2)))
         assert main(["rank", "osr", path]) == 0
         assert capsys.readouterr().out.strip() == "4"
+
+
+# Each construct kind and every flag it needs, in the order errors name them.
+CONSTRUCT_FLAGS = {
+    "collapse": ["--target"],
+    "embed_k": ["--v", "--k"],
+    "witness_break": ["--w"],
+    "lift": ["--u", "--v", "--w"],
+}
 
 
 class TestCliConstruct:
@@ -458,6 +514,54 @@ class TestCliConstruct:
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["construct", "collapse", "--out", str(tmp_path / "x")]) == 13
+
+    @pytest.mark.parametrize(
+        "kind, given",
+        [
+            ("collapse", []),
+            ("embed_k", []),
+            ("embed_k", ["--v"]),
+            ("embed_k", ["--k"]),
+            ("witness_break", []),
+            ("witness_break", ["--z"]),
+            ("lift", []),
+            ("lift", ["--v"]),
+            ("lift", ["--u", "--w"]),
+        ],
+    )
+    def test_missing_flags_named_without_outputs(
+        self, bell_vec_file, tmp_path, capsys, kind, given
+    ):
+        argv = ["construct", kind, "--out", str(tmp_path / "c")]
+        for flag in given:
+            argv += [flag, "2" if flag == "--k" else bell_vec_file]
+        assert main(argv) == 13
+        missing = [flag for flag in CONSTRUCT_FLAGS[kind] if flag not in given]
+        assert capsys.readouterr().err == f"error: construct {kind} needs {', '.join(missing)}\n"
+        assert not any(p.name.startswith("c_") for p in tmp_path.iterdir())
+
+    def test_construct_kinds_match_the_table(self):
+        assert list(cli._CONSTRUCTS) == list(CONSTRUCT_FLAGS)
+
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("embed_k", ["--v", "bell", "--u", "other", "--k", "2"],
+             "u and v must carry the same bipartite dims"),
+            ("witness_break", ["--w", "swap", "--z", "other"],
+             "z must carry the same bipartite dims as w"),
+        ],
+    )
+    def test_dims_mismatch_exit_12(self, bell_vec_file, tmp_path, capsys, kind, flags, message):
+        files = {
+            "bell": bell_vec_file,
+            "swap": write_matrix(tmp_path / "swap.json", 2, 2, swap_operator(BipartiteDims(2, 2))),
+            "other": write_matrix(tmp_path / "v23.json", 2, 3, np.ones(6) / np.sqrt(6)),
+        }
+        argv = ["construct", kind, *[files.get(f, f) for f in flags], "--out", str(tmp_path / "c")]
+        assert main(argv) == 12
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(p.name.startswith("c_") for p in tmp_path.iterdir())
 
 
 class TestCliVerify:

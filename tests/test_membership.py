@@ -72,6 +72,18 @@ class TestPsd:
             is_psd(x, dims)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0])
+@pytest.mark.parametrize(
+    "call", [hermitian_part, is_psd, is_ppt, is_separable_decidable],
+    ids=lambda f: f.__name__,
+)
+def test_tolerance_outside_unit_interval_refused(call, tol):
+    # At tol = 5 the eigenvalue -1 of -I would pass as "in".
+    d = BipartiteDims(2, 2)
+    with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+        call(-np.eye(d.total), d, tol)
+
+
 class TestPpt:
     def test_identity(self, dims):
         assert is_ppt(np.eye(dims.total), dims).verdict is Verdict.IN

@@ -20,6 +20,7 @@ from conekit import (
     suite_witness_not_cstar,
     validate,
 )
+from conekit import kraus, suites
 from conekit.matio import canonical_dumps
 from conekit.sampling import random_ppt
 from conekit.suites import structured_exact_family
@@ -283,6 +284,41 @@ class TestRefusals:
         for suite_id in ("strict-enlargement", "witness-not-cstar"):
             assert run_suite(suite_id, d, SEED).trials == 6
             assert run_suite(suite_id, d, SEED, trials=2).trials == 6
+
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0])
+    @pytest.mark.parametrize("suite_id", ["cone-collapse", "srank"])
+    def test_tolerance_outside_unit_interval_refused(self, suite_id, tol):
+        d = BipartiteDims(2, 2)
+        with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+            run_suite(suite_id, d, SEED, trials=3, tol=tol)
+        with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+            rerun_trial(suite_id, d, SEED, 0, tol=tol)
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        validate = kraus.validate
+
+        def counting(family, tol=1e-9):
+            calls.append(len(family.ops))
+            return validate(family, tol)
+
+        monkeypatch.setattr(kraus, "validate", counting)
+        monkeypatch.setattr(suites, "validate", counting)
+        return calls
+
+    def test_strict_enlargement_validates_each_case_once(self, calls):
+        report = run_suite("strict-enlargement", BipartiteDims(3, 3), SEED)
+        assert report.passes == 6
+        assert len(calls) == 6
+
+    def test_ppt_collapse_validates_each_trial_once(self, calls):
+        report = run_suite("ppt-collapse", BipartiteDims(3, 3), SEED, trials=4)
+        assert report.passes == 4
+        assert len(calls) == 4
 
 
 class TestEnvelope:
