@@ -26,16 +26,16 @@ from .bipartite import (
 )
 from .errors import ConekitError, DimError, MatrixFileError
 from .kraus import (
-    _conjugation_sum,
-    _require_valid,
+    _validated_image,
+    apply,
     collapse_construction,
     embed_schmidt_k,
-    validate,
     witness_conjugation,
 )
 from .membership import (
     SeesawConfig,
     Verdict,
+    hermitian_part,
     is_block_positive_heuristic,
     is_ppt,
     is_psd,
@@ -133,9 +133,7 @@ def _cmd_rank(args) -> int:
 def _construct_collapse(args):
     dims, target = _load(args.target, 1)
     family, inputs = collapse_construction(target, dims, args.tol)
-    validation = validate(family, args.tol)
-    _require_valid(validation)
-    out = _conjugation_sum(family, inputs)
+    out, validation = _validated_image(family, inputs, args.tol)
     out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
     fields = {
         "ops": len(family.ops),
@@ -159,8 +157,7 @@ def _construct_embed_k(args):
     else:
         u_vec = product_vec(basis_vec(dims.m, 0), basis_vec(dims.n, 0))
     family = embed_schmidt_k(target, u_vec, dims, args.k, args.tol)
-    _require_valid(validate(family, args.tol))
-    out = _conjugation_sum(family, [np.eye(dims.total)])
+    out = apply(family, [np.eye(dims.total)], args.tol)
     out_residual = float(np.linalg.norm(out - np.outer(target, target.conj())))
     fields = {"k": args.k, "osr": family.osr_bound, "output_residual": out_residual}
     outputs = {"family": lambda p: matio.save_kraus_family(p, family)}
@@ -174,7 +171,7 @@ def _construct_witness_break(args):
         if z_dims != dims:
             raise DimError("z must carry the same bipartite dims as w")
     else:
-        _, evecs = np.linalg.eigh((witness + witness.conj().T) / 2.0)
+        _, evecs = np.linalg.eigh(hermitian_part(witness, dims, args.tol))
         z = evecs[:, 0]
     u = basis_vec(dims.m, 0)
     v = basis_vec(dims.n, 0)

@@ -29,7 +29,7 @@ from .bipartite import (
     sr,
 )
 from .errors import AnchorError, DimError, NormError, PreconditionError
-from .membership import MembershipReport, Verdict
+from .membership import MembershipReport, Verdict, hermitian_part
 from .sampling import random_exact_kraus_ops, random_operator_with_osr
 
 EXACT_RESIDUAL_BOUND = 1e-9
@@ -85,7 +85,6 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
     Each rank follows `osr`'s rule (singular values at or above tol times
     the largest); zero operators are allowed and contribute rank 0.
     """
-    _check_tol(tol)
     ranks = []
     for start in range(0, len(ops), OSR_BATCH):
         stack = np.stack(ops[start:start + OSR_BATCH])
@@ -101,6 +100,7 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
     The verdict is In iff every declared invariant holds; otherwise the
     certificate names each violated invariant with its residual.
     """
+    _check_tol(tol)
     if not family.ops:
         raise PreconditionError("cannot validate an empty Kraus family")
     ops = [as_matrix(family.dims, a) for a in family.ops]
@@ -150,20 +150,16 @@ def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
     The family is validated on every call, so operators replaced or changed
     in place since an earlier validation are checked again.
     """
-    _require_valid(validate(family, tol))
-    return _conjugation_sum(family, inputs)
+    return _validated_image(family, inputs, tol)[0]
 
 
-def _require_valid(report: MembershipReport) -> None:
-    """Refuse a family whose `validate` report is not In."""
+def _validated_image(family: KrausFamily, inputs, tol: float):
+    """(A_i* X_i A_i, validate report), refusing a family that is not In."""
+    report = validate(family, tol)
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
             f"family fails validation: {report.certificate['violations']}"
         )
-
-
-def _conjugation_sum(family: KrausFamily, inputs) -> np.ndarray:
-    """A_i* X_i A_i for a family the caller has just validated."""
     if len(inputs) != len(family.ops):
         raise DimError(
             f"need one input per operator, got {len(inputs)} for {len(family.ops)}"
@@ -174,7 +170,7 @@ def _conjugation_sum(family: KrausFamily, inputs) -> np.ndarray:
         a = as_matrix(family.dims, a)
         x = as_matrix(family.dims, x)
         out += a.conj().T @ x @ a
-    return out
+    return out, report
 
 
 def _factor_counts(count: int) -> tuple[int, int]:
@@ -200,6 +196,7 @@ def random_family(
     the bound open, and intermediate k completes a contracted draw with
     rank-one operators and certifies whatever per-operator bound results.
     """
+    _check_tol(tol)
     if count < 1:
         raise PreconditionError("count must be >= 1")
     if not (1 <= k <= dims.d):
@@ -207,7 +204,7 @@ def random_family(
     rng = np.random.default_rng(seed)
     if mode is Mode.CONTRACTIVE:
         ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
-        s = sum(a.conj().T @ a for a in ops)
+        s = _normalization_sum(dims, ops)
         scale = 1.0 / np.sqrt(np.linalg.eigvalsh(s)[-1])
         ops = [a * scale for a in ops]
         locality = Locality.LOCAL if k == 1 else Locality.GLOBAL
@@ -228,7 +225,7 @@ def random_family(
     # Renormalizing by S^{-1/2} would mix product terms and inflate the OSR,
     # so contract the draw and complete with rank-one operators instead.
     ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
-    s = sum(a.conj().T @ a for a in ops)
+    s = _normalization_sum(dims, ops)
     scale = 1.0 / np.sqrt(2.0 * np.linalg.eigvalsh(s)[-1])
     partial = KrausFamily(
         dims, [a * scale for a in ops], Mode.EXACT, osr_bound=None, seed=seed
@@ -254,6 +251,7 @@ def complete_to_identity(
     the Schmidt rank of their eigenvector, so the certified bound of the
     result is recomputed rather than inherited.
     """
+    _check_tol(tol)
     dims = partial.dims
     total = dims.total
     ops = [as_matrix(dims, a) for a in partial.ops]
@@ -301,6 +299,7 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     completion operators.  Every coefficient is rank-one, hence of OSR at
     most d, and apply(family, inputs) reproduces vv*.
     """
+    _check_tol(tol)
     v = as_vector(dims, v)
     if abs(np.linalg.norm(v) - 1.0) > tol:
         raise NormError("target vector must be unit")
@@ -319,6 +318,7 @@ def embed_schmidt_k(
     v, u_product, dims: BipartiteDims, k: int, tol: float = DEFAULT_TOL
 ) -> KrausFamily:
     """Single-operator contractive family u v* carrying SR(v) into its OSR."""
+    _check_tol(tol)
     v = as_vector(dims, v)
     u = as_vector(dims, u_product)
     for name, vec in (("v", v), ("u_product", u)):
@@ -340,8 +340,12 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
     Returns (U* w U, u (x) v) where the unitary U maps u (x) v to z/|z|;
     the product expectation of the conjugated witness equals z* w z / |z|^2,
     certifying that the block-positive cone is not stable under unitary
-    conjugation.
+    conjugation.  A witness that is not Hermitian is refused.
     """
+    # Refuse a non-Hermitian witness, but conjugate w as given: a witness
+    # such as a partial-transposed outer product is Hermitian only up to
+    # round-off, and its Hermitian part would move the result's last bits.
+    hermitian_part(w, dims, tol)
     w = as_matrix(dims, w)
     z = as_vector(dims, z)
     nz = np.linalg.norm(z)

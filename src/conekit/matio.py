@@ -11,7 +11,8 @@ reads the same.
 `canonical_dumps` walks a document once.  Enums are written as their value,
 numpy scalars as the matching Python value, dict keys as strings, tuples as
 lists, and a complex scalar as {"im": ..., "re": ...}; anything else (a set,
-a Python complex) raises MatrixFileError.
+a Python complex), and two dict keys with the same string, raise
+MatrixFileError.
 
 Float arrays are written an array at a time: one finiteness check per array,
 then each innermost row through a single "%.17g" template, which for every
@@ -68,6 +69,10 @@ def _emit(obj, pieces):
         pieces.append("]")
     elif isinstance(obj, dict):
         keyed = {str(key): value for key, value in obj.items()}
+        if len(keyed) < len(obj):
+            names = [str(key) for key in obj]
+            duplicate = next(name for name in names if names.count(name) > 1)
+            raise MatrixFileError(f"cannot serialize two keys named {duplicate!r}")
         pieces.append("{")
         for i, key in enumerate(sorted(keyed)):
             if i:
@@ -123,19 +128,23 @@ def atomic_write_text(path: str, text: str):
     """Write via a sibling temp file and rename, so output is all-or-nothing.
 
     The temp file is private (0600) while it is written and gets the mode
-    of a newly created file before the rename.
+    of a newly created file before the rename.  A write the filesystem
+    refuses raises MatrixFileError.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.chmod(tmp, _new_file_mode())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.chmod(tmp, _new_file_mode())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_json(path: str, obj):
@@ -295,8 +304,11 @@ def append_csv_summary(path: str, report):
     """
     text = ""
     if os.path.exists(path):
-        with open(path) as handle:
-            text = handle.read()
+        try:
+            with open(path) as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MatrixFileError(f"cannot read {path}: {exc}") from exc
     if not text:
         text = SUITE_CSV_HEADER + "\n"
     elif not text.endswith("\n"):

@@ -95,14 +95,17 @@ def _psd_report(evals: np.ndarray, evecs: np.ndarray, tol: float) -> MembershipR
 
 def is_ppt(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport:
     """PPT test: both the matrix and its partial transpose must be PSD."""
-    return _ppt_report(is_psd(x, dims, tol), x, dims, tol)
+    h = hermitian_part(x, dims, tol)
+    return _ppt_report(h, *np.linalg.eigh(h), dims, tol)
 
 
 def _ppt_report(
-    direct: MembershipReport, x, dims: BipartiteDims, tol: float
+    h: np.ndarray, evals: np.ndarray, evecs: np.ndarray, dims: BipartiteDims, tol: float
 ) -> MembershipReport:
-    # is_ppt's verdict, given is_psd's report on x for the matrix side.
-    transposed = is_psd(partial_transpose(as_matrix(dims, x), dims), dims, tol)
+    # is_ppt's verdict from x's Hermitian part h and h's eigenpairs.  The
+    # partial transpose of h is the Hermitian part of x's partial transpose.
+    direct = _psd_report(evals, evecs, tol)
+    transposed = _psd_report(*np.linalg.eigh(partial_transpose(h, dims)), tol)
     min_eig = min(direct.min_eig, transposed.min_eig)
     if direct.verdict is Verdict.IN and transposed.verdict is Verdict.IN:
         cert = {
@@ -132,9 +135,7 @@ def is_separable_decidable(
     if evals[0] < -tol:
         raise PreconditionError(f"input is not PSD (min eigenvalue {evals[0]:.3e})")
 
-    # h is exactly Hermitian, so is_psd(h) would decompose h again to the
-    # same eigenpairs; the matrix side reuses this one.
-    ppt = _ppt_report(_psd_report(evals, evecs, tol), h, dims, tol)
+    ppt = _ppt_report(h, evals, evecs, dims, tol)
     if dims.total <= 6:
         cert = dict(ppt.certificate, decided_by="ppt_criterion")
         return MembershipReport(ppt.verdict, ppt.min_eig, tol, cert)

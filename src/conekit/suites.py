@@ -42,13 +42,11 @@ from .kraus import (
     KrausFamily,
     Locality,
     Mode,
-    _conjugation_sum,
-    _require_valid,
+    _validated_image,
     apply,
     collapse_construction,
     conic_scale,
     random_family,
-    validate,
     witness_conjugation,
 )
 from .membership import Verdict, is_ppt, is_separable_decidable
@@ -168,9 +166,7 @@ def _trial_strict_enlargement(rng, t, dims, tol, **_):
     unitary = lift_product_to_target(u, v, target, dims)
     # The coefficient is the adjoint: A* X0 A = U X0 U* = (target)(target)*.
     family = KrausFamily(dims, [unitary.conj().T], Mode.EXACT)
-    if validate(family).verdict is not Verdict.IN:
-        return False, np.inf, {"stage": "family_validation"}
-    image = _conjugation_sum(family, [x0])
+    image = apply(family, [x0])
     projector_residual = float(np.linalg.norm(image - np.outer(target, target.conj())))
     rank = sr(target, dims, tol)
     report = is_separable_decidable(image, dims, tol)
@@ -378,10 +374,8 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     family, inputs = collapse_construction(v, dims)
     # Validation checks every operator's OSR against the bound that
     # complete_to_identity certified as the largest of those same ranks.
-    validation = validate(family)
-    _require_valid(validation)
+    out, validation = _validated_image(family, inputs, DEFAULT_TOL)
     norm_residual = validation.certificate["normalization_residual"]
-    out = _conjugation_sum(family, inputs)
     out_residual = float(np.linalg.norm(out - np.outer(v, v.conj())))
     max_osr = family.osr_bound
     # The inputs repeat one shared matrix; each distinct one is checked once.

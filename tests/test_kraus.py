@@ -6,6 +6,7 @@ from conekit import (
     BipartiteDims,
     ConicCombination,
     DimError,
+    HermiticityError,
     KrausFamily,
     Locality,
     Mode,
@@ -432,6 +433,65 @@ class TestWitnessConjugation:
                 basis_vec(dims.n, 0),
                 dims,
             )
+
+
+    def test_non_hermitian_witness_refused(self):
+        d = BipartiteDims(2, 2)
+        w = swap_operator(d).astype(np.complex128)
+        z = np.linalg.eigh(w)[1][:, 0]
+        w[0, 1] += 0.5
+        with pytest.raises(HermiticityError, match=r"asymmetry 7\.071e-01"):
+            witness_conjugation(w, z, basis_vec(2, 0), basis_vec(2, 0), d)
+
+    def test_witness_conjugated_as_given(self, rng):
+        # A partial-transposed outer product is Hermitian only up to
+        # round-off; the conjugation uses w itself, not its Hermitian part.
+        d = BipartiteDims(2, 2)
+        rounded = 0
+        for _ in range(40):
+            x = random_vector_with_sr(rng, d, 2)
+            w = partial_transpose(np.outer(x, x.conj()), d)
+            rounded += not np.array_equal(w, w.conj().T)
+            z = np.linalg.eigh(w)[1][:, 0]
+            u, v = random_unit_vector(rng, 2), random_unit_vector(rng, 2)
+            conj, _ = witness_conjugation(w, z, u, v, d)
+            unitary = lift_product_to_target(u, v, z / np.linalg.norm(z), d)
+            assert np.array_equal(conj, unitary.conj().T @ w @ unitary)
+        assert rounded > 0
+
+
+def _tol_calls():
+    d2, d3 = BipartiteDims(2, 2), BipartiteDims(3, 3)
+    bell = max_entangled_vector(d2)
+    e00 = product_vec(basis_vec(2, 0), basis_vec(2, 0))
+    swap = swap_operator(d2)
+    singlet = np.linalg.eigh(swap)[1][:, 0]
+    prefix = family_of(d2, [0.5 * np.eye(4)])
+    return {
+        "validate": lambda tol: validate(family_of(d2, [np.eye(4)]), tol),
+        "apply": lambda tol: apply_family(family_of(d2, [np.eye(4)]), [np.eye(4)], tol),
+        "complete_to_identity": lambda tol: complete_to_identity(prefix, tol=tol),
+        "random_family_k1_exact": lambda tol: random_family(d2, 2, 1, Mode.EXACT, 1, tol),
+        "random_family_k1_contractive": (
+            lambda tol: random_family(d2, 2, 1, Mode.CONTRACTIVE, 1, tol)
+        ),
+        "random_family_kd": lambda tol: random_family(d2, 2, 2, Mode.EXACT, 1, tol),
+        "random_family_k2_of_3": lambda tol: random_family(d3, 2, 2, Mode.EXACT, 1, tol),
+        "collapse_construction": lambda tol: collapse_construction(bell, d2, tol),
+        "embed_schmidt_k": lambda tol: embed_schmidt_k(bell, e00, d2, 2, tol),
+        "witness_conjugation": (
+            lambda tol: witness_conjugation(swap, singlet, basis_vec(2, 0), basis_vec(2, 0), d2, tol)
+        ),
+    }
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0])
+@pytest.mark.parametrize("name", list(_tol_calls()))
+def test_tolerance_outside_unit_interval_refused(name, tol):
+    call = _tol_calls()[name]
+    call(1e-9)  # the same call runs at the default tolerance
+    with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+        call(tol)
 
 
 class TestConicScale:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,11 @@ class TestSingleWalk:
         with pytest.raises(MatrixFileError, match=f"^cannot serialize object of type {name}$"):
             matio.canonical_dumps({"x": obj})
 
+    @pytest.mark.parametrize("obj", [{1: "a", "1": "b"}, {"x": [{(1, 2): 0, "(1, 2)": 1}]}])
+    def test_keys_with_the_same_string_raise(self, obj):
+        with pytest.raises(MatrixFileError, match=r"^cannot serialize two keys named '.*'$"):
+            matio.canonical_dumps(obj)
+
     def test_save_json_writes_canonical_line(self, tmp_path):
         path = tmp_path / "r.json"
         matio.save_json(str(path), {"b": np.float64(0.1), "a": Mode.EXACT})
@@ -236,6 +242,19 @@ class TestAtomicWrite:
         assert (tmp_path / "x.json").stat().st_mode & 0o777 == mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "x.json"]
 
+    def test_missing_directory_refused(self, tmp_path):
+        path = tmp_path / "nodir" / "out.json"
+        message = f"^cannot write {re.escape(str(path))}: No such file"
+        with pytest.raises(MatrixFileError, match=message):
+            matio.atomic_write_text(str(path), "{}\n")
+
+    def test_directory_target_refused_without_temp_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(MatrixFileError, match="^cannot write .*: Is a directory"):
+            matio.save_json(str(tmp_path / "d"), {})
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
 
 class TestKrausFamilyHeader:
     def _write(self, tmp_path, **header):
@@ -288,6 +307,19 @@ class TestCsvSummary:
         assert lines[0] == matio.SUITE_CSV_HEADER
         assert lines[1] == matio.suite_csv_row(report)
         assert lines[2:] == [""]
+
+    @pytest.mark.parametrize("kind", ["binary", "directory"])
+    def test_unreadable_file_refused(self, tmp_path, kind):
+        report = suite_lemma_srank(BipartiteDims(2, 2), 2, 3)
+        path = tmp_path / "summary.csv"
+        if kind == "binary":
+            path.write_bytes(b"\xff\xfe\x00,")
+        else:
+            path.mkdir()
+        with pytest.raises(MatrixFileError, match=f"^cannot read {re.escape(str(path))}: "):
+            matio.append_csv_summary(str(path), report)
+        if kind == "binary":
+            assert path.read_bytes() == b"\xff\xfe\x00,"
 
     def test_header_and_rows(self, tmp_path):
         d = BipartiteDims(2, 2)
@@ -431,7 +463,6 @@ class TestCliConstruct:
             return validate(family, tol)
 
         monkeypatch.setattr(kraus, "validate", counting)
-        monkeypatch.setattr(cli, "validate", counting)
         flags = ["--target", bell_vec_file] if kind == "collapse" else ["--v", bell_vec_file, "--k", "2"]
         assert main(["construct", kind, *flags, "--out", str(tmp_path / "c")]) == 0
         assert len(calls) == 1
@@ -448,7 +479,7 @@ class TestCliConstruct:
             report.certificate["violations"] = [{"invariant": "exact_normalization"}]
             return dataclasses.replace(report, verdict=Verdict.OUT)
 
-        monkeypatch.setattr(cli, "validate", failing)
+        monkeypatch.setattr(kraus, "validate", failing)
         prefix = str(tmp_path / "col")
         assert main(["construct", "collapse", "--target", bell_vec_file, "--out", prefix]) == 13
         assert capsys.readouterr().err.startswith("error: family fails validation")
@@ -497,6 +528,28 @@ class TestCliConstruct:
             ["check", "blockpos", prefix + "_conjugated.json", "--seed", "3",
              "--restarts", "4", "--iters", "40"]
         ) == 1
+
+    @pytest.mark.parametrize("with_z", [False, True])
+    def test_witness_break_non_hermitian_refused(self, tmp_path, capsys, with_z):
+        d = BipartiteDims(2, 2)
+        w = swap_operator(d).astype(np.complex128)
+        w[0, 1] += 0.5
+        argv = ["construct", "witness_break", "--w", write_matrix(tmp_path / "w.json", 2, 2, w)]
+        if with_z:
+            singlet = np.linalg.eigh(swap_operator(d))[1][:, 0]
+            argv += ["--z", write_matrix(tmp_path / "z.json", 2, 2, singlet)]
+        assert main([*argv, "--out", str(tmp_path / "wb")]) == 13
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is not Hermitian (asymmetry 7.071e-01)\n"
+        assert not any(p.name.startswith("wb_") for p in tmp_path.iterdir())
+
+    def test_missing_output_directory_exit_11(self, bell_vec_file, tmp_path, capsys):
+        prefix = str(tmp_path / "nodir" / "col")
+        assert main(["construct", "collapse", "--target", bell_vec_file, "--out", prefix]) == 11
+        assert capsys.readouterr().err == (
+            f"error: cannot write {prefix}_family.json: No such file or directory\n"
+        )
 
     def test_lift(self, tmp_path, capsys):
         e0 = write_matrix(tmp_path / "e0.json", 2, 1, basis_vec(2, 0))
@@ -618,6 +671,26 @@ class TestCliVerify:
         report = json.loads(open(out).read())
         assert report["passes"] == report["trials"] == 6
         assert 1 in report["extra"]["not_applicable_trials"]
+
+    def test_missing_output_directory_exit_11(self, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "r.json")
+        code = main(["verify", "srank", "--m", "2", "--n", "2", "--trials", "2", "--out", out])
+        assert code == 11
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("kind", ["binary", "directory"])
+    def test_unreadable_csv_exit_11(self, tmp_path, capsys, kind):
+        csv = tmp_path / "summary.csv"
+        if kind == "binary":
+            csv.write_bytes(b"\xff\xfe")
+        else:
+            csv.mkdir()
+        code = main(
+            ["verify", "srank", "--m", "2", "--n", "2", "--trials", "2",
+             "--out", str(tmp_path / "r.json"), "--csv", str(csv)]
+        )
+        assert code == 11
+        assert capsys.readouterr().err.startswith(f"error: cannot read {csv}: ")
 
     def test_usage_error_exits_13(self):
         assert main(["verify", "no-such-suite", "--m", "2", "--n", "2"]) == 13

@@ -115,6 +115,54 @@ class TestPpt:
             assert abs(value - report.certificate["eigenvalue"]) <= 10 * report.tol
 
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    def test_near_hermitian_matches_both_hermitian_parts(self, m, n):
+        # Asymmetry of about 10*tol*|x|, inside hermitian_part's 100*tol
+        # slack.  The reference symmetrizes x and its partial transpose
+        # separately; is_ppt must agree with it bit for bit.
+        d = BipartiteDims(m, n)
+        tol = 1e-9
+        rng = np.random.default_rng([m, n, 9])
+        bell = max_entangled_vector(d)
+        inputs = [
+            random_ppt(rng, d),
+            np.eye(d.total) / d.total,
+            0.8 * np.outer(bell, bell.conj()) + 0.2 * np.eye(d.total) / d.total,
+            hermitian(rng, d.total),
+            random_psd(rng, d.total),
+        ]
+        outcomes = set()
+        for x in inputs:
+            g = ginibre(rng, d.total, d.total)
+            x = x + 10 * tol * np.linalg.norm(x) * g / np.linalg.norm(g)
+            assert np.linalg.norm(x - x.conj().T) > tol * np.linalg.norm(x)
+            report = is_ppt(x, d, tol)
+            sides = {
+                "matrix": np.linalg.eigh(hermitian_part(x, d, tol)),
+                "partial_transpose": np.linalg.eigh(
+                    hermitian_part(partial_transpose(x, d), d, tol)
+                ),
+            }
+            lows = {side: float(evals[0]) for side, (evals, _) in sides.items()}
+            failing = [side for side, low in lows.items() if low < -tol]
+            if failing:
+                evals, evecs = sides[failing[0]]
+                verdict = Verdict.OUT
+                cert = {"kind": "ppt_side", "side": failing[0],
+                        "eigenvalue": lows[failing[0]], "vector": evecs[:, 0]}
+            else:
+                verdict = Verdict.IN
+                cert = {"kind": "ppt", "min_eig_matrix": lows["matrix"],
+                        "min_eig_partial_transpose": lows["partial_transpose"]}
+            assert report.verdict is verdict
+            assert report.min_eig == min(lows.values())
+            assert report.certificate.keys() == cert.keys()
+            for key, value in cert.items():
+                assert np.array_equal(report.certificate[key], value), key
+            outcomes.add(cert.get("side", "ppt"))
+        assert outcomes == {"ppt", "matrix", "partial_transpose"}
+
+
 class TestSeparableDecidable:
     def test_product_state_in(self, dims, rng):
         u = random_unit_vector(rng, dims.m)

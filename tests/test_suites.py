@@ -20,7 +20,7 @@ from conekit import (
     suite_witness_not_cstar,
     validate,
 )
-from conekit import kraus, suites
+from conekit import kraus
 from conekit.matio import canonical_dumps
 from conekit.sampling import random_ppt
 from conekit.suites import structured_exact_family
@@ -307,7 +307,6 @@ class TestValidateOnce:
             return validate(family, tol)
 
         monkeypatch.setattr(kraus, "validate", counting)
-        monkeypatch.setattr(suites, "validate", counting)
         return calls
 
     def test_strict_enlargement_validates_each_case_once(self, calls):
