@@ -244,9 +244,11 @@ def _cmd_verify(args) -> int:
         extra_inputs=extra_inputs,
     )
     out_path = args.out or f"{args.suite.replace('-', '_')}_report.json"
+    # Read --csv first, so a file it cannot read leaves no report behind.
+    csv_text = matio.csv_summary_text(args.csv, report) if args.csv else None
     matio.save_json(out_path, report.to_obj(include_wall_time=True))
-    if args.csv:
-        matio.append_csv_summary(args.csv, report)
+    if csv_text is not None:
+        matio.atomic_write_text(args.csv, csv_text)
     print(
         f"{report.suite_id} m={dims.m} n={dims.n} trials={report.trials} "
         f"passes={report.passes} failures={len(report.failures)} seed={seed} "

@@ -10,7 +10,7 @@ from PPT inputs.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,8 +154,13 @@ def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _validated_image(family: KrausFamily, inputs, tol: float):
-    """(A_i* X_i A_i, validate report), refusing a family that is not In."""
-    report = validate(family, tol)
+    """(A_i* X_i A_i, validate report), refusing a family that is not In.
+
+    The operators are converted once: `validate` coerces and checks that very
+    list, and the sum conjugates it, so no operator is checked twice.
+    """
+    ops = [np.asarray(a, dtype=np.complex128) for a in family.ops]
+    report = validate(replace(family, ops=ops), tol)
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
             f"family fails validation: {report.certificate['violations']}"
@@ -166,8 +171,7 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
         )
     total = family.dims.total
     out = np.zeros((total, total), dtype=np.complex128)
-    for a, x in zip(family.ops, inputs):
-        a = as_matrix(family.dims, a)
+    for a, x in zip(ops, inputs):
         x = as_matrix(family.dims, x)
         out += a.conj().T @ x @ a
     return out, report

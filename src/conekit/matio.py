@@ -16,7 +16,13 @@ MatrixFileError.
 
 Float arrays are written an array at a time: one finiteness check per array,
 then each innermost row through a single "%.17g" template, which for every
-finite double gives the same text as formatting its entries one by one.  A
+finite double gives the same text as formatting its entries one by one.
+Each distinct row is formatted once per document: a memo that lives for one
+`canonical_dumps` call maps a row's float64 bytes to its text, so the zero
+rows and repeated operators of a construction's files are formatted once.
+The text cannot change, because "%.17g" depends only on the bits of the
+double; the bytes keep +0.0 and -0.0 apart and fix the row width, and a
+float32 or float16 row is keyed by its exact float64 cast.  A
 complex array is written as {"im": ..., "re": ...} with real arrays for both
 parts.  Integer and bool arrays, and 0-d arrays, are written as the nested
 lists or scalars of `tolist()`.
@@ -26,6 +32,7 @@ import enum
 import json
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -44,11 +51,12 @@ def _float_str(x: float) -> str:
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit decimals."""
     pieces = []
-    _emit(obj, pieces)
+    _emit(obj, pieces, {})
     return "".join(pieces)
 
 
-def _emit(obj, pieces):
+def _emit(obj, pieces, rows):
+    # `rows` is the document's memo from row bytes to row text.
     # A str or int enum takes the str or int branch, which writes its value.
     if obj is None:
         pieces.append("null")
@@ -65,7 +73,7 @@ def _emit(obj, pieces):
         for i, item in enumerate(obj):
             if i:
                 pieces.append(", ")
-            _emit(item, pieces)
+            _emit(item, pieces, rows)
         pieces.append("]")
     elif isinstance(obj, dict):
         keyed = {str(key): value for key, value in obj.items()}
@@ -79,33 +87,44 @@ def _emit(obj, pieces):
                 pieces.append(", ")
             pieces.append(json.dumps(key))
             pieces.append(": ")
-            _emit(keyed[key], pieces)
+            _emit(keyed[key], pieces, rows)
         pieces.append("}")
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "c":
-            _emit({"re": obj.real, "im": obj.imag}, pieces)
+            _emit({"re": obj.real, "im": obj.imag}, pieces, rows)
         elif obj.dtype.kind == "f" and obj.ndim:
-            pieces.append(_float_array_str(obj))
+            pieces.append(_float_array_str(obj, rows))
         else:
-            _emit(obj.tolist(), pieces)
+            _emit(obj.tolist(), pieces, rows)
     elif isinstance(obj, np.complexfloating):
-        _emit({"re": obj.real, "im": obj.imag}, pieces)
+        _emit({"re": obj.real, "im": obj.imag}, pieces, rows)
     elif isinstance(obj, enum.Enum):
-        _emit(obj.value, pieces)
+        _emit(obj.value, pieces, rows)
     else:
         raise MatrixFileError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _float_array_str(arr: np.ndarray) -> str:
+def _float_array_str(arr: np.ndarray, rows: dict) -> str:
     """Nested-list text of a float array of ndim >= 1, as `_emit` would write
-    `arr.tolist()`, formatted one innermost row at a time."""
+    `arr.tolist()`, formatted one innermost row at a time.
+
+    A row whose float64 bytes are already in `rows` reuses their text.
+    """
     finite = np.isfinite(arr)
     if not finite.all():
         _float_str(float(arr[~finite][0]))  # raises, naming the first bad entry
     *lead, width = arr.shape
-    rows = arr.reshape(math.prod(lead), width).tolist()
+    flat = np.ascontiguousarray(arr.reshape(math.prod(lead), width), dtype=np.float64)
+    data, step = flat.tobytes(), flat.itemsize * width
     template = "[" + ", ".join(["%.17g"] * width) + "]"
-    items = [template % tuple(row) for row in rows]
+    unpack = struct.Struct(f"{width}d").unpack
+    items = []
+    for i in range(len(flat)):
+        key = data[i * step:(i + 1) * step]
+        text = rows.get(key)
+        if text is None:
+            text = rows[key] = template % unpack(key)
+        items.append(text)
     # Close the leading axes from the innermost out.
     for axis in range(len(lead) - 1, -1, -1):
         size = lead[axis]
@@ -296,12 +315,9 @@ def suite_csv_row(report) -> str:
     )
 
 
-def append_csv_summary(path: str, report):
-    """Append one summary row, writing the header when the file is new or empty.
-
-    The whole file is rewritten through a temp file so a crash mid-append
-    never leaves a torn row.
-    """
+def csv_summary_text(path: str, report) -> str:
+    """The text of `path` with one summary row appended, the header first
+    when the file is missing or empty.  Reads `path` and writes nothing."""
     text = ""
     if os.path.exists(path):
         try:
@@ -313,4 +329,13 @@ def append_csv_summary(path: str, report):
         text = SUITE_CSV_HEADER + "\n"
     elif not text.endswith("\n"):
         text += "\n"
-    atomic_write_text(path, text + suite_csv_row(report) + "\n")
+    return text + suite_csv_row(report) + "\n"
+
+
+def append_csv_summary(path: str, report):
+    """Append one summary row through `csv_summary_text`.
+
+    The whole file is rewritten through a temp file so a crash mid-append
+    never leaves a torn row.
+    """
+    atomic_write_text(path, csv_summary_text(path, report))

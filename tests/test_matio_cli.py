@@ -198,6 +198,38 @@ class TestArrayEmission:
         )
         assert matio.canonical_dumps(arr) == want
 
+    # canonical_dumps formats each distinct row once per document; these
+    # documents repeat rows across arrays, so the memo is hit.
+    def test_row_repeated_across_arrays(self, rng):
+        row = rng.standard_normal(5)
+        doc = [np.stack([row, row + 1.0, row]), row[None, :], np.zeros(5), row]
+        assert matio.canonical_dumps(doc) == _per_element([a.tolist() for a in doc])
+
+    def test_signed_zero_rows_kept_apart(self):
+        doc = [np.zeros(3), np.full(3, -0.0), np.zeros((2, 3)), np.full((2, 3), -0.0)]
+        text = matio.canonical_dumps(doc)
+        assert text == _per_element([a.tolist() for a in doc])
+        assert text == "[[0, 0, 0], [-0, -0, -0], [[0, 0, 0], [0, 0, 0]], [[-0, -0, -0], [-0, -0, -0]]]"
+
+    def test_zero_rows_of_equal_byte_size_and_other_dtype_kept_apart(self):
+        # A float32 row of width 4 and a float64 row of width 2 are both 16 bytes.
+        doc = [np.zeros((2, 4), dtype=np.float32), np.zeros((3, 2)), np.zeros(4, dtype=np.float32)]
+        text = matio.canonical_dumps(doc)
+        assert text == _per_element([a.tolist() for a in doc])
+        assert text == "[[[0, 0, 0, 0], [0, 0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [0, 0, 0, 0]]"
+
+    def test_collapse_shaped_inputs_list(self, rng):
+        # One shared input repeated, then zero matrices, as a collapse inputs file.
+        total = 6
+        shared = np.eye(total, dtype=np.complex128) / 3.0
+        shared[0, 1] = rng.standard_normal() + 1j * rng.standard_normal()
+        mats = [shared] * total + [np.zeros((total, total), dtype=np.complex128)] * (2 * total)
+        want = "[" + ", ".join(
+            '{"im": ' + _per_element(x.imag.tolist()) + ', "re": ' + _per_element(x.real.tolist()) + "}"
+            for x in mats
+        ) + "]"
+        assert matio.canonical_dumps([matio.array_to_obj(x) for x in mats]) == want
+
     def test_array_to_obj_writes_what_nested_lists_would(self, rng):
         arr = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         lists = {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -691,6 +723,7 @@ class TestCliVerify:
         )
         assert code == 11
         assert capsys.readouterr().err.startswith(f"error: cannot read {csv}: ")
+        assert not (tmp_path / "r.json").exists()
 
     def test_usage_error_exits_13(self):
         assert main(["verify", "no-such-suite", "--m", "2", "--n", "2"]) == 13
