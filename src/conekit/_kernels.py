@@ -3,13 +3,16 @@
 The kernel alternates two constrained eigen-solves over the tensor factors
 of v = sum_t x_t (x) y_t.  It runs a whole stack of R restarts at once:
 starting frames come in as an (R, n, k) array, every half-step is one
-matmul pair, one batched `np.linalg.eigh` and one batched `np.linalg.qr`
-over the restarts still running (numpy's linalg broadcasts over leading
-axes), and a restart leaves the running set at the iteration where it
-converges.  numpy and LAPACK solve each matrix of a stack exactly as they
-would solve it alone, so every restart's result is bit-identical to a run
-of that restart by itself (tests/test_kernels.py pins this against a looped
-reference).  Stacks are cut into blocks of SEESAW_BATCH restarts, which
+matmul pair, one batched `np.linalg.eigh` and, when k > 1, one batched
+`np.linalg.qr` over the restarts still running (numpy's linalg broadcasts
+over leading axes), and a restart leaves the running set at the iteration
+where it converges.  At k = 1 the bottom eigenvector is already a unit
+frame: QR would only multiply it by a unit phase, which the next
+contraction F* W F cancels.  numpy and LAPACK solve each matrix of a stack
+exactly as they would solve it alone, so every restart's result is
+bit-identical to a run of that restart by itself, cut at the iteration
+where its block reached the spectral floor (tests/test_kernels.py pins
+this against a looped reference).  Stacks are cut into blocks of SEESAW_BATCH restarts, which
 bounds the (rows, k, m*m*n) contraction intermediates for any number of
 restarts.
 """
@@ -47,7 +50,17 @@ def _bottom_block_vectors(layout, frames, k, m, n):
     return evals[:, 0], evecs[:, :, 0].reshape(r, k, m).transpose(0, 2, 1)
 
 
-def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol):
+def at_floor(values, floor, ftol):
+    """Whether the least of values lies within ftol * (1 + |floor|) of floor.
+
+    floor is lambda_min of W, a lower bound on every value, so a value that
+    reaches it is the constrained minimum to that tolerance.  A floor of
+    -inf is never reached.
+    """
+    return floor > -np.inf and np.min(values) <= floor + ftol * (1.0 + abs(floor))
+
+
+def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
     """Minimize v* W v over unit v = sum_{t<k} x_t (x) y_t from each start.
 
     With the k-column frame y held orthonormal, the optimal stacked x is the
@@ -56,20 +69,35 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol):
     the value is nonincreasing.
 
     y0 is an (R, n, k) stack of starting frames, run in blocks of
-    SEESAW_BATCH restarts.  A restart stops at the first iteration whose
-    decrease is below ftol * (1 + |value|), or after iters iterations; its
-    value and frames are those of that iteration.  Returns (values, x, y) of
-    shapes (R,), (R, m, k) and (R, n, k), with v = sum_t x[r, :, t] (x)
-    y[r, :, t] of unit norm for each restart r.
+    SEESAW_BATCH restarts.  Three rules stop the work:
+      * a restart stops at the first iteration whose decrease is below
+        ftol * (1 + |value|);
+      * a block stops at the first iteration where its least value reaches
+        the spectral floor (see at_floor), and no later block is launched;
+      * a restart stops after iters iterations.
+    Each restart's value and frames are those of the iteration where it
+    stopped.  floor must be lambda_min of W (or -inf, which is never
+    reached), so a floor stop proves the least value optimal to within
+    ftol * (1 + |floor|).  Returns (values, x, y) of shapes (R',), (R', m, k)
+    and (R', n, k) for the R' <= R restarts launched, with v = sum_t
+    x[r, :, t] (x) y[r, :, t] of unit norm for each restart r.
     """
-    blocks = [
-        _seesaw_block(m, n, k, wx, wy, y0[start:start + SEESAW_BATCH], iters, ftol)
-        for start in range(0, y0.shape[0], SEESAW_BATCH)
-    ]
+    blocks = []
+    for start in range(0, y0.shape[0], SEESAW_BATCH):
+        blocks.append(_seesaw_block(
+            m, n, k, wx, wy, y0[start:start + SEESAW_BATCH], iters, ftol, floor))
+        if at_floor(blocks[-1][0], floor, ftol):
+            break
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol):
+def _unit_frames(stack, k):
+    # Orthonormal frames spanning each (n, k) slice of stack; a unit
+    # eigenvector (k = 1) is one already.
+    return np.linalg.qr(stack)[0] if k > 1 else stack
+
+
+def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol, floor):
     # seesaw_minimize on one block; `active` lists the restarts still
     # running, and the other rows of values, x_out and y_out stay frozen.
     rows = y0.shape[0]
@@ -81,12 +109,14 @@ def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol):
     prev = np.full(rows, np.inf)
     for _ in range(iters):
         _, x_stack = _bottom_block_vectors(wx, y_frame, k, m, n)
-        x_pair, _ = np.linalg.qr(x_stack)
+        x_pair = _unit_frames(x_stack, k)
         val, y_pair = _bottom_block_vectors(wy, x_pair, k, n, m)
-        y_frame, _ = np.linalg.qr(y_pair)
+        y_frame = _unit_frames(y_pair, k)
         values[active] = val
         x_out[active] = x_pair
         y_out[active] = y_pair
+        if at_floor(val, floor, ftol):
+            break
         running = ~(prev - val < ftol * (1.0 + np.abs(val)))
         if not running.all():
             active = active[running]

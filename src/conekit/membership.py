@@ -45,7 +45,12 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Knobs for the randomized alternating minimizer; the seed is mandatory."""
+    """Knobs for the randomized alternating minimizer; the seed is mandatory.
+
+    Level l of the see-saw draws all of its `restarts` random starting
+    frames, in restart order, from the one stream
+    np.random.default_rng([seed, l]).
+    """
 
     seed: int
     restarts: int = 32
@@ -159,44 +164,53 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
     return vh[:level, :].T
 
 
-def _optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
+def _optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
     # All inits of the level run as one stack: the ground frame, the warm
-    # frame, then the seeded random frames.  argmin keeps the first of equal
-    # values, so an earlier init wins a tie.
+    # frame, then the seeded random frames, all drawn in restart order from
+    # the level's one generator.  argmin keeps the first of equal values, so
+    # an earlier init wins a tie.  The last item says whether the level
+    # reached the spectral floor.
     m, n = dims.m, dims.n
+    ftol = 1e-13
     inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
         inits.append(_frame_from_vector(warm_v, dims, level))
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, level, r])
-        inits.append(ginibre(rng, n, level))
+    rng = np.random.default_rng([cfg.seed, level])
+    drawn = ginibre(rng, cfg.restarts * n, level).reshape(cfg.restarts, n, level)
     values, xs, ys = _kernels.seesaw_minimize(
-        m, n, level, wx, wy, np.stack(inits), cfg.iters_per_restart, 1e-13
+        m, n, level, wx, wy, np.concatenate([np.stack(inits), drawn]),
+        cfg.iters_per_restart, ftol, floor,
     )
     best = int(np.argmin(values))
     x, y = xs[best], ys[best]
     v = (x @ y.T).reshape(dims.total)
     v = v / np.linalg.norm(v)
     value = float(np.real(np.vdot(v, h @ v)))
-    return value, v, x, y
+    return value, v, x, y, _kernels.at_floor(values, floor, ftol)
 
 
-def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, ground: np.ndarray):
-    """Optimize levels 1..k of the Hermitian h; returns level k's (value, v, x, y).
+def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
+    """Optimize levels 1..k of the Hermitian h; returns the last level's (value, v, x, y).
 
-    Every level starts from the Schmidt frame of the ground-state vector, and
-    each level after the first also from the previous level's minimizer.
+    evals, evecs are h's eigen-decomposition.  Every level starts from the
+    Schmidt frame of the ground-state vector, and each level after the first
+    also from the previous level's minimizer.  A level that reaches
+    lambda_min has found the minimum over every higher level too, so the
+    later levels are not run.
     """
     wx, wy = _kernels.prepare_layouts(h, dims.m, dims.n)
+    ground, floor = evecs[:, 0], float(evals[0])
     v = None
     for level in range(1, k + 1):
-        value, v, x, y = _optimize_level(h, wx, wy, ground, dims, level, cfg, v)
+        value, v, x, y, done = _optimize_level(h, wx, wy, ground, floor, dims, level, cfg, v)
+        if done:
+            break
     return value, v, x, y
 
 
 def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig):
     """min_product_expectation on an already Hermitian h."""
-    value, _, x, y = _seesaw(h, dims, 1, cfg, np.linalg.eigh(h)[1][:, 0])
+    value, _, x, y = _seesaw(h, dims, 1, cfg, *np.linalg.eigh(h))
     z = x[:, 0] / np.linalg.norm(x[:, 0])
     yv = y[:, 0] / np.linalg.norm(y[:, 0])
     return value, z, yv
@@ -210,6 +224,14 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     At k = d the rank constraint is void, and the exact bottom eigenpair of
     w is returned without running the see-saw.  Below d the value is an
     upper bound on the true constrained minimum.
+
+    Within a level the see-saw (`_kernels.seesaw_minimize`) stops by three
+    rules: a restart stops once its decrease falls below 1e-13 relative, the
+    level stops once its least value is within 1e-13 * (1 + |lambda_min|) of
+    lambda_min(w), and every restart stops at cfg.iters_per_restart
+    iterations.  lambda_min bounds every level from below, so a floor stop
+    proves the value optimal for this and every higher k; the remaining
+    levels are then skipped.
     """
     if not (1 <= k <= dims.d):
         raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
@@ -217,7 +239,7 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     evals, evecs = np.linalg.eigh(h)
     if k == dims.d:
         return float(evals[0]), evecs[:, 0]
-    value, v, _, _ = _seesaw(h, dims, k, cfg, evecs[:, 0])
+    value, v, _, _ = _seesaw(h, dims, k, cfg, evals, evecs)
     return value, v
 
 

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from conekit import _kernels
-from conekit.bipartite import BipartiteDims
-from conekit.sampling import ginibre
+from conekit.bipartite import BipartiteDims, partial_transpose
+from conekit.sampling import ginibre, random_vector_with_sr
 
 from conftest import DESK_DIMS, hermitian
 
 
-def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol):
+def reaches_floor(val, floor, ftol):
+    """The reference's spectral-floor test; a floor of -inf is never reached."""
+    return floor > -np.inf and val <= floor + ftol * (1.0 + abs(floor))
+
+
+def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
     """Reference kernel for one (n, k) start, assembling blocks entry by entry.
 
     Returns (value, x, y, iterations run).
@@ -29,31 +34,61 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol):
                 vec[i, t] = evecs[t * m + i, 0]
         return evals[0], vec
 
+    def orthonormal(a):
+        # A unit eigenvector is its own one-column frame.
+        return np.linalg.qr(a)[0] if k > 1 else a
+
     y_frame = np.linalg.qr(y0)[0]
     prev = np.inf
     for it in range(1, iters + 1):
-        x = np.linalg.qr(block_vector(wx, y_frame, m, n)[1])[0]
+        x = orthonormal(block_vector(wx, y_frame, m, n)[1])
         val, y = block_vector(wy, x, n, m)
-        y_frame = np.linalg.qr(y)[0]
-        if prev - val < ftol * (1.0 + abs(val)):
+        y_frame = orthonormal(y)
+        if reaches_floor(val, floor, ftol) or prev - val < ftol * (1.0 + abs(val)):
             break
         prev = val
     return val, x, y, it
 
 
-def assert_rows_match_looped(m, n, k, wx, wy, y0, iters, ftol):
-    """Every row of a stacked run is bit-equal to the reference run alone."""
-    values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol)
-    assert values.shape == (len(y0),)
-    assert xs.shape == (len(y0), m, k) and ys.shape == (len(y0), n, k)
-    counts = []
-    for row, start in enumerate(y0):
-        val, x, y, it = looped_seesaw(m, n, k, wx, wy, start, iters, ftol)
+def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor):
+    """Reference for a stacked call: every start run alone, block by block.
+
+    A block stops at the first iteration where one of its starts reaches the
+    floor, so each start still running then is run again alone, capped at
+    that iteration, and no later block runs.  Returns one (value, x, y,
+    iterations run) per start that ran.
+    """
+    out = []
+    for begin in range(0, len(y0), _kernels.SEESAW_BATCH):
+        starts = y0[begin:begin + _kernels.SEESAW_BATCH]
+        runs = [looped_seesaw(m, n, k, wx, wy, s, iters, ftol, floor) for s in starts]
+        hits = [run[3] for run in runs if reaches_floor(run[0], floor, ftol)]
+        if not hits:
+            out += runs
+            continue
+        cut = min(hits)
+        out += [
+            run if run[3] <= cut else looped_seesaw(m, n, k, wx, wy, s, cut, ftol, floor)
+            for run, s in zip(runs, starts)
+        ]
+        break
+    return out
+
+
+def assert_rows_match_looped(m, n, k, wx, wy, y0, iters, ftol, floor):
+    """Every row of a stacked run is bit-equal to the reference run alone.
+
+    Returns the reference's iteration counts, one per start that ran.
+    """
+    values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor)
+    runs = looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor)
+    assert values.shape == (len(runs),)
+    assert xs.shape == (len(runs), m, k) and ys.shape == (len(runs), n, k)
+    for row, (val, x, y, _) in enumerate(runs):
         assert values[row] == val, row
         assert np.array_equal(xs[row], x), row
         assert np.array_equal(ys[row], y), row
-        counts.append(it)
-    return counts
+    return [run[3] for run in runs]
 
 
 def expectation(w, m, n, x, y):
@@ -95,26 +130,28 @@ class TestKernel:
         lam_min = np.linalg.eigvalsh(w)[0]
         for k in range(1, dims.d + 1):
             y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
-            values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13)
+            values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13, lam_min)
             for val, x, y in zip(values, xs, ys):
                 assert abs(val - expectation(w, m, n, x, y)) <= 1e-10
                 assert val >= lam_min - 1e-10
 
     def test_matches_looped_reference(self, dims, rng):
-        # Same arithmetic, so the results must agree bit for bit.
+        # Same arithmetic, so the results must agree bit for bit.  Below
+        # k = d the floor is out of reach; at k = d it stops the block.
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
         wx, wy = _kernels.prepare_layouts(w, m, n)
+        lam_min = np.linalg.eigvalsh(w)[0]
         for k in range(1, dims.d + 1):
             y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
-            assert_rows_match_looped(m, n, k, wx, wy, y0, 100, 1e-13)
+            assert_rows_match_looped(m, n, k, wx, wy, y0, 100, 1e-13, lam_min)
 
     def test_full_rank_reaches_ground_state(self, dims, rng):
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
         wx, wy = _kernels.prepare_layouts(w, m, n)
         y0 = ginibre(rng, n, dims.d)[None]
-        values, _, _ = _kernels.seesaw_minimize(m, n, dims.d, wx, wy, y0, 100, 1e-13)
+        values, _, _ = _kernels.seesaw_minimize(m, n, dims.d, wx, wy, y0, 100, 1e-13, -np.inf)
         assert abs(values[0] - np.linalg.eigvalsh(w)[0]) <= 1e-9
 
     def test_stack_matches_looped_rows(self, rng):
@@ -126,14 +163,37 @@ class TestKernel:
         w = hermitian(rng, dims.total)
         wx, wy = _kernels.prepare_layouts(w, m, n)
         cap = 40
+        lam_min = np.linalg.eigvalsh(w)[0]
         settled = _kernels.seesaw_minimize(
-            m, n, k, wx, wy, ginibre(rng, n, k)[None], 200, 1e-13
+            m, n, k, wx, wy, ginibre(rng, n, k)[None], 200, 1e-13, lam_min
         )[2]
         fresh = [ginibre(rng, n, k) for _ in range(_kernels.SEESAW_BATCH + 5)]
         y0 = np.concatenate([settled, np.stack(fresh)])
-        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, cap, 1e-13)
+        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, cap, 1e-13, lam_min)
         assert len(y0) > _kernels.SEESAW_BATCH
         assert counts[0] < 10
         assert cap in counts[:_kernels.SEESAW_BATCH]
         assert cap in counts[_kernels.SEESAW_BATCH:]
         assert len(set(counts)) >= 5
+
+    def test_floor_stops_block_and_later_blocks(self, rng):
+        # The partial transpose of a Schmidt-rank-3 state has a Schmidt-rank-2
+        # ground state, so at k = 2 random starts reach lambda_min, each
+        # after its own number of iterations.  The first block stops at the
+        # iteration where its first start gets there, its other starts are
+        # cut at that iteration, and the second block never runs.
+        dims = BipartiteDims(3, 3)
+        m, n, k = dims.m, dims.n, 2
+        v = random_vector_with_sr(rng, dims, 3)
+        w = partial_transpose(np.outer(v, v.conj()), dims)
+        wx, wy = _kernels.prepare_layouts(w, m, n)
+        lam_min = np.linalg.eigvalsh(w)[0]
+        y0 = np.stack([ginibre(rng, n, k) for _ in range(_kernels.SEESAW_BATCH + 5)])
+        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)
+        assert len(counts) == _kernels.SEESAW_BATCH
+        values = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)[0]
+        assert _kernels.at_floor(values, lam_min, 1e-13)
+        assert not all(reaches_floor(val, lam_min, 1e-13) for val in values)
+        free = looped_stack(m, n, k, wx, wy, y0, 200, 1e-13, -np.inf)
+        assert len(free) == len(y0)
+        assert max(counts) < max(run[3] for run in free[:_kernels.SEESAW_BATCH])

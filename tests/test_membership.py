@@ -35,7 +35,7 @@ from conekit.sampling import (
 )
 
 from conftest import hermitian
-from test_kernels import looped_seesaw
+from test_kernels import looped_stack, reaches_floor
 
 FAST_CFG = SeesawConfig(seed=11, restarts=4, iters_per_restart=60)
 
@@ -429,19 +429,19 @@ class TestSeesawConfig:
         SeesawConfig(**kwargs)
 
 
-def looped_optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
-    """The per-restart loop of _optimize_level, on the looped reference kernel."""
+def looped_optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
+    """_optimize_level one start at a time, on the looped reference kernel."""
     m, n = dims.m, dims.n
+    ftol = 1e-13
     inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
         inits.append(_frame_from_vector(warm_v, dims, level))
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, level, r])
-        inits.append(ginibre(rng, n, level))
+    drawn = ginibre(np.random.default_rng([cfg.seed, level]), cfg.restarts * n, level)
+    inits += [drawn[r * n:(r + 1) * n] for r in range(cfg.restarts)]
+    runs = looped_stack(m, n, level, wx, wy, np.stack(inits), cfg.iters_per_restart, ftol, floor)
     best_val = np.inf
     best_pair = None
-    for y0 in inits:
-        val, x, y, _ = looped_seesaw(m, n, level, wx, wy, y0, cfg.iters_per_restart, 1e-13)
+    for val, x, y, _ in runs:
         if val < best_val:
             best_val = val
             best_pair = (x, y)
@@ -449,7 +449,7 @@ def looped_optimize_level(h, wx, wy, ground, dims, level, cfg, warm_v):
     v = (x @ y.T).reshape(dims.total)
     v = v / np.linalg.norm(v)
     value = float(np.real(np.vdot(v, h @ v)))
-    return value, v, x, y
+    return value, v, x, y, reaches_floor(best_val, floor, ftol)
 
 
 def assert_same(got, want):
@@ -514,15 +514,104 @@ class TestStackedLevelPin:
         w = np.diag(diag).astype(complex)
         cfg = SeesawConfig(seed=0, restarts=8, iters_per_restart=60)
         ground = np.linalg.eigh(w)[1][:, 0]
-        inits = [_frame_from_vector(ground, dims, 1)]
-        inits += [ginibre(np.random.default_rng([0, 1, r]), 2, 1) for r in range(8)]
+        drawn = ginibre(np.random.default_rng([0, 1]), 8 * 2, 1).reshape(8, 2, 1)
+        y0 = np.concatenate([_frame_from_vector(ground, dims, 1)[None], drawn])
         wx, wy = _kernels.prepare_layouts(w, 2, 2)
-        values, _, ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, np.stack(inits), 60, 1e-13)
+        # Without the floor every restart runs until it settles.
+        values, _, ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -np.inf)
         tied = np.flatnonzero(values == values.min())
-        assert tied[0] == 0 and len(tied) == len(inits)
+        assert tied[0] == 0 and len(tied) == len(y0)
         assert any(abs(abs(ys[t, 0, 0]) - abs(ys[0, 0, 0])) > 0.5 for t in tied)
+        # With the floor the block stops where the first restart reaches -1,
+        # and the ground-frame init still wins.
+        floored, _, floored_ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -1.0)
+        assert np.argmin(floored) == 0 and floored[0] == -1.0
+        assert np.array_equal(floored_ys[0], ys[0])
         value, z, y = min_product_expectation(w, dims, cfg)
         assert value == -1.0
         assert np.isclose(abs(y[0]), abs(ys[0, 0, 0]))
         report = self.assert_matches_loop(w, dims, cfg, monkeypatch)[-1]
         assert report.verdict is Verdict.OUT
+
+
+def pt_of_full_rank_state(rng, dims):
+    """Partial transpose of a pure state of full Schmidt rank.
+
+    Its ground state has Schmidt rank 2, and its product minimum is >= 0 >
+    lambda_min, so level 1 never reaches the floor and level 2 does.
+    """
+    v = random_vector_with_sr(rng, dims, dims.d)
+    return partial_transpose(np.outer(v, v.conj()), dims)
+
+
+def record_calls(monkeypatch, module, name, keep):
+    """Wrap module.name so every call appends keep(*args) to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapped(*args):
+        calls.append(keep(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+class TestSeesawStoppingRules:
+    def test_floor_exit_fires(self, rng, monkeypatch):
+        # The ground frame spans the Schmidt-rank-2 ground state, so level 2
+        # reaches lambda_min in its first iteration: one x-step and one
+        # y-step contraction.
+        dims = BipartiteDims(3, 3)
+        w = pt_of_full_rank_state(rng, dims)
+        evals = np.linalg.eigvalsh(w)
+        halfsteps = record_calls(
+            monkeypatch, _kernels, "_bottom_block_vectors", lambda layout, frames, k, m, n: k
+        )
+        value, vec = min_sr_k_expectation(w, dims, 2, FAST_CFG)
+        assert abs(value - evals[0]) <= 1e-12 * np.abs(evals).max()
+        assert sr(vec, dims) == 2
+        assert halfsteps.count(2) == 2
+        assert halfsteps.count(1) > 2
+
+    def test_floor_exit_silent_on_random_hermitian(self, dims, rng, monkeypatch):
+        # A random Hermitian's product minimum lies well above lambda_min, so
+        # the floor never stops the search at k = 1.
+        w = hermitian(rng, dims.total)
+
+        def calls():
+            return min_sr_k_expectation(w, dims, 1, FAST_CFG), min_product_expectation(
+                w, dims, FAST_CFG
+            )
+
+        got = calls()
+        assert got[0][0] > np.linalg.eigvalsh(w)[0] + 1e-3
+        original = _kernels.seesaw_minimize
+        monkeypatch.setattr(
+            _kernels, "seesaw_minimize", lambda *args: original(*args[:-1], -np.inf)
+        )
+        assert_same(got, calls())
+
+    def test_later_levels_skipped(self, rng, monkeypatch):
+        dims = BipartiteDims(4, 4)
+        w = pt_of_full_rank_state(rng, dims)
+        evals = np.linalg.eigvalsh(w)
+        levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *args: args[2])
+        value, vec = min_sr_k_expectation(w, dims, 3, FAST_CFG)
+        assert levels == [1, 2]
+        assert abs(value - evals[0]) <= 1e-12 * np.abs(evals).max()
+        assert sr(vec, dims) == 2
+
+    def test_one_generator_per_level(self, rng, monkeypatch):
+        dims = BipartiteDims(3, 3)
+        w = hermitian(rng, dims.total)
+        starts = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *args: args[5])
+        first = min_sr_k_expectation(w, dims, 2, FAST_CFG)
+        assert len(starts) == 2
+        restarts, n = FAST_CFG.restarts, dims.n
+        for level, y0 in enumerate(starts, start=1):
+            rng_level = np.random.default_rng([FAST_CFG.seed, level])
+            drawn = ginibre(rng_level, restarts * n, level).reshape(restarts, n, level)
+            assert np.array_equal(y0[-restarts:], drawn)
+        assert_same(min_sr_k_expectation(w, dims, 2, FAST_CFG), first)
+        assert np.array_equal(starts[2], starts[0]) and np.array_equal(starts[3], starts[1])
