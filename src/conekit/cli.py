@@ -190,7 +190,7 @@ def _construct_lift(args):
     dims, w = _load(args.w, 1)
     if (u_dims.total, v_dims.total) != (dims.m, dims.n):
         raise DimError("u must live in C^m and v in C^n for the dims of w")
-    unitary = lift_product_to_target(u, v, w, dims)
+    unitary = lift_product_to_target(u, v, w, dims, norm_tol=args.tol)
     mapping_residual = float(np.linalg.norm(unitary @ product_vec(u, v) - w))
     unitarity_residual = float(
         np.linalg.norm(unitary.conj().T @ unitary - np.eye(dims.total))

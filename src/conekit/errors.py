@@ -26,7 +26,11 @@ class PreconditionError(ConekitError):
 
 
 class AnchorError(ConekitError):
-    """Not enough (or invalid) anchor product vectors for a completion."""
+    """Invalid anchor product vectors for a completion.
+
+    Kept as a public name only: completions always anchor on the standard
+    product basis, so nothing in the toolkit raises it.
+    """
 
 
 class DegenerateSampleError(ConekitError):

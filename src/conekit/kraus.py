@@ -28,7 +28,7 @@ from .bipartite import (
     product_vec,
     sr,
 )
-from .errors import AnchorError, DimError, NormError, PreconditionError
+from .errors import DimError, NormError, PreconditionError
 from .membership import MembershipReport, Verdict, hermitian_part
 from .sampling import random_exact_kraus_ops, random_operator_with_osr
 
@@ -237,55 +237,33 @@ def random_family(
     return complete_to_identity(partial, tol=tol)
 
 
-def standard_anchor_basis(dims: BipartiteDims) -> list[np.ndarray]:
-    """The product basis e_i (x) f_j in flat-index order."""
-    return [basis_vec(dims.total, i) for i in range(dims.total)]
-
-
-def complete_to_identity(
-    partial: KrausFamily,
-    anchor_basis: list | None = None,
-    tol: float = DEFAULT_TOL,
-) -> KrausFamily:
+def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> KrausFamily:
     """Append rank-one operators so the family resolves the identity.
 
-    The deficit I - sum A_i* A_i is spectrally decomposed and each retained
-    mode (eigenvalue above 1e-12) becomes sqrt(mu_j) f_j u_j* with f_j drawn
-    from the anchor product basis.  The appended operators have OSR equal to
-    the Schmidt rank of their eigenvector, so the certified bound of the
-    result is recomputed rather than inherited.
+    The deficit I - sum A_i* A_i is decomposed by one `eigh`, which also
+    decides contractivity: a least eigenvalue below -1e-9 is refused.  Each
+    retained mode (eigenvalue above 1e-12), largest first, becomes
+    sqrt(mu_j) e_j u_j* on the standard product basis vector e_j.  The
+    appended operators have OSR equal to the Schmidt rank of their
+    eigenvector, so the certified bound of the result is recomputed rather
+    than inherited.
     """
     _check_tol(tol)
     dims = partial.dims
     total = dims.total
     ops = [as_matrix(dims, a) for a in partial.ops]
-    s = _normalization_sum(dims, ops)
-    evals_s = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-    if evals_s[-1] > 1.0 + CONTRACTIVE_EXCESS_BOUND:
-        raise PreconditionError(
-            f"partial family is not contractive (largest eigenvalue {evals_s[-1]:.12f})"
-        )
-    if anchor_basis is None:
-        anchor_basis = standard_anchor_basis(dims)
-    anchors = [as_vector(dims, f) for f in anchor_basis]
-    for f in anchors:
-        if abs(np.linalg.norm(f) - 1.0) > tol:
-            raise AnchorError("anchors must be unit vectors")
-        if sr(f, dims, tol) != 1:
-            raise AnchorError("anchors must be product vectors")
-
-    remainder = np.eye(total) - s
+    remainder = np.eye(total) - _normalization_sum(dims, ops)
     evals, evecs = np.linalg.eigh((remainder + remainder.conj().T) / 2.0)
+    if evals[0] < -CONTRACTIVE_EXCESS_BOUND:
+        raise PreconditionError(
+            f"partial family is not contractive (largest eigenvalue {1.0 - evals[0]:.12f})"
+        )
     modes = [
         (float(evals[j]), evecs[:, j]) for j in range(total) if evals[j] > COMPLETION_MODE_CUTOFF
     ]
     modes.reverse()  # largest deficit first
-    if len(anchors) < len(modes):
-        raise AnchorError(
-            f"need {len(modes)} anchor vectors, got {len(anchors)}"
-        )
     appended = [
-        np.sqrt(mu) * np.outer(anchors[j], u.conj()) for j, (mu, u) in enumerate(modes)
+        np.sqrt(mu) * np.outer(basis_vec(total, j), u.conj()) for j, (mu, u) in enumerate(modes)
     ]
     ops = ops + appended
     family = KrausFamily(dims, ops, Mode.EXACT, seed=partial.seed)

@@ -330,12 +330,3 @@ def csv_summary_text(path: str, report) -> str:
     elif not text.endswith("\n"):
         text += "\n"
     return text + suite_csv_row(report) + "\n"
-
-
-def append_csv_summary(path: str, report):
-    """Append one summary row through `csv_summary_text`.
-
-    The whole file is rewritten through a temp file so a crash mid-append
-    never leaves a torn row.
-    """
-    atomic_write_text(path, csv_summary_text(path, report))

@@ -66,8 +66,7 @@ class SeesawConfig:
             raise PreconditionError("seed must be a nonnegative 64-bit integer")
         if self.restarts < 1 or self.iters_per_restart < 1:
             raise PreconditionError("restarts and iters_per_restart must be >= 1")
-        if not (0.0 < self.tol < 1.0):
-            raise PreconditionError("tol must lie in (0, 1)")
+        _check_tol(self.tol)
 
 
 def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -208,9 +207,9 @@ def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
     return value, v, x, y
 
 
-def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig):
-    """min_product_expectation on an already Hermitian h."""
-    value, _, x, y = _seesaw(h, dims, 1, cfg, *np.linalg.eigh(h))
+def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig, evals, evecs):
+    """min_product_expectation on an already Hermitian h and its eigh (evals, evecs)."""
+    value, _, x, y = _seesaw(h, dims, 1, cfg, evals, evecs)
     z = x[:, 0] / np.linalg.norm(x[:, 0])
     yv = y[:, 0] / np.linalg.norm(y[:, 0])
     return value, z, yv
@@ -248,7 +247,8 @@ def min_product_expectation(w, dims: BipartiteDims, cfg: SeesawConfig):
 
     Identical to min_sr_k_expectation at k = 1, but returns the factor pair.
     """
-    return _min_product(hermitian_part(w, dims, cfg.tol), dims, cfg)
+    h = hermitian_part(w, dims, cfg.tol)
+    return _min_product(h, dims, cfg, *np.linalg.eigh(h))
 
 
 def is_block_positive_heuristic(
@@ -262,11 +262,12 @@ def is_block_positive_heuristic(
     the product optimization is nonconvex.
     """
     h = hermitian_part(w, dims, cfg.tol)
-    lam_min = float(np.linalg.eigvalsh(h)[0])
+    evals, evecs = np.linalg.eigh(h)
+    lam_min = float(evals[0])
     if lam_min >= -cfg.tol:
         cert = {"kind": "psd_sufficient", "min_eig": lam_min}
         return MembershipReport(Verdict.IN, lam_min, cfg.tol, cert)
-    value, z, y = _min_product(h, dims, cfg)
+    value, z, y = _min_product(h, dims, cfg, evals, evecs)
     if value < -cfg.tol:
         cert = {
             "kind": "product_pair",

@@ -10,6 +10,8 @@ from .bipartite import BipartiteDims, kron, partial_transpose, product_vec
 from .errors import DegenerateSampleError, PreconditionError
 
 PPT_REJECTION_CAP = 1000
+# Fresh Ginibre draws random_exact_kraus_ops tries before giving up.
+EXACT_KRAUS_ATTEMPTS = 16
 # random_ppt draws induced states with environment K = PPT_ENVIRONMENT * mn.
 PPT_ENVIRONMENT = 5
 
@@ -70,9 +72,7 @@ def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     return x / np.trace(x).real
 
 
-def random_ppt(
-    rng: np.random.Generator, dims: BipartiteDims, tol: float = 0.0
-) -> np.ndarray:
+def random_ppt(rng: np.random.Generator, dims: BipartiteDims) -> np.ndarray:
     """Trace-one PPT matrix, rejection-sampled from the induced Wishart ensemble.
 
     Draws use G of shape (mn, K) with environment K = 5mn.  Random induced
@@ -87,31 +87,25 @@ def random_ppt(
         g = ginibre(rng, total, PPT_ENVIRONMENT * total)
         x = g @ g.conj().T
         x /= np.trace(x).real
-        if np.linalg.eigvalsh(partial_transpose(x, dims))[0] >= -tol:
+        if np.linalg.eigvalsh(partial_transpose(x, dims))[0] >= 0.0:
             return x
     raise DegenerateSampleError(
         f"no PPT sample within {PPT_REJECTION_CAP} rejection attempts"
     )
 
 
-def random_separable(
-    rng: np.random.Generator, dims: BipartiteDims, terms: int | None = None
-) -> np.ndarray:
-    """Trace-one conic combination of random product projectors."""
-    if terms is None:
-        terms = dims.total
+def random_separable(rng: np.random.Generator, dims: BipartiteDims) -> np.ndarray:
+    """Trace-one conic combination of mn random product projectors."""
     x = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for _ in range(terms):
+    for _ in range(dims.total):
         p = random_product_vector(rng, dims)
         x += rng.uniform(0.1, 1.0) * np.outer(p, p.conj())
     return x / np.trace(x).real
 
 
-def random_exact_kraus_ops(
-    rng: np.random.Generator, dim: int, count: int, attempts: int = 16
-) -> list[np.ndarray]:
+def random_exact_kraus_ops(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
     """Ginibre Kraus operators normalized so that sum A_i* A_i = I exactly."""
-    for _ in range(attempts):
+    for _ in range(EXACT_KRAUS_ATTEMPTS):
         ops = [ginibre(rng, dim, dim) for _ in range(count)]
         s = sum(a.conj().T @ a for a in ops)
         evals, evecs = np.linalg.eigh(s)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conekit import (
-    AnchorError,
     BipartiteDims,
     ConicCombination,
     DimError,
@@ -34,6 +33,7 @@ from conekit import (
     validate,
     witness_conjugation,
 )
+from conekit import bipartite, kraus
 from conekit.kraus import OSR_BATCH, _op_ranks
 from conekit.sampling import (
     haar_unitary,
@@ -274,19 +274,49 @@ class TestCompleteToIdentity:
         with pytest.raises(PreconditionError):
             complete_to_identity(partial)
 
-    def test_insufficient_anchors(self, dims):
-        partial = KrausFamily(dims, [], Mode.EXACT)
-        anchors = [basis_vec(dims.total, 0)]
-        with pytest.raises(AnchorError):
-            complete_to_identity(partial, anchor_basis=anchors)
+    @pytest.mark.parametrize("excess, refused", [(2e-9, True), (0.5e-9, False)])
+    def test_refusal_margin(self, dims, excess, refused):
+        # lambda_max(S) = 1 + excess against the 1e-9 contractivity bound.
+        weights = np.full(dims.total, 0.25)
+        weights[-1] = 1.0 + excess
+        partial = KrausFamily(dims, [np.diag(np.sqrt(weights))], Mode.EXACT)
+        if refused:
+            with pytest.raises(PreconditionError, match=r"largest eigenvalue 1\.000000002"):
+                complete_to_identity(partial)
+        else:
+            fam = complete_to_identity(partial)
+            assert len(fam.ops) == dims.total
+            assert validate(fam).verdict is Verdict.IN
 
-    def test_entangled_anchor_rejected(self, dims):
-        if dims.d < 2:
-            pytest.skip("needs an entangled anchor")
-        partial = KrausFamily(dims, [], Mode.EXACT)
-        anchors = [max_entangled_vector(dims)] * dims.total
-        with pytest.raises(AnchorError):
-            complete_to_identity(partial, anchor_basis=anchors)
+    def test_one_eigen_solve_and_no_schmidt_rank(self, dims, rng, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # kraus binds its own name for sr, so both bindings are wrapped.
+        for module, name in (
+            (np.linalg, "eigh"), (np.linalg, "eigvalsh"), (bipartite, "sr"), (kraus, "sr")
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        total = dims.total
+        v = random_unit_vector(rng, total)
+        c = 1.0 / np.sqrt(2.0 * total)
+        ops = [c * np.outer(basis_vec(total, i), v.conj()) for i in range(total)]
+        fam = complete_to_identity(KrausFamily(dims, ops, Mode.EXACT))
+        assert calls == ["eigh"]
+        for j, appended in enumerate(fam.ops[total:]):
+            # Mode j sits on the standard product basis vector e_j.
+            assert np.count_nonzero(appended[j]) > 0
+            assert np.count_nonzero(np.delete(appended, j, axis=0)) == 0
+
+    def test_positional_anchor_list_refused_at_the_call(self, dims):
+        anchors = [basis_vec(dims.total, i) for i in range(dims.total)]
+        with pytest.raises(TypeError):
+            complete_to_identity(KrausFamily(dims, [], Mode.EXACT), anchors)
 
     def test_appended_osr_matches_eigenvector_sr(self, dims, rng):
         total = dims.total

@@ -334,8 +334,7 @@ class TestCsvSummary:
         report = suite_lemma_srank(BipartiteDims(2, 2), 4, 3)
         path = tmp_path / "summary.csv"
         path.write_text("")
-        matio.append_csv_summary(str(path), report)
-        lines = path.read_text().split("\n")
+        lines = matio.csv_summary_text(str(path), report).split("\n")
         assert lines[0] == matio.SUITE_CSV_HEADER
         assert lines[1] == matio.suite_csv_row(report)
         assert lines[2:] == [""]
@@ -349,7 +348,7 @@ class TestCsvSummary:
         else:
             path.mkdir()
         with pytest.raises(MatrixFileError, match=f"^cannot read {re.escape(str(path))}: "):
-            matio.append_csv_summary(str(path), report)
+            matio.csv_summary_text(str(path), report)
         if kind == "binary":
             assert path.read_bytes() == b"\xff\xfe\x00,"
 
@@ -357,9 +356,11 @@ class TestCsvSummary:
         d = BipartiteDims(2, 2)
         report = suite_lemma_srank(d, 10, 3)
         path = tmp_path / "summary.csv"
-        matio.append_csv_summary(str(path), report)
-        matio.append_csv_summary(str(path), report)
-        lines = path.read_text().strip().split("\n")
+        first = matio.csv_summary_text(str(path), report)
+        matio.atomic_write_text(str(path), first)
+        second = matio.csv_summary_text(str(path), report)
+        assert second == first + matio.suite_csv_row(report) + "\n"
+        lines = second.strip().split("\n")
         assert lines[0] == "suite_id,m,n,trials,passes,max_residual,seed"
         assert len(lines) == 3
         assert lines[1].startswith("srank,2,2,10,10,")
@@ -596,6 +597,26 @@ class TestCliConstruct:
         report = json.loads(capsys.readouterr().out)
         assert report["mapping_residual"] <= 1e-12
         assert report["unitarity_residual"] <= 1e-12
+
+    def test_lift_checks_unit_norms_at_tol(self, tmp_path, capsys):
+        # u of norm 1 + 1e-6 passes the unit-norm check at --tol 1e-3, and the
+        # lift then misses w by that norm error; at the default tol it is refused.
+        u = write_matrix(tmp_path / "u.json", 2, 1, (1.0 + 1e-6) * basis_vec(2, 0))
+        f0 = write_matrix(tmp_path / "f0.json", 2, 1, basis_vec(2, 0))
+        bell = write_matrix(
+            tmp_path / "bell.json", 2, 2, max_entangled_vector(BipartiteDims(2, 2))
+        )
+        prefix = str(tmp_path / "lift")
+        argv = ["construct", "lift", "--u", u, "--v", f0, "--w", bell, "--out", prefix]
+        assert main(argv + ["--tol", "1e-3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        assert abs(report["mapping_residual"] - 1e-6) <= 1e-9
+        with open(f"{prefix}_report.json") as handle:
+            assert json.load(handle) == report
+        assert os.path.exists(f"{prefix}_unitary.json")
+        assert main(argv) == 13
+        assert capsys.readouterr().err == "error: u must be a unit vector\n"
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["construct", "collapse", "--out", str(tmp_path / "x")]) == 13

@@ -365,6 +365,19 @@ class TestBlockPositiveHeuristic:
         assert value < -report.tol
         assert abs(value - report.certificate["expectation"]) <= 10 * report.tol
 
+    def test_one_decomposition_per_call(self, rng, monkeypatch):
+        # The PSD gate, min_eig and the see-saw's ground frame and floor all
+        # come from one eigh of the Hermitian part; the kernel's own eigh
+        # calls run on (R, n, n) stacks.
+        d = BipartiteDims(3, 3)
+        w = hermitian(rng, d.total)
+        eighs = record_calls(monkeypatch, np.linalg, "eigh", np.ndim)
+        eigvalshs = record_calls(monkeypatch, np.linalg, "eigvalsh", np.ndim)
+        report = is_block_positive_heuristic(w, d, FAST_CFG)
+        assert report.verdict is not Verdict.IN
+        assert eighs.count(2) == 1
+        assert eigvalshs == []
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
