@@ -1,26 +1,23 @@
 """Hot inner loop of the product/low-Schmidt-rank expectation minimizer.
 
 The kernel alternates two constrained eigen-solves over the tensor factors
-of v = sum_t x_t (x) y_t.  It runs a whole stack of R restarts at once:
+of v = sum_t x_t (x) y_t.  It runs a whole stack of R starts at once:
 starting frames come in as an (R, n, k) array, every half-step is one
 matmul pair, one batched `np.linalg.eigh` and, when k > 1, one batched
-`np.linalg.qr` over the restarts still running (numpy's linalg broadcasts
-over leading axes), and a restart leaves the running set at the iteration
+`np.linalg.qr` over the starts still running (numpy's linalg broadcasts
+over leading axes), and a start leaves the running set at the iteration
 where it converges.  At k = 1 the bottom eigenvector is already a unit
 frame: QR would only multiply it by a unit phase, which the next
 contraction F* W F cancels.  numpy and LAPACK solve each matrix of a stack
-exactly as they would solve it alone, so every restart's result is
-bit-identical to a run of that restart by itself, cut at the iteration
-where its block reached the spectral floor (tests/test_kernels.py pins
-this against a looped reference).  Stacks are cut into blocks of SEESAW_BATCH restarts, which
-bounds the (rows, k, m*m*n) contraction intermediates for any number of
-restarts.
+exactly as they would solve it alone, so every start's result is
+bit-identical to a run of that start by itself, cut at the iteration
+where the stack reached the spectral floor (tests/test_kernels.py pins
+this against a looped reference).  A see-saw level stacks at most 34
+starts (32 random frames, the ground frame and the warm frame), which
+bounds the (R, k, m*m*n) contraction intermediates.
 """
 
 import numpy as np
-
-# Restarts per stacked block in seesaw_minimize.
-SEESAW_BATCH = 64
 
 
 def prepare_layouts(w: np.ndarray, m: int, n: int):
@@ -68,38 +65,22 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
     for y; each half-step minimizes over a superset of the current iterate, so
     the value is nonincreasing.
 
-    y0 is an (R, n, k) stack of starting frames, run in blocks of
-    SEESAW_BATCH restarts.  Three rules stop the work:
-      * a restart stops at the first iteration whose decrease is below
+    y0 is an (R, n, k) stack of starting frames, run as one stack.  Three
+    rules stop the work:
+      * a start stops at the first iteration whose decrease is below
         ftol * (1 + |value|);
-      * a block stops at the first iteration where its least value reaches
-        the spectral floor (see at_floor), and no later block is launched;
-      * a restart stops after iters iterations.
-    Each restart's value and frames are those of the iteration where it
+      * the stack stops at the first iteration where its least value
+        reaches the spectral floor (see at_floor);
+      * a start stops after iters iterations.
+    Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
     reached), so a floor stop proves the least value optimal to within
-    ftol * (1 + |floor|).  Returns (values, x, y) of shapes (R',), (R', m, k)
-    and (R', n, k) for the R' <= R restarts launched, with v = sum_t
-    x[r, :, t] (x) y[r, :, t] of unit norm for each restart r.
+    ftol * (1 + |floor|).  Returns (values, x, y) of shapes (R,), (R, m, k)
+    and (R, n, k), with v = sum_t x[r, :, t] (x) y[r, :, t] of unit norm
+    for each start r.
     """
-    blocks = []
-    for start in range(0, y0.shape[0], SEESAW_BATCH):
-        blocks.append(_seesaw_block(
-            m, n, k, wx, wy, y0[start:start + SEESAW_BATCH], iters, ftol, floor))
-        if at_floor(blocks[-1][0], floor, ftol):
-            break
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _unit_frames(stack, k):
-    # Orthonormal frames spanning each (n, k) slice of stack; a unit
-    # eigenvector (k = 1) is one already.
-    return np.linalg.qr(stack)[0] if k > 1 else stack
-
-
-def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol, floor):
-    # seesaw_minimize on one block; `active` lists the restarts still
-    # running, and the other rows of values, x_out and y_out stay frozen.
+    # `active` lists the starts still running; the other rows of values,
+    # x_out and y_out stay frozen.
     rows = y0.shape[0]
     values = np.full(rows, np.inf)
     x_out = np.zeros((rows, m, k), dtype=np.complex128)
@@ -126,3 +107,9 @@ def _seesaw_block(m, n, k, wx, wy, y0, iters, ftol, floor):
             val = val[running]
         prev = val
     return values, x_out, y_out
+
+
+def _unit_frames(stack, k):
+    # Orthonormal frames spanning each (n, k) slice of stack; a unit
+    # eigenvector (k = 1) is one already.
+    return np.linalg.qr(stack)[0] if k > 1 else stack

@@ -6,6 +6,7 @@ order for an (m, n) array.  Every reshuffle (partial transpose,
 realignment) is derived from that single convention.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ class BipartiteDims:
     n: int
 
     def __post_init__(self):
+        for value in (self.m, self.n):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DimError(f"factor dimensions must be integers, got {value!r}")
         if self.m < 1 or self.n < 1:
             raise DimError(f"factor dimensions must be >= 1, got ({self.m}, {self.n})")
 
@@ -259,13 +263,15 @@ def lift_product_to_target(
     phase-corrected Householder reflection (`complete_orthonormal_basis`),
     and U = B_w B_{u(x)v}*, which sends the first column of one basis to
     the first column of the other, so the image of the product vector is
-    exact up to rounding.
+    exact up to rounding.  norm_tol must lie in (0, 1).
     """
+    _check_tol(norm_tol)
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     w = as_vector(dims, w)
     if u.shape != (dims.m,) or v.shape != (dims.n,):
         raise DimError("u must live in C^m and v in C^n")
+    u, v = _finite(u), _finite(v)
     for name, vec in (("u", u), ("v", v), ("w", w)):
         if abs(np.linalg.norm(vec) - 1.0) > norm_tol:
             raise NormError(f"{name} must be a unit vector")

@@ -109,9 +109,7 @@ def _cmd_check(args) -> int:
     seed = None
     if args.kind == "blockpos":
         seed = _resolve_seed(args.seed)
-        cfg = SeesawConfig(
-            seed=seed, restarts=args.restarts, iters_per_restart=args.iters, tol=args.tol
-        )
+        cfg = SeesawConfig(seed=seed, tol=args.tol)
         report = is_block_positive_heuristic(mat, dims, cfg)
     else:
         report = _CHECKS[args.kind](mat, dims, args.tol)
@@ -271,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     check.add_argument("--seed", type=int, default=None)
-    check.add_argument("--restarts", type=int, default=32)
-    check.add_argument("--iters", type=int, default=200)
     check.set_defaults(func=_cmd_check)
 
     rank = sub.add_parser("rank", help="Schmidt rank / operator Schmidt rank")

@@ -18,6 +18,7 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _check_tol,
+    _finite,
     _rank_from_singulars,
     _realign,
     as_matrix,
@@ -349,6 +350,7 @@ def conic_scale(combo: ConicCombination) -> np.ndarray:
     weights = np.asarray(combo.weights, dtype=np.float64)
     if weights.ndim != 1 or weights.shape[0] != len(combo.terms):
         raise DimError("need exactly one weight per term")
+    _finite(weights)
     if weights.size and weights.min() < 0.0:
         raise PreconditionError("conic weights must be nonnegative")
     total = combo.dims.total

@@ -43,29 +43,31 @@ class MembershipReport:
     certificate: dict | None = None
 
 
+# The see-saw's fixed effort per level (random starts, iterations per start)
+# and its relative stopping tolerance.
+SEESAW_RESTARTS = 32
+SEESAW_ITERS = 200
+SEESAW_FTOL = 1e-13
+
+
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Knobs for the randomized alternating minimizer; the seed is mandatory.
+    """Seed and tolerance of the randomized alternating minimizer.
 
-    Level l of the see-saw draws all of its `restarts` random starting
-    frames, in restart order, from the one stream
-    np.random.default_rng([seed, l]).
+    The seed is mandatory, and the effort is fixed: level l of the see-saw
+    draws its SEESAW_RESTARTS random starting frames, in order, from the one
+    stream np.random.default_rng([seed, l]), and runs each start for at most
+    SEESAW_ITERS iterations.
     """
 
     seed: int
-    restarts: int = 32
-    iters_per_restart: int = 200
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        for name in ("seed", "restarts", "iters_per_restart"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise PreconditionError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a nonnegative 64-bit integer")
-        if self.restarts < 1 or self.iters_per_restart < 1:
-            raise PreconditionError("restarts and iters_per_restart must be >= 1")
         _check_tol(self.tol)
 
 
@@ -165,27 +167,26 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
 
 def _optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
     # All inits of the level run as one stack: the ground frame, the warm
-    # frame, then the seeded random frames, all drawn in restart order from
-    # the level's one generator.  argmin keeps the first of equal values, so
-    # an earlier init wins a tie.  The last item says whether the level
-    # reached the spectral floor.
+    # frame, then the SEESAW_RESTARTS random frames, drawn in order from the
+    # level's one generator.  argmin keeps the first of equal values, so an
+    # earlier init wins a tie.  The last item says whether the level reached
+    # the spectral floor.
     m, n = dims.m, dims.n
-    ftol = 1e-13
     inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
         inits.append(_frame_from_vector(warm_v, dims, level))
     rng = np.random.default_rng([cfg.seed, level])
-    drawn = ginibre(rng, cfg.restarts * n, level).reshape(cfg.restarts, n, level)
+    drawn = ginibre(rng, SEESAW_RESTARTS * n, level).reshape(SEESAW_RESTARTS, n, level)
     values, xs, ys = _kernels.seesaw_minimize(
         m, n, level, wx, wy, np.concatenate([np.stack(inits), drawn]),
-        cfg.iters_per_restart, ftol, floor,
+        SEESAW_ITERS, SEESAW_FTOL, floor,
     )
     best = int(np.argmin(values))
     x, y = xs[best], ys[best]
     v = (x @ y.T).reshape(dims.total)
     v = v / np.linalg.norm(v)
     value = float(np.real(np.vdot(v, h @ v)))
-    return value, v, x, y, _kernels.at_floor(values, floor, ftol)
+    return value, v, x, y, _kernels.at_floor(values, floor, SEESAW_FTOL)
 
 
 def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
@@ -224,13 +225,14 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     w is returned without running the see-saw.  Below d the value is an
     upper bound on the true constrained minimum.
 
-    Within a level the see-saw (`_kernels.seesaw_minimize`) stops by three
-    rules: a restart stops once its decrease falls below 1e-13 relative, the
-    level stops once its least value is within 1e-13 * (1 + |lambda_min|) of
-    lambda_min(w), and every restart stops at cfg.iters_per_restart
-    iterations.  lambda_min bounds every level from below, so a floor stop
-    proves the value optimal for this and every higher k; the remaining
-    levels are then skipped.
+    Each level runs its starts as one stack through
+    `_kernels.seesaw_minimize`, which stops by three rules: a start stops
+    once its decrease falls below SEESAW_FTOL relative, the level stops once
+    its least value is within SEESAW_FTOL * (1 + |lambda_min|) of
+    lambda_min(w), and every start stops at SEESAW_ITERS iterations.
+    lambda_min bounds every level from below, so a floor stop proves the
+    value optimal for this and every higher k; the remaining levels are then
+    skipped.
     """
     if not (1 <= k <= dims.d):
         raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")

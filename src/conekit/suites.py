@@ -407,7 +407,7 @@ def suite_ppt_collapse(
 
 
 def structured_exact_family(
-    rng: np.random.Generator, dims: BipartiteDims, k: int, tol: float = DEFAULT_TOL
+    rng: np.random.Generator, dims: BipartiteDims, k: int
 ) -> KrausFamily:
     """Exact family whose every coefficient has certified OSR at most k.
 

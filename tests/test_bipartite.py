@@ -47,6 +47,20 @@ def bell(dims):
     return max_entangled_vector(dims)
 
 
+class TestDims:
+    @pytest.mark.parametrize(
+        "mn", [(2.5, 2), (2.0, 2), (True, 2), (2, False), ("2", 2), (None, 2)], ids=repr
+    )
+    def test_non_integer_refused(self, mn):
+        with pytest.raises(DimError, match="must be integers"):
+            BipartiteDims(*mn)
+
+    def test_numpy_integers_accepted(self):
+        dims = BipartiteDims(np.int64(2), np.int32(3))
+        assert dims == BipartiteDims(2, 3)
+        assert dims.m == 2 and dims.total == 6
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -285,6 +299,23 @@ class TestLift:
         with pytest.raises(NormError):
             lift_product_to_target(u, v, max_entangled_vector(dims), dims)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("factor", ["u", "v"])
+    def test_non_finite_factor_refused(self, factor, bad):
+        # NaN passes the unit-norm test (every comparison with NaN is
+        # false), so it must be refused before that test.
+        d = BipartiteDims(2, 3)
+        vecs = {"u": basis_vec(2, 0), "v": basis_vec(3, 0)}
+        vecs[factor][1] = bad
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            lift_product_to_target(vecs["u"], vecs["v"], bell(d), d)
+
+    def test_loose_norm_tol_refused(self):
+        # At norm_tol = 1.5 a zero u would pass the unit-norm test.
+        d = BipartiteDims(2, 2)
+        with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+            lift_product_to_target(np.zeros(2), basis_vec(2, 0), bell(d), d, norm_tol=1.5)
+
 
 BAD_TOLS = [0.0, 1.0, -1.0, 5.0]
 
@@ -298,8 +329,11 @@ class TestToleranceRefused:
             lambda d, tol: schmidt_decompose(bell(d), d, tol),
             lambda d, tol: osr(np.eye(d.total), d, tol),
             lambda d, tol: op_schmidt_decompose(np.eye(d.total), d, tol),
+            lambda d, tol: lift_product_to_target(
+                basis_vec(2, 0), basis_vec(2, 0), bell(d), d, tol
+            ),
         ],
-        ids=["sr", "schmidt_decompose", "osr", "op_schmidt_decompose"],
+        ids=["sr", "schmidt_decompose", "osr", "op_schmidt_decompose", "lift_product_to_target"],
     )
     def test_raises_precondition_error(self, call, tol):
         with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):

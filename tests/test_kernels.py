@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,27 @@ def reaches_floor(val, floor, ftol):
     return floor > -np.inf and val <= floor + ftol * (1.0 + abs(floor))
 
 
+@functools.cache
+def block_entries(k, m):
+    """Where each entry of the (k*m) block and of its factor matrix comes from.
+
+    Built entry by entry: h[t*m+i, s*m+i2] = a[(t*m+i)*m+i2, s] for the
+    (k*m*m, k) contraction a, and vec[i, t] = evec[t*m+i].  Returns flat
+    indices into a and into evec.
+    """
+    h_at = np.empty((k * m, k * m), dtype=np.intp)
+    for t in range(k):
+        for i in range(m):
+            for s in range(k):
+                for i2 in range(m):
+                    h_at[t * m + i, s * m + i2] = ((t * m + i) * m + i2) * k + s
+    vec_at = np.empty((m, k), dtype=np.intp)
+    for t in range(k):
+        for i in range(m):
+            vec_at[i, t] = t * m + i
+    return h_at, vec_at
+
+
 def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
     """Reference kernel for one (n, k) start, assembling blocks entry by entry.
 
@@ -21,18 +44,10 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
 
     def block_vector(layout, frame, m, n):
         a = (frame.conj().T @ layout).reshape(k * m * m, n) @ frame
-        h = np.empty((k * m, k * m), dtype=np.complex128)
-        for t in range(k):
-            for i in range(m):
-                for s in range(k):
-                    for i2 in range(m):
-                        h[t * m + i, s * m + i2] = a[(t * m + i) * m + i2, s]
+        h_at, vec_at = block_entries(k, m)
+        h = a.reshape(-1)[h_at]
         evals, evecs = np.linalg.eigh((h + h.conj().T) * 0.5)
-        vec = np.empty((m, k), dtype=np.complex128)
-        for t in range(k):
-            for i in range(m):
-                vec[i, t] = evecs[t * m + i, 0]
-        return evals[0], vec
+        return evals[0], evecs[:, 0][vec_at]
 
     def orthonormal(a):
         # A unit eigenvector is its own one-column frame.
@@ -51,34 +66,27 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
 
 
 def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor):
-    """Reference for a stacked call: every start run alone, block by block.
+    """Reference for a stacked call: every start run alone.
 
-    A block stops at the first iteration where one of its starts reaches the
-    floor, so each start still running then is run again alone, capped at
-    that iteration, and no later block runs.  Returns one (value, x, y,
-    iterations run) per start that ran.
+    The stack stops at the first iteration where one of its starts reaches
+    the floor, so each start still running then is run again alone, capped
+    at that iteration.  Returns one (value, x, y, iterations run) per start.
     """
-    out = []
-    for begin in range(0, len(y0), _kernels.SEESAW_BATCH):
-        starts = y0[begin:begin + _kernels.SEESAW_BATCH]
-        runs = [looped_seesaw(m, n, k, wx, wy, s, iters, ftol, floor) for s in starts]
-        hits = [run[3] for run in runs if reaches_floor(run[0], floor, ftol)]
-        if not hits:
-            out += runs
-            continue
-        cut = min(hits)
-        out += [
-            run if run[3] <= cut else looped_seesaw(m, n, k, wx, wy, s, cut, ftol, floor)
-            for run, s in zip(runs, starts)
-        ]
-        break
-    return out
+    runs = [looped_seesaw(m, n, k, wx, wy, s, iters, ftol, floor) for s in y0]
+    hits = [run[3] for run in runs if reaches_floor(run[0], floor, ftol)]
+    if not hits:
+        return runs
+    cut = min(hits)
+    return [
+        run if run[3] <= cut else looped_seesaw(m, n, k, wx, wy, s, cut, ftol, floor)
+        for run, s in zip(runs, y0)
+    ]
 
 
 def assert_rows_match_looped(m, n, k, wx, wy, y0, iters, ftol, floor):
     """Every row of a stacked run is bit-equal to the reference run alone.
 
-    Returns the reference's iteration counts, one per start that ran.
+    Returns the reference's iteration counts, one per start.
     """
     values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor)
     runs = looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor)
@@ -155,9 +163,10 @@ class TestKernel:
         assert abs(values[0] - np.linalg.eigvalsh(w)[0]) <= 1e-9
 
     def test_stack_matches_looped_rows(self, rng):
-        # One stack longer than a batch, whose rows leave the running set at
-        # different iterations (a settled start almost at once, some only at
-        # the cap); each row must still equal its own run alone.
+        # A stack as large as a see-saw level's (34 starts), whose rows leave
+        # the running set at different iterations (a settled start almost at
+        # once, some only at the cap); each row must still equal its own run
+        # alone.
         dims = BipartiteDims(3, 3)
         m, n, k = dims.m, dims.n, 2
         w = hermitian(rng, dims.total)
@@ -167,33 +176,33 @@ class TestKernel:
         settled = _kernels.seesaw_minimize(
             m, n, k, wx, wy, ginibre(rng, n, k)[None], 200, 1e-13, lam_min
         )[2]
-        fresh = [ginibre(rng, n, k) for _ in range(_kernels.SEESAW_BATCH + 5)]
+        fresh = [ginibre(rng, n, k) for _ in range(33)]
         y0 = np.concatenate([settled, np.stack(fresh)])
         counts = assert_rows_match_looped(m, n, k, wx, wy, y0, cap, 1e-13, lam_min)
-        assert len(y0) > _kernels.SEESAW_BATCH
+        assert len(counts) == 34
         assert counts[0] < 10
-        assert cap in counts[:_kernels.SEESAW_BATCH]
-        assert cap in counts[_kernels.SEESAW_BATCH:]
+        assert cap in counts
         assert len(set(counts)) >= 5
 
-    def test_floor_stops_block_and_later_blocks(self, rng):
+    def test_floor_stops_whole_stack(self, rng):
         # The partial transpose of a Schmidt-rank-3 state has a Schmidt-rank-2
         # ground state, so at k = 2 random starts reach lambda_min, each
-        # after its own number of iterations.  The first block stops at the
-        # iteration where its first start gets there, its other starts are
-        # cut at that iteration, and the second block never runs.
+        # after its own number of iterations.  The stack stops at the
+        # iteration where its first start gets there, and its other starts
+        # are cut at that iteration.
         dims = BipartiteDims(3, 3)
         m, n, k = dims.m, dims.n, 2
         v = random_vector_with_sr(rng, dims, 3)
         w = partial_transpose(np.outer(v, v.conj()), dims)
         wx, wy = _kernels.prepare_layouts(w, m, n)
         lam_min = np.linalg.eigvalsh(w)[0]
-        y0 = np.stack([ginibre(rng, n, k) for _ in range(_kernels.SEESAW_BATCH + 5)])
+        y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
         counts = assert_rows_match_looped(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)
-        assert len(counts) == _kernels.SEESAW_BATCH
+        assert len(counts) == len(y0)
         values = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)[0]
         assert _kernels.at_floor(values, lam_min, 1e-13)
         assert not all(reaches_floor(val, lam_min, 1e-13) for val in values)
+        cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, 1e-13))
+        assert max(counts) == cut
         free = looped_stack(m, n, k, wx, wy, y0, 200, 1e-13, -np.inf)
-        assert len(free) == len(y0)
-        assert max(counts) < max(run[3] for run in free[:_kernels.SEESAW_BATCH])
+        assert max(counts) < max(run[3] for run in free)

@@ -465,6 +465,16 @@ class TestWitnessConjugation:
             )
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_factor_refused(self, bad):
+        d = BipartiteDims(2, 2)
+        f = swap_operator(d)
+        z = np.linalg.eigh(f)[1][:, 0]
+        u = basis_vec(2, 0)
+        u[1] = bad
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            witness_conjugation(f, z, u, basis_vec(2, 0), d)
+
     def test_non_hermitian_witness_refused(self):
         d = BipartiteDims(2, 2)
         w = swap_operator(d).astype(np.complex128)
@@ -544,9 +554,11 @@ class TestConicScale:
         assert np.allclose(conic_scale(combo), 0.0)
 
     def test_negative_weight_rejected(self, dims):
-        combo = ConicCombination(dims, np.array([-1.0]), [np.eye(dims.total)])
-        with pytest.raises(PreconditionError):
-            conic_scale(combo)
+        # NaN slips past a sign test, so non-finite weights are refused too.
+        for bad in (-1.0, np.nan, np.inf):
+            combo = ConicCombination(dims, np.array([1.0, bad]), [np.eye(dims.total)] * 2)
+            with pytest.raises(PreconditionError):
+                conic_scale(combo)
 
     def test_length_mismatch(self, dims):
         combo = ConicCombination(dims, np.array([1.0, 2.0]), [np.eye(dims.total)])

@@ -410,9 +410,16 @@ class TestCliCheck:
     def test_blockpos_echoes_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONEKIT_SEED", "123")
         path = write_matrix(tmp_path / "i.json", 2, 2, np.eye(4))
-        assert main(["check", "blockpos", path, "--restarts", "2", "--iters", "20"]) == 0
+        assert main(["check", "blockpos", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 123
+
+    def test_removed_effort_flag_is_a_usage_error(self, tmp_path, capsys):
+        # The see-saw's effort is fixed, so a stale --restarts or --iters
+        # exits 13 like any unknown flag and writes no verdict.
+        path = write_matrix(tmp_path / "f.json", 2, 2, np.eye(4))
+        assert main(["check", "blockpos", path, "--restarts", "2"]) == 13
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("env", [None, "41"])
     def test_seed_does_not_leak_between_calls(self, tmp_path, capsys, monkeypatch, env):
@@ -421,7 +428,7 @@ class TestCliCheck:
         else:
             monkeypatch.setenv("CONEKIT_SEED", env)
         path = write_matrix(tmp_path / "i.json", 2, 2, np.eye(4))
-        args = ["check", "blockpos", path, "--restarts", "2", "--iters", "20"]
+        args = ["check", "blockpos", path]
         assert main(args + ["--seed", "7"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 7
         assert main(args) == 0
@@ -558,8 +565,7 @@ class TestCliConstruct:
         assert abs(report["product_expectation"] + 1.0) <= 1e-9
         # The conjugated witness now fails the block-positivity check.
         assert main(
-            ["check", "blockpos", prefix + "_conjugated.json", "--seed", "3",
-             "--restarts", "4", "--iters", "40"]
+            ["check", "blockpos", prefix + "_conjugated.json", "--seed", "3"]
         ) == 1
 
     @pytest.mark.parametrize("with_z", [False, True])

@@ -37,7 +37,7 @@ from conekit.sampling import (
 from conftest import hermitian
 from test_kernels import looped_stack, reaches_floor
 
-FAST_CFG = SeesawConfig(seed=11, restarts=4, iters_per_restart=60)
+FAST_CFG = SeesawConfig(seed=11)
 
 
 def bell_projector():
@@ -404,8 +404,6 @@ class TestSeesawConfig:
         with pytest.raises(PreconditionError):
             SeesawConfig(seed=-1)
         with pytest.raises(PreconditionError):
-            SeesawConfig(seed=0, restarts=0)
-        with pytest.raises(PreconditionError):
             SeesawConfig(seed=0, tol=2.0)
 
     @pytest.mark.parametrize(
@@ -418,10 +416,6 @@ class TestSeesawConfig:
             {"seed": True},
             {"seed": 2**64},
             {"seed": 2**70},
-            {"seed": 0, "restarts": 2.5},
-            {"seed": 0, "restarts": False},
-            {"seed": 0, "iters_per_restart": 10.0},
-            {"seed": 0, "iters_per_restart": True},
         ],
         ids=repr,
     )
@@ -433,8 +427,8 @@ class TestSeesawConfig:
         "kwargs",
         [
             {"seed": 2**64 - 1},
-            {"seed": np.int64(7), "restarts": np.int32(3)},
-            {"seed": np.uint64(2**63), "iters_per_restart": np.int16(5)},
+            {"seed": np.int64(7)},
+            {"seed": np.uint64(2**63)},
         ],
         ids=repr,
     )
@@ -445,13 +439,15 @@ class TestSeesawConfig:
 def looped_optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
     """_optimize_level one start at a time, on the looped reference kernel."""
     m, n = dims.m, dims.n
-    ftol = 1e-13
+    ftol = membership.SEESAW_FTOL
+    starts = membership.SEESAW_RESTARTS
     inits = [_frame_from_vector(ground, dims, level)]
     if warm_v is not None:
         inits.append(_frame_from_vector(warm_v, dims, level))
-    drawn = ginibre(np.random.default_rng([cfg.seed, level]), cfg.restarts * n, level)
-    inits += [drawn[r * n:(r + 1) * n] for r in range(cfg.restarts)]
-    runs = looped_stack(m, n, level, wx, wy, np.stack(inits), cfg.iters_per_restart, ftol, floor)
+    drawn = ginibre(np.random.default_rng([cfg.seed, level]), starts * n, level)
+    inits += [drawn[r * n:(r + 1) * n] for r in range(starts)]
+    iters = membership.SEESAW_ITERS
+    runs = looped_stack(m, n, level, wx, wy, np.stack(inits), iters, ftol, floor)
     best_val = np.inf
     best_pair = None
     for val, x, y, _ in runs:
@@ -508,7 +504,7 @@ class TestStackedLevelPin:
     def test_matches_per_restart_loop(self, m, n, seed, monkeypatch):
         dims = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, seed % 97])
-        cfg = SeesawConfig(seed=seed, restarts=5, iters_per_restart=60)
+        cfg = SeesawConfig(seed=seed)
         v = random_vector_with_sr(rng, dims, dims.d)
         inputs = [
             hermitian(rng, dims.total),  # out, or indeterminate
@@ -520,22 +516,24 @@ class TestStackedLevelPin:
         assert verdicts == {Verdict.OUT, Verdict.INDETERMINATE}
 
     def test_tie_goes_to_first_init(self, monkeypatch):
-        # Two product basis states share the exact minimum -1, and restarts
-        # land on either one: the ground-frame init, first in the stack, wins.
+        # Two product basis states share the exact minimum -1, and random
+        # starts land on either one: the ground-frame init, first in the
+        # stack, wins.
         dims = BipartiteDims(2, 2)
         diag = np.array([-1.0, 0.5, 0.7, -1.0])
         w = np.diag(diag).astype(complex)
-        cfg = SeesawConfig(seed=0, restarts=8, iters_per_restart=60)
+        cfg = SeesawConfig(seed=0)
         ground = np.linalg.eigh(w)[1][:, 0]
-        drawn = ginibre(np.random.default_rng([0, 1]), 8 * 2, 1).reshape(8, 2, 1)
+        starts = membership.SEESAW_RESTARTS
+        drawn = ginibre(np.random.default_rng([0, 1]), starts * 2, 1).reshape(starts, 2, 1)
         y0 = np.concatenate([_frame_from_vector(ground, dims, 1)[None], drawn])
         wx, wy = _kernels.prepare_layouts(w, 2, 2)
-        # Without the floor every restart runs until it settles.
+        # Without the floor every start runs until it settles.
         values, _, ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -np.inf)
         tied = np.flatnonzero(values == values.min())
         assert tied[0] == 0 and len(tied) == len(y0)
         assert any(abs(abs(ys[t, 0, 0]) - abs(ys[0, 0, 0])) > 0.5 for t in tied)
-        # With the floor the block stops where the first restart reaches -1,
+        # With the floor the stack stops where the first start reaches -1,
         # and the ground-frame init still wins.
         floored, _, floored_ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -1.0)
         assert np.argmin(floored) == 0 and floored[0] == -1.0
@@ -620,11 +618,13 @@ class TestSeesawStoppingRules:
         w = hermitian(rng, dims.total)
         starts = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *args: args[5])
         first = min_sr_k_expectation(w, dims, 2, FAST_CFG)
-        assert len(starts) == 2
-        restarts, n = FAST_CFG.restarts, dims.n
+        # One kernel call per level: level 1 stacks the ground frame and the
+        # random frames, level 2 also the warm frame.
+        assert [y0.shape for y0 in starts] == [(33, 3, 1), (34, 3, 2)]
+        drawn_count, n = membership.SEESAW_RESTARTS, dims.n
         for level, y0 in enumerate(starts, start=1):
             rng_level = np.random.default_rng([FAST_CFG.seed, level])
-            drawn = ginibre(rng_level, restarts * n, level).reshape(restarts, n, level)
-            assert np.array_equal(y0[-restarts:], drawn)
+            drawn = ginibre(rng_level, drawn_count * n, level).reshape(drawn_count, n, level)
+            assert np.array_equal(y0[-drawn_count:], drawn)
         assert_same(min_sr_k_expectation(w, dims, 2, FAST_CFG), first)
         assert np.array_equal(starts[2], starts[0]) and np.array_equal(starts[3], starts[1])
