@@ -25,7 +25,7 @@ class BipartiteDims:
 
     def __post_init__(self):
         for value in (self.m, self.n):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise DimError(f"factor dimensions must be integers, got {value!r}")
         if self.m < 1 or self.n < 1:
             raise DimError(f"factor dimensions must be >= 1, got ({self.m}, {self.n})")
@@ -150,6 +150,11 @@ def _rank_from_singulars(s: np.ndarray, tol: float) -> int:
 def _check_tol(tol: float):
     if not (0.0 < tol < 1.0):
         raise PreconditionError(f"tol must lie in (0, 1), got {tol}")
+
+
+def _is_int(value) -> bool:
+    # Python and numpy integers; a bool is an int to Python but never a count.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

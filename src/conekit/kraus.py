@@ -1,8 +1,9 @@
 """Kraus families and the explicit conjugation constructions of the toolkit.
 
 A family carries its normalization mode (exact resolution of identity or
-contraction), an optional certified bound on the operator Schmidt rank of
-its coefficients, and a locality tag.  The constructions below build the
+contraction) and an optional certified bound on the operator Schmidt rank of
+its coefficients; a family is local exactly when that bound is 1, so every
+coefficient is a product operator.  The constructions below build the
 families used by the verification suites: unitary lifts of product states,
 rank-one contractive embeddings of low-Schmidt-rank vectors, identity
 completions, and the rank-one collapse scheme that reaches any pure state
@@ -19,6 +20,7 @@ from .bipartite import (
     BipartiteDims,
     _check_tol,
     _finite,
+    _is_int,
     _rank_from_singulars,
     _realign,
     as_matrix,
@@ -53,14 +55,28 @@ class Locality(str, enum.Enum):
 
 @dataclass
 class KrausFamily:
-    """Ordered coefficient operators with normalization metadata."""
+    """Ordered coefficient operators with normalization metadata.
+
+    The mode is coerced through `Mode`, so "exact" and "contractive" are
+    accepted as strings; any other value is refused.
+    """
 
     dims: BipartiteDims
     ops: list
     mode: Mode
     osr_bound: int | None = None
-    locality: Locality = Locality.GLOBAL
     seed: int | None = None
+
+    def __post_init__(self):
+        try:
+            self.mode = Mode(self.mode)
+        except ValueError as exc:
+            raise PreconditionError(f"unknown Kraus family mode {self.mode!r}") from exc
+
+    @property
+    def locality(self) -> Locality:
+        """LOCAL iff the certified OSR bound is 1: every coefficient is a product."""
+        return Locality.LOCAL if self.osr_bound == 1 else Locality.GLOBAL
 
 
 @dataclass
@@ -96,10 +112,11 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Check normalization, the declared OSR bound, and locality.
+    """Check normalization and the declared OSR bound.
 
     The verdict is In iff every declared invariant holds; otherwise the
-    certificate names each violated invariant with its residual.
+    certificate names each violated invariant with its residual.  A local
+    family is one whose bound is 1, so the OSR check covers locality too.
     """
     _check_tol(tol)
     if not family.ops:
@@ -116,7 +133,6 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
         residual = float(max(0.0, evals[-1] - 1.0))
         if evals[-1] > 1.0 + CONTRACTIVE_EXCESS_BOUND:
             violations.append({"invariant": "contractive_normalization", "residual": residual})
-    ranks = None
     if family.osr_bound is not None:
         ranks = _op_ranks(family.dims, ops, tol)
         bad = [i for i, r in enumerate(ranks) if r > family.osr_bound]
@@ -129,12 +145,6 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
                     "bound": family.osr_bound,
                 }
             )
-    if family.locality is Locality.LOCAL:
-        if ranks is None:
-            ranks = _op_ranks(family.dims, ops, tol)
-        bad = [i for i, r in enumerate(ranks) if r > 1]
-        if bad:
-            violations.append({"invariant": "locality", "ops": bad})
     cert = {
         "kind": "kraus_validation",
         "mode": family.mode.value,
@@ -202,27 +212,24 @@ def random_family(
     rank-one operators and certifies whatever per-operator bound results.
     """
     _check_tol(tol)
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
-    if not (1 <= k <= dims.d):
-        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
+    if not (_is_int(count) and count >= 1):
+        raise PreconditionError(f"count must be an integer >= 1, got {count!r}")
+    if not (_is_int(k) and 1 <= k <= dims.d):
+        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
     rng = np.random.default_rng(seed)
     if mode is Mode.CONTRACTIVE:
         ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
         s = _normalization_sum(dims, ops)
         scale = 1.0 / np.sqrt(np.linalg.eigvalsh(s)[-1])
         ops = [a * scale for a in ops]
-        locality = Locality.LOCAL if k == 1 else Locality.GLOBAL
-        return KrausFamily(dims, ops, mode, osr_bound=k, locality=locality, seed=seed)
+        return KrausFamily(dims, ops, mode, osr_bound=k, seed=seed)
 
     if k == 1:
         cb, cc = _factor_counts(count)
         left = random_exact_kraus_ops(rng, dims.m, cb)
         right = random_exact_kraus_ops(rng, dims.n, cc)
         ops = [kron(b, c) for b in left for c in right]
-        return KrausFamily(
-            dims, ops, Mode.EXACT, osr_bound=1, locality=Locality.LOCAL, seed=seed
-        )
+        return KrausFamily(dims, ops, Mode.EXACT, osr_bound=1, seed=seed)
     if k == dims.d:
         ops = random_exact_kraus_ops(rng, dims.total, count)
         return KrausFamily(dims, ops, Mode.EXACT, osr_bound=None, seed=seed)
@@ -267,11 +274,8 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
         np.sqrt(mu) * np.outer(basis_vec(total, j), u.conj()) for j, (mu, u) in enumerate(modes)
     ]
     ops = ops + appended
-    family = KrausFamily(dims, ops, Mode.EXACT, seed=partial.seed)
-    ranks = _op_ranks(dims, ops, tol)
-    family.osr_bound = max(ranks) if any(ranks) else 1
-    family.locality = Locality.LOCAL if family.osr_bound <= 1 else Locality.GLOBAL
-    return family
+    bound = max(max(_op_ranks(dims, ops, tol)), 1)
+    return KrausFamily(dims, ops, Mode.EXACT, osr_bound=bound, seed=partial.seed)
 
 
 def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
@@ -312,9 +316,7 @@ def embed_schmidt_k(
     rank = sr(v, dims, tol)
     if rank > k:
         raise PreconditionError(f"v has Schmidt rank {rank} > k = {k}")
-    op = np.outer(u, v.conj())
-    locality = Locality.LOCAL if rank == 1 else Locality.GLOBAL
-    return KrausFamily(dims, [op], Mode.CONTRACTIVE, osr_bound=rank, locality=locality)
+    return KrausFamily(dims, [np.outer(u, v.conj())], Mode.CONTRACTIVE, osr_bound=rank)
 
 
 def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TOL):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .bipartite import BipartiteDims
 from .errors import DimError, MatrixFileError
-from .kraus import KrausFamily, Locality, Mode
+from .kraus import KrausFamily, Mode
 
 
 def _float_str(x: float) -> str:
@@ -264,7 +264,6 @@ def load_kraus_family(path: str) -> KrausFamily:
             raise TypeError("osr_bound and seed must be integers or null")
         dims = BipartiteDims(m, n)
         mode = Mode(obj["mode"])
-        locality = Locality(obj.get("locality", "global"))
         raw_ops = obj["ops"]
         if not isinstance(raw_ops, list):
             raise TypeError("ops must be a list")
@@ -279,14 +278,17 @@ def load_kraus_family(path: str) -> KrausFamily:
         if arr.shape != (total, total):
             raise DimError(f"{path}: op {i} has shape {arr.shape}, expected {(total, total)}")
         ops.append(arr)
-    return KrausFamily(
-        dims,
-        ops,
-        mode,
-        osr_bound=bound,
-        locality=locality,
-        seed=seed,
-    )
+    family = KrausFamily(dims, ops, mode, osr_bound=bound, seed=seed)
+    # The tag is written for readers of the file; it follows from osr_bound,
+    # so a file whose tag says otherwise is refused, and a missing tag is fine.
+    implied = family.locality.value
+    tag = obj.get("locality", implied)
+    if tag != implied:
+        raise MatrixFileError(
+            f"{path}: bad Kraus family header: locality {tag!r} contradicts "
+            f"osr_bound {bound} (implies {implied!r})"
+        )
+    return family
 
 
 def save_matrix_list(path: str, dims: BipartiteDims, mats: list):

@@ -9,7 +9,6 @@ reported Indeterminate.
 """
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _check_tol,
+    _is_int,
     as_matrix,
     partial_transpose,
     sr,
@@ -64,7 +64,7 @@ class SeesawConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+        if not _is_int(self.seed):
             raise PreconditionError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):
             raise PreconditionError("seed must be a nonnegative 64-bit integer")
@@ -234,8 +234,8 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     value optimal for this and every higher k; the remaining levels are then
     skipped.
     """
-    if not (1 <= k <= dims.d):
-        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
+    if not (_is_int(k) and 1 <= k <= dims.d):
+        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
     h = hermitian_part(w, dims, cfg.tol)
     evals, evecs = np.linalg.eigh(h)
     if k == dims.d:

@@ -24,6 +24,7 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _check_tol,
+    _is_int,
     as_matrix,
     basis_vec,
     complete_orthonormal_basis,
@@ -40,7 +41,6 @@ from .errors import PreconditionError
 from .kraus import (
     ConicCombination,
     KrausFamily,
-    Locality,
     Mode,
     _validated_image,
     apply,
@@ -241,7 +241,7 @@ def _separability_decidable(dims, **_):
 def _trial_local_stability(rng, t, dims, tol, **_):
     if t == 0:
         ops = [kron(haar_unitary(rng, dims.m), haar_unitary(rng, dims.n))]
-        family = KrausFamily(dims, ops, Mode.EXACT, osr_bound=1, locality=Locality.LOCAL)
+        family = KrausFamily(dims, ops, Mode.EXACT, osr_bound=1)
     else:
         count = int(rng.integers(2, 5))
         family = random_family(dims, count, 1, Mode.EXACT, _derived_seed(rng))
@@ -320,11 +320,7 @@ def _extra_inputs_ppt(dims, tol, extra_inputs, **_):
 def _trial_ppt_stability(rng, t, dims, tol, extra_inputs, **_):
     if t == 0:
         family = KrausFamily(
-            dims,
-            [np.eye(dims.total, dtype=np.complex128)],
-            Mode.EXACT,
-            osr_bound=1,
-            locality=Locality.LOCAL,
+            dims, [np.eye(dims.total, dtype=np.complex128)], Mode.EXACT, osr_bound=1
         )
     else:
         count = int(rng.integers(1, 5))
@@ -443,8 +439,8 @@ def structured_exact_family(
 def _probe_k_in_range(dims, k, **_):
     if k is None:
         raise PreconditionError("probe-intermediate needs k")
-    if not (1 <= k <= dims.d):
-        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
+    if not (_is_int(k) and 1 <= k <= dims.d):
+        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
 
 
 def _trial_probe(rng, t, dims, tol, k, **_):
@@ -536,6 +532,8 @@ def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs) -> _Suite:
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    if not _is_int(seed):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise PreconditionError("seed must be nonnegative")
     _check_tol(tol)
@@ -559,6 +557,8 @@ def rerun_trial(
     index that no report of the suite contains.
     """
     suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
+    if not _is_int(trial):
+        raise PreconditionError(f"trial must be an integer, got {trial!r}")
     if trial < 0 or (suite.fixed and trial >= suite.trials):
         raise PreconditionError(f"{suite_id} has no trial {trial}")
     return suite.trial(_trial_rng(seed, trial), trial, dims, tol, k=k, extra_inputs=extra_inputs)
@@ -579,8 +579,8 @@ def run_suite(
     runs all of its cases.  A count below 1 is refused.
     """
     suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
-    if trials is not None and trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    if trials is not None and not (_is_int(trials) and trials >= 1):
+        raise PreconditionError(f"trials must be an integer >= 1, got {trials!r}")
     if trials is None or suite.fixed:
         trials = suite.trials
     start = time.perf_counter()

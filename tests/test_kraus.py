@@ -86,11 +86,30 @@ class TestValidate:
         assert "osr_bound" in names
 
     def test_flags_locality_violation(self):
+        # Locality is the OSR bound 1, so a non-product coefficient of a
+        # local family breaks exactly one invariant.
         d = BipartiteDims(2, 2)
-        report = validate(family_of(d, [swap_operator(d)], locality=Locality.LOCAL))
+        family = family_of(d, [swap_operator(d)], osr_bound=1)
+        assert family.locality is Locality.LOCAL
+        report = validate(family)
         assert report.verdict is Verdict.OUT
         names = [v["invariant"] for v in report.certificate["violations"]]
-        assert "locality" in names
+        assert names == ["osr_bound"]
+
+    @pytest.mark.parametrize("mode", ["exact", "contractive"])
+    def test_string_mode_accepted(self, mode):
+        d = BipartiteDims(2, 2)
+        family = family_of(d, [0.5 * np.eye(4)], mode)
+        assert family.mode is Mode(mode)
+        report = validate(family)
+        assert report.certificate["mode"] == mode
+        names = [v["invariant"] for v in report.certificate["violations"]]
+        assert names == (["exact_normalization"] if mode == "exact" else [])
+
+    @pytest.mark.parametrize("mode", ["unitary", "EXACT", None, 1], ids=repr)
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(PreconditionError, match="mode"):
+            family_of(BipartiteDims(2, 2), [np.eye(4)], mode)
 
     def test_empty_family_rejected(self, dims):
         with pytest.raises(PreconditionError):
@@ -206,6 +225,20 @@ class TestOpRanks:
 
 
 class TestRandomFamily:
+    @pytest.mark.parametrize("bad", [1.5, True, "2"], ids=repr)
+    @pytest.mark.parametrize("name", ["count", "k"])
+    def test_non_integer_count_or_k_refused(self, name, bad):
+        args = {"count": 2, "k": 1, name: bad}
+        with pytest.raises(PreconditionError, match=name):
+            random_family(BipartiteDims(2, 2), args["count"], args["k"], Mode.EXACT, seed=5)
+
+    def test_numpy_integer_count_and_k_accepted(self):
+        d = BipartiteDims(2, 3)
+        want = random_family(d, 3, 2, Mode.EXACT, seed=5)
+        got = random_family(d, np.int64(3), np.int32(2), Mode.EXACT, seed=5)
+        assert got.osr_bound == want.osr_bound
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, want.ops))
+
     def test_local_exact_draw(self):
         d = BipartiteDims(2, 2)
         fam = random_family(d, 4, 1, Mode.EXACT, seed=5)

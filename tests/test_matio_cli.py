@@ -8,6 +8,7 @@ import pytest
 from conekit import (
     BipartiteDims,
     KrausFamily,
+    Locality,
     Mode,
     Verdict,
     basis_vec,
@@ -289,13 +290,15 @@ class TestAtomicWrite:
 
 
 class TestKrausFamilyHeader:
-    def _write(self, tmp_path, **header):
+    def _write(self, tmp_path, drop=(), **header):
         d = BipartiteDims(2, 2)
         fam = random_family(d, 2, 1, Mode.EXACT, seed=4)
         path = tmp_path / "fam.json"
         matio.save_kraus_family(str(path), fam)
         obj = json.loads(path.read_text())
         obj.update(header)
+        for key in drop:
+            del obj[key]
         path.write_text(json.dumps(obj))
         return str(path)
 
@@ -323,10 +326,34 @@ class TestKrausFamilyHeader:
 
     @pytest.mark.parametrize("value", [None, 1, 4])
     def test_integer_or_null_bound_and_seed_load(self, tmp_path, value):
-        fam = matio.load_kraus_family(self._write(tmp_path, osr_bound=value, seed=value))
+        tag = "local" if value == 1 else "global"
+        path = self._write(tmp_path, osr_bound=value, seed=value, locality=tag)
+        fam = matio.load_kraus_family(path)
         assert fam.osr_bound == value
         assert fam.seed == value
         assert fam.dims == BipartiteDims(2, 2)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"osr_bound": 1, "locality": "global"},
+            {"osr_bound": 2, "locality": "local"},
+            {"osr_bound": None, "locality": "local"},
+            {"locality": "nonlocal"},
+            {"locality": "LOCAL"},
+            {"locality": None},
+            {"locality": 1},
+        ],
+        ids=repr,
+    )
+    def test_contradicting_or_unknown_locality_refused(self, tmp_path, header):
+        with pytest.raises(MatrixFileError, match="bad Kraus family header: locality"):
+            matio.load_kraus_family(self._write(tmp_path, **header))
+
+    @pytest.mark.parametrize("bound,locality", [(1, Locality.LOCAL), (3, Locality.GLOBAL)])
+    def test_missing_locality_is_derived(self, tmp_path, bound, locality):
+        path = self._write(tmp_path, drop=["locality"], osr_bound=bound)
+        assert matio.load_kraus_family(path).locality is locality
 
 
 class TestCsvSummary:

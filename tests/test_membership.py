@@ -322,6 +322,19 @@ class TestMinSrKExpectation:
         with pytest.raises(PreconditionError):
             min_sr_k_expectation(np.eye(dims.total), dims, dims.d + 1, FAST_CFG)
 
+    @pytest.mark.parametrize("k", [1.5, True, "2"], ids=repr)
+    def test_non_integer_k_refused(self, k):
+        d = BipartiteDims(3, 3)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            min_sr_k_expectation(np.eye(d.total), d, k, FAST_CFG)
+
+    def test_numpy_integer_k_accepted(self, rng):
+        d = BipartiteDims(3, 3)
+        w = hermitian(rng, d.total)
+        got = min_sr_k_expectation(w, d, np.int64(2), FAST_CFG)
+        want = min_sr_k_expectation(w, d, 2, FAST_CFG)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
     def test_beats_random_sampling_oracle(self, dims, rng):
         # The optimizer value must undercut every randomly sampled feasible
         # vector and never undercut the unconstrained minimum.

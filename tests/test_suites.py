@@ -3,6 +3,7 @@ import pytest
 
 from conekit import (
     BipartiteDims,
+    Locality,
     SUITE_IDS,
     PreconditionError,
     Verdict,
@@ -111,6 +112,7 @@ class TestProbe:
         for k in range(1, dims.d + 1):
             fam = structured_exact_family(gen, dims, k)
             assert fam.osr_bound == k
+            assert fam.locality is (Locality.LOCAL if k == 1 else Locality.GLOBAL)
             assert validate(fam).verdict is Verdict.IN
 
 
@@ -251,6 +253,17 @@ SHARED_REFUSALS = {
 }
 
 
+# Each entry runs one suite entry point with x in one integer argument.
+INTEGER_ENTRY_POINTS = {
+    "run_suite trials": lambda d, x: run_suite("srank", d, SEED, trials=x),
+    "run_suite seed": lambda d, x: run_suite("srank", d, x, trials=2),
+    "run_suite k": lambda d, x: run_suite("probe-intermediate", d, SEED, trials=2, k=x),
+    "rerun_trial seed": lambda d, x: rerun_trial("srank", d, x, 0),
+    "rerun_trial trial": lambda d, x: rerun_trial("srank", d, SEED, x),
+    "rerun_trial k": lambda d, x: rerun_trial("probe-intermediate", d, SEED, 0, k=x),
+}
+
+
 class TestRefusals:
     @pytest.mark.parametrize("case", list(SHARED_REFUSALS))
     def test_suite_and_rerun_refuse_alike(self, case):
@@ -278,6 +291,22 @@ class TestRefusals:
             run_suite("srank", d, SEED, trials=trials)
         with pytest.raises(PreconditionError):
             suite_lemma_srank(d, trials, SEED)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2"], ids=repr)
+    @pytest.mark.parametrize("call", list(INTEGER_ENTRY_POINTS))
+    def test_non_integer_counts_refused(self, call, bad):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            INTEGER_ENTRY_POINTS[call](BipartiteDims(2, 2), bad)
+
+    @pytest.mark.parametrize("call", list(INTEGER_ENTRY_POINTS))
+    def test_numpy_integer_counts_accepted(self, call):
+        d = BipartiteDims(2, 2)
+        got = INTEGER_ENTRY_POINTS[call](d, np.int64(2))
+        want = INTEGER_ENTRY_POINTS[call](d, 2)
+        if call.startswith("run_suite"):
+            got = canonical_dumps(got.to_obj(include_wall_time=False))
+            want = canonical_dumps(want.to_obj(include_wall_time=False))
+        assert got == want
 
     def test_fixed_suites_run_all_cases(self):
         d = BipartiteDims(2, 2)
