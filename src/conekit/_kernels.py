@@ -19,8 +19,13 @@ bounds the (R, k, m*m*n) contraction intermediates.
 
 import numpy as np
 
+# Every start runs for at most SEESAW_ITERS iterations, and SEESAW_FTOL is
+# the relative tolerance of both the decrease stop and the floor stop.
+SEESAW_ITERS = 200
+SEESAW_FTOL = 1e-13
 
-def prepare_layouts(w: np.ndarray, m: int, n: int):
+
+def _layouts(w: np.ndarray, m: int, n: int):
     """Pre-permuted copies of w consumed by the kernel's 2-d contractions.
 
     wx[j, (i*m+i2)*n+l] = W[(i,j),(i2,l)] feeds the x-step, and
@@ -47,17 +52,17 @@ def _bottom_block_vectors(layout, frames, k, m, n):
     return evals[:, 0], evecs[:, :, 0].reshape(r, k, m).transpose(0, 2, 1)
 
 
-def at_floor(values, floor, ftol):
-    """Whether the least of values lies within ftol * (1 + |floor|) of floor.
+def at_floor(values, floor):
+    """Whether the least of values lies within SEESAW_FTOL * (1 + |floor|) of floor.
 
     floor is lambda_min of W, a lower bound on every value, so a value that
     reaches it is the constrained minimum to that tolerance.  A floor of
     -inf is never reached.
     """
-    return floor > -np.inf and np.min(values) <= floor + ftol * (1.0 + abs(floor))
+    return floor > -np.inf and np.min(values) <= floor + SEESAW_FTOL * (1.0 + abs(floor))
 
 
-def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
+def seesaw_minimize(m, n, k, w, y0, floor):
     """Minimize v* W v over unit v = sum_{t<k} x_t (x) y_t from each start.
 
     With the k-column frame y held orthonormal, the optimal stacked x is the
@@ -68,17 +73,20 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
     y0 is an (R, n, k) stack of starting frames, run as one stack.  Three
     rules stop the work:
       * a start stops at the first iteration whose decrease is below
-        ftol * (1 + |value|);
+        SEESAW_FTOL * (1 + |value|);
       * the stack stops at the first iteration where its least value
         reaches the spectral floor (see at_floor);
-      * a start stops after iters iterations.
+      * a start stops after SEESAW_ITERS iterations.
     Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
     reached), so a floor stop proves the least value optimal to within
-    ftol * (1 + |floor|).  Returns (values, x, y) of shapes (R,), (R, m, k)
-    and (R, n, k), with v = sum_t x[r, :, t] (x) y[r, :, t] of unit norm
-    for each start r.
+    SEESAW_FTOL * (1 + |floor|).  Returns (values, x, y, reached): values,
+    x and y of shapes (R,), (R, m, k) and (R, n, k), with
+    v = sum_t x[r, :, t] (x) y[r, :, t] of unit norm for each start r, and
+    reached, whether the stack stopped at the floor (equal to
+    at_floor(values, floor)).
     """
+    wx, wy = _layouts(w, m, n)
     # `active` lists the starts still running; the other rows of values,
     # x_out and y_out stay frozen.
     rows = y0.shape[0]
@@ -88,7 +96,7 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
     active = np.arange(rows)
     y_frame, _ = np.linalg.qr(y0)
     prev = np.full(rows, np.inf)
-    for _ in range(iters):
+    for _ in range(SEESAW_ITERS):
         _, x_stack = _bottom_block_vectors(wx, y_frame, k, m, n)
         x_pair = _unit_frames(x_stack, k)
         val, y_pair = _bottom_block_vectors(wy, x_pair, k, n, m)
@@ -96,9 +104,9 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
         values[active] = val
         x_out[active] = x_pair
         y_out[active] = y_pair
-        if at_floor(val, floor, ftol):
-            break
-        running = ~(prev - val < ftol * (1.0 + np.abs(val)))
+        if at_floor(val, floor):
+            return values, x_out, y_out, True
+        running = ~(prev - val < SEESAW_FTOL * (1.0 + np.abs(val)))
         if not running.all():
             active = active[running]
             if active.size == 0:
@@ -106,7 +114,7 @@ def seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor):
             y_frame = y_frame[running]
             val = val[running]
         prev = val
-    return values, x_out, y_out
+    return values, x_out, y_out, False
 
 
 def _unit_frames(stack, k):

@@ -306,15 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_required(args) -> None:
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (0.0 < tol < 1.0):
-        raise ConekitError(f"--tol must lie in (0, 1), got {tol}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        raise ConekitError(f"--trials must be >= 1, got {trials}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -322,7 +313,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        _check_required(args)
         return args.func(args)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,7 +58,8 @@ class KrausFamily:
     """Ordered coefficient operators with normalization metadata.
 
     The mode is coerced through `Mode`, so "exact" and "contractive" are
-    accepted as strings; any other value is refused.
+    accepted as strings; any other value is refused.  osr_bound and seed
+    must each be None or an integer.
     """
 
     dims: BipartiteDims
@@ -72,6 +73,10 @@ class KrausFamily:
             self.mode = Mode(self.mode)
         except ValueError as exc:
             raise PreconditionError(f"unknown Kraus family mode {self.mode!r}") from exc
+        for name in ("osr_bound", "seed"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise PreconditionError(f"{name} must be an integer or None, got {value!r}")
 
     @property
     def locality(self) -> Locality:
@@ -216,6 +221,8 @@ def random_family(
         raise PreconditionError(f"count must be an integer >= 1, got {count!r}")
     if not (_is_int(k) and 1 <= k <= dims.d):
         raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     if mode is Mode.CONTRACTIVE:
         ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
@@ -306,6 +313,8 @@ def embed_schmidt_k(
 ) -> KrausFamily:
     """Single-operator contractive family u v* carrying SR(v) into its OSR."""
     _check_tol(tol)
+    if not _is_int(k):
+        raise PreconditionError(f"k must be an integer, got {k!r}")
     v = as_vector(dims, v)
     u = as_vector(dims, u_product)
     for name, vec in (("v", v), ("u_product", u)):

@@ -38,8 +38,8 @@ import tempfile
 import numpy as np
 
 from .bipartite import BipartiteDims
-from .errors import DimError, MatrixFileError
-from .kraus import KrausFamily, Mode
+from .errors import ConekitError, DimError, MatrixFileError
+from .kraus import KrausFamily
 
 
 def _float_str(x: float) -> str:
@@ -211,8 +211,6 @@ def load_array(path: str):
     for key in ("m", "n", "re", "im"):
         if key not in obj:
             raise MatrixFileError(f"{path}: missing key {key!r}")
-    if not (type(obj["m"]) is int and type(obj["n"]) is int):
-        raise MatrixFileError(f"{path}: m and n must be integers")
     try:
         dims = BipartiteDims(obj["m"], obj["n"])
     except DimError as exc:
@@ -255,30 +253,29 @@ def save_kraus_family(path: str, family: KrausFamily):
 
 
 def load_kraus_family(path: str) -> KrausFamily:
+    """Read a family file; a header that KrausFamily refuses is a bad header."""
     obj = _read_json(path)
     try:
-        m, n, bound, seed = obj["m"], obj["n"], obj.get("osr_bound"), obj.get("seed")
-        if not (type(m) is int and type(n) is int):
-            raise TypeError("m and n must be integers")
-        if not all(x is None or type(x) is int for x in (bound, seed)):
-            raise TypeError("osr_bound and seed must be integers or null")
-        dims = BipartiteDims(m, n)
-        mode = Mode(obj["mode"])
+        family = KrausFamily(
+            BipartiteDims(obj["m"], obj["n"]),
+            [],
+            obj["mode"],
+            osr_bound=obj.get("osr_bound"),
+            seed=obj.get("seed"),
+        )
         raw_ops = obj["ops"]
         if not isinstance(raw_ops, list):
             raise TypeError("ops must be a list")
-    except (KeyError, TypeError, ValueError, DimError) as exc:
+    except (KeyError, TypeError, ConekitError) as exc:
         raise MatrixFileError(f"{path}: bad Kraus family header: {exc}") from exc
-    ops = []
-    total = dims.total
+    total = family.dims.total
     for i, entry in enumerate(raw_ops):
         if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
             raise MatrixFileError(f"{path}: op {i} must have re/im arrays")
         arr = _nested_to_array(entry["re"], entry["im"], f"{path} op {i}")
         if arr.shape != (total, total):
             raise DimError(f"{path}: op {i} has shape {arr.shape}, expected {(total, total)}")
-        ops.append(arr)
-    family = KrausFamily(dims, ops, mode, osr_bound=bound, seed=seed)
+        family.ops.append(arr)
     # The tag is written for readers of the file; it follows from osr_bound,
     # so a file whose tag says otherwise is refused, and a missing tag is fine.
     implied = family.locality.value
@@ -286,7 +283,7 @@ def load_kraus_family(path: str) -> KrausFamily:
     if tag != implied:
         raise MatrixFileError(
             f"{path}: bad Kraus family header: locality {tag!r} contradicts "
-            f"osr_bound {bound} (implies {implied!r})"
+            f"osr_bound {family.osr_bound} (implies {implied!r})"
         )
     return family
 

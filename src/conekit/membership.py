@@ -43,11 +43,9 @@ class MembershipReport:
     certificate: dict | None = None
 
 
-# The see-saw's fixed effort per level (random starts, iterations per start)
-# and its relative stopping tolerance.
+# Random starts per see-saw level; the kernel's stopping rules and their
+# constants live in `_kernels`.
 SEESAW_RESTARTS = 32
-SEESAW_ITERS = 200
-SEESAW_FTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class SeesawConfig:
     The seed is mandatory, and the effort is fixed: level l of the see-saw
     draws its SEESAW_RESTARTS random starting frames, in order, from the one
     stream np.random.default_rng([seed, l]), and runs each start for at most
-    SEESAW_ITERS iterations.
+    `_kernels.SEESAW_ITERS` iterations.
     """
 
     seed: int
@@ -165,47 +163,36 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
     return vh[:level, :].T
 
 
-def _optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
-    # All inits of the level run as one stack: the ground frame, the warm
-    # frame, then the SEESAW_RESTARTS random frames, drawn in order from the
-    # level's one generator.  argmin keeps the first of equal values, so an
-    # earlier init wins a tie.  The last item says whether the level reached
-    # the spectral floor.
-    m, n = dims.m, dims.n
-    inits = [_frame_from_vector(ground, dims, level)]
-    if warm_v is not None:
-        inits.append(_frame_from_vector(warm_v, dims, level))
-    rng = np.random.default_rng([cfg.seed, level])
-    drawn = ginibre(rng, SEESAW_RESTARTS * n, level).reshape(SEESAW_RESTARTS, n, level)
-    values, xs, ys = _kernels.seesaw_minimize(
-        m, n, level, wx, wy, np.concatenate([np.stack(inits), drawn]),
-        SEESAW_ITERS, SEESAW_FTOL, floor,
-    )
-    best = int(np.argmin(values))
-    x, y = xs[best], ys[best]
-    v = (x @ y.T).reshape(dims.total)
-    v = v / np.linalg.norm(v)
-    value = float(np.real(np.vdot(v, h @ v)))
-    return value, v, x, y, _kernels.at_floor(values, floor, SEESAW_FTOL)
-
-
 def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
     """Optimize levels 1..k of the Hermitian h; returns the last level's (value, v, x, y).
 
-    evals, evecs are h's eigen-decomposition.  Every level starts from the
-    Schmidt frame of the ground-state vector, and each level after the first
-    also from the previous level's minimizer.  A level that reaches
-    lambda_min has found the minimum over every higher level too, so the
-    later levels are not run.
+    evals, evecs are h's eigen-decomposition.  All inits of a level run as
+    one kernel stack: the Schmidt frame of the ground-state vector, from
+    level 2 on the frame of the previous level's minimizer, then the
+    SEESAW_RESTARTS random frames, drawn in order from the level's one
+    generator.  argmin keeps the first of equal values, so an earlier init
+    wins a tie.  A level that reaches lambda_min has found the minimum over
+    every higher level too, so the later levels are not run.
     """
-    wx, wy = _kernels.prepare_layouts(h, dims.m, dims.n)
+    m, n = dims.m, dims.n
     ground, floor = evecs[:, 0], float(evals[0])
     v = None
     for level in range(1, k + 1):
-        value, v, x, y, done = _optimize_level(h, wx, wy, ground, floor, dims, level, cfg, v)
-        if done:
+        inits = [_frame_from_vector(ground, dims, level)]
+        if v is not None:
+            inits.append(_frame_from_vector(v, dims, level))
+        rng = np.random.default_rng([cfg.seed, level])
+        drawn = ginibre(rng, SEESAW_RESTARTS * n, level).reshape(SEESAW_RESTARTS, n, level)
+        values, xs, ys, reached = _kernels.seesaw_minimize(
+            m, n, level, h, np.concatenate([np.stack(inits), drawn]), floor
+        )
+        best = int(np.argmin(values))
+        x, y = xs[best], ys[best]
+        v = (x @ y.T).reshape(dims.total)
+        v = v / np.linalg.norm(v)
+        if reached:
             break
-    return value, v, x, y
+    return float(np.real(np.vdot(v, h @ v))), v, x, y
 
 
 def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig, evals, evecs):
@@ -226,13 +213,13 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     upper bound on the true constrained minimum.
 
     Each level runs its starts as one stack through
-    `_kernels.seesaw_minimize`, which stops by three rules: a start stops
-    once its decrease falls below SEESAW_FTOL relative, the level stops once
-    its least value is within SEESAW_FTOL * (1 + |lambda_min|) of
-    lambda_min(w), and every start stops at SEESAW_ITERS iterations.
-    lambda_min bounds every level from below, so a floor stop proves the
-    value optimal for this and every higher k; the remaining levels are then
-    skipped.
+    `_kernels.seesaw_minimize`, which owns the stopping rules and their
+    constants: a start stops once its decrease falls below
+    `_kernels.SEESAW_FTOL` relative, the level stops once its least value is
+    within `_kernels.SEESAW_FTOL` * (1 + |lambda_min|) of lambda_min(w), and
+    every start stops at `_kernels.SEESAW_ITERS` iterations.  lambda_min
+    bounds every level from below, so a floor stop proves the value optimal
+    for this and every higher k; the remaining levels are then skipped.
     """
     if not (_is_int(k) and 1 <= k <= dims.d):
         raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")

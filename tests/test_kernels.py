@@ -83,13 +83,24 @@ def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor):
     ]
 
 
-def assert_rows_match_looped(m, n, k, wx, wy, y0, iters, ftol, floor):
+def run_kernel(m, n, k, w, y0, floor):
+    """The kernel's result; its `reached` must say whether the stack got to the floor."""
+    values, xs, ys, reached = _kernels.seesaw_minimize(m, n, k, w, y0, floor)
+    assert reached == _kernels.at_floor(values, floor)
+    return values, xs, ys, reached
+
+
+def assert_rows_match_looped(m, n, k, w, y0, floor):
     """Every row of a stacked run is bit-equal to the reference run alone.
 
+    The reference runs at the kernel's current SEESAW_ITERS and SEESAW_FTOL.
     Returns the reference's iteration counts, one per start.
     """
-    values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, iters, ftol, floor)
-    runs = looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor)
+    values, xs, ys, _ = run_kernel(m, n, k, w, y0, floor)
+    wx, wy = _kernels._layouts(w, m, n)
+    runs = looped_stack(
+        m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL, floor
+    )
     assert values.shape == (len(runs),)
     assert xs.shape == (len(runs), m, k) and ys.shape == (len(runs), n, k)
     for row, (val, x, y, _) in enumerate(runs):
@@ -109,7 +120,7 @@ class TestLayouts:
     def test_contractions_match_einsum(self, dims, rng):
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
+        wx, wy = _kernels._layouts(w, m, n)
         w4 = w.reshape(m, n, m, n)
         k = dims.d
         y = np.linalg.qr(ginibre(rng, n, k))[0]
@@ -131,38 +142,39 @@ class TestKernel:
     def dims(self, request):
         return BipartiteDims(*request.param)
 
-    def test_value_is_attained_and_bounded(self, dims, rng):
+    def test_value_is_attained_and_bounded(self, dims, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "SEESAW_ITERS", 100)
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
         lam_min = np.linalg.eigvalsh(w)[0]
         for k in range(1, dims.d + 1):
             y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
-            values, xs, ys = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 100, 1e-13, lam_min)
+            values, xs, ys, _ = run_kernel(m, n, k, w, y0, lam_min)
             for val, x, y in zip(values, xs, ys):
                 assert abs(val - expectation(w, m, n, x, y)) <= 1e-10
                 assert val >= lam_min - 1e-10
 
-    def test_matches_looped_reference(self, dims, rng):
+    def test_matches_looped_reference(self, dims, rng, monkeypatch):
         # Same arithmetic, so the results must agree bit for bit.  Below
         # k = d the floor is out of reach; at k = d it stops the block.
+        monkeypatch.setattr(_kernels, "SEESAW_ITERS", 100)
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
         lam_min = np.linalg.eigvalsh(w)[0]
         for k in range(1, dims.d + 1):
             y0 = np.stack([ginibre(rng, n, k) for _ in range(3)])
-            assert_rows_match_looped(m, n, k, wx, wy, y0, 100, 1e-13, lam_min)
+            assert_rows_match_looped(m, n, k, w, y0, lam_min)
 
-    def test_full_rank_reaches_ground_state(self, dims, rng):
+    def test_full_rank_reaches_ground_state(self, dims, rng, monkeypatch):
+        monkeypatch.setattr(_kernels, "SEESAW_ITERS", 100)
         m, n = dims.m, dims.n
         w = hermitian(rng, dims.total)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
         y0 = ginibre(rng, n, dims.d)[None]
-        values, _, _ = _kernels.seesaw_minimize(m, n, dims.d, wx, wy, y0, 100, 1e-13, -np.inf)
+        values, _, _, reached = run_kernel(m, n, dims.d, w, y0, -np.inf)
         assert abs(values[0] - np.linalg.eigvalsh(w)[0]) <= 1e-9
+        assert not reached
 
-    def test_stack_matches_looped_rows(self, rng):
+    def test_stack_matches_looped_rows(self, rng, monkeypatch):
         # A stack as large as a see-saw level's (34 starts), whose rows leave
         # the running set at different iterations (a settled start almost at
         # once, some only at the cap); each row must still equal its own run
@@ -170,15 +182,13 @@ class TestKernel:
         dims = BipartiteDims(3, 3)
         m, n, k = dims.m, dims.n, 2
         w = hermitian(rng, dims.total)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
         cap = 40
         lam_min = np.linalg.eigvalsh(w)[0]
-        settled = _kernels.seesaw_minimize(
-            m, n, k, wx, wy, ginibre(rng, n, k)[None], 200, 1e-13, lam_min
-        )[2]
+        settled = run_kernel(m, n, k, w, ginibre(rng, n, k)[None], lam_min)[2]
         fresh = [ginibre(rng, n, k) for _ in range(33)]
         y0 = np.concatenate([settled, np.stack(fresh)])
-        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, cap, 1e-13, lam_min)
+        monkeypatch.setattr(_kernels, "SEESAW_ITERS", cap)
+        counts = assert_rows_match_looped(m, n, k, w, y0, lam_min)
         assert len(counts) == 34
         assert counts[0] < 10
         assert cap in counts
@@ -192,17 +202,18 @@ class TestKernel:
         # are cut at that iteration.
         dims = BipartiteDims(3, 3)
         m, n, k = dims.m, dims.n, 2
+        ftol = _kernels.SEESAW_FTOL
         v = random_vector_with_sr(rng, dims, 3)
         w = partial_transpose(np.outer(v, v.conj()), dims)
-        wx, wy = _kernels.prepare_layouts(w, m, n)
         lam_min = np.linalg.eigvalsh(w)[0]
         y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
-        counts = assert_rows_match_looped(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)
+        counts = assert_rows_match_looped(m, n, k, w, y0, lam_min)
         assert len(counts) == len(y0)
-        values = _kernels.seesaw_minimize(m, n, k, wx, wy, y0, 200, 1e-13, lam_min)[0]
-        assert _kernels.at_floor(values, lam_min, 1e-13)
-        assert not all(reaches_floor(val, lam_min, 1e-13) for val in values)
-        cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, 1e-13))
+        values, _, _, reached = run_kernel(m, n, k, w, y0, lam_min)
+        assert reached
+        assert not all(reaches_floor(val, lam_min, ftol) for val in values)
+        cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, ftol))
         assert max(counts) == cut
-        free = looped_stack(m, n, k, wx, wy, y0, 200, 1e-13, -np.inf)
+        wx, wy = _kernels._layouts(w, m, n)
+        free = looped_stack(m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, ftol, -np.inf)
         assert max(counts) < max(run[3] for run in free)

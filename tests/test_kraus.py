@@ -111,6 +111,19 @@ class TestValidate:
         with pytest.raises(PreconditionError, match="mode"):
             family_of(BipartiteDims(2, 2), [np.eye(4)], mode)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=repr)
+    @pytest.mark.parametrize("name", ["osr_bound", "seed"])
+    def test_non_integer_bound_or_seed_refused(self, name, bad):
+        d = BipartiteDims(2, 2)
+        with pytest.raises(PreconditionError, match=name):
+            family_of(d, [np.eye(4)], **{name: bad})
+
+    def test_numpy_integer_bound_and_seed_accepted(self):
+        d = BipartiteDims(2, 2)
+        fam = family_of(d, [np.eye(4)], osr_bound=np.int64(1), seed=np.uint32(3))
+        assert fam.locality is Locality.LOCAL
+        assert validate(fam).verdict is Verdict.IN
+
     def test_empty_family_rejected(self, dims):
         with pytest.raises(PreconditionError):
             validate(family_of(dims, []))
@@ -237,6 +250,17 @@ class TestRandomFamily:
         want = random_family(d, 3, 2, Mode.EXACT, seed=5)
         got = random_family(d, np.int64(3), np.int32(2), Mode.EXACT, seed=5)
         assert got.osr_bound == want.osr_bound
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, want.ops))
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", -1, None], ids=repr)
+    def test_bad_seed_refused(self, bad):
+        with pytest.raises(PreconditionError, match="seed"):
+            random_family(BipartiteDims(2, 2), 2, 1, Mode.EXACT, seed=bad)
+
+    def test_numpy_integer_seed_accepted(self):
+        d = BipartiteDims(2, 2)
+        want = random_family(d, 2, 1, Mode.EXACT, seed=5)
+        got = random_family(d, 2, 1, Mode.EXACT, seed=np.int64(5))
         assert all(np.array_equal(a, b) for a, b in zip(got.ops, want.ops))
 
     def test_local_exact_draw(self):
@@ -438,6 +462,19 @@ class TestEmbedSchmidtK:
             out = apply_family(fam, [np.eye(dims.total)])
             top = np.linalg.eigh(out)[1][:, -1]
             assert sr(top, dims) == sr(v, dims)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2"], ids=repr)
+    def test_non_integer_k_refused(self, bad):
+        d = BipartiteDims(2, 2)
+        u = product_vec(basis_vec(2, 0), basis_vec(2, 0))
+        with pytest.raises(PreconditionError, match="k must be an integer"):
+            embed_schmidt_k(u, u, d, bad)
+
+    def test_numpy_integer_k_accepted(self):
+        d = BipartiteDims(2, 2)
+        v = max_entangled_vector(d)
+        u = product_vec(basis_vec(2, 0), basis_vec(2, 0))
+        assert embed_schmidt_k(v, u, d, np.int64(2)).osr_bound == 2
 
     def test_entangled_u_rejected(self, dims, rng):
         if dims.d < 2:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from conekit import (
     Mode,
     Verdict,
     basis_vec,
+    collapse_construction,
+    complete_to_identity,
+    embed_schmidt_k,
     max_entangled_vector,
     product_vec,
     random_family,
@@ -20,7 +24,8 @@ from conekit import (
 from conekit import cli, kraus, matio
 from conekit.cli import main
 from conekit.errors import MatrixFileError
-from conekit.suites import suite_lemma_srank
+from conekit.sampling import random_product_vector, random_vector_with_sr
+from conekit.suites import structured_exact_family, suite_lemma_srank
 
 
 def write_matrix(path, m, n, arr, meta=None):
@@ -354,6 +359,44 @@ class TestKrausFamilyHeader:
     def test_missing_locality_is_derived(self, tmp_path, bound, locality):
         path = self._write(tmp_path, drop=["locality"], osr_bound=bound)
         assert matio.load_kraus_family(path).locality is locality
+
+
+D33 = BipartiteDims(3, 3)
+
+# Every constructor of a family, with the random_family branch it takes.
+FAMILIES = {
+    "random_contractive": lambda rng: random_family(D33, 3, 2, Mode.CONTRACTIVE, seed=3),
+    "random_exact_k1": lambda rng: random_family(D33, 4, 1, Mode.EXACT, seed=3),
+    "random_exact_kd": lambda rng: random_family(D33, 3, 3, Mode.EXACT, seed=3),
+    "random_exact_k2": lambda rng: random_family(D33, 2, 2, Mode.EXACT, seed=3),
+    "complete_to_identity": lambda rng: complete_to_identity(
+        KrausFamily(D33, [0.5 * np.eye(9)], Mode.EXACT, seed=11)
+    ),
+    "collapse_construction": lambda rng: collapse_construction(
+        random_vector_with_sr(rng, D33, 2), D33
+    )[0],
+    "embed_schmidt_k": lambda rng: embed_schmidt_k(
+        random_vector_with_sr(rng, D33, 2), random_product_vector(rng, D33), D33, 2
+    ),
+    "structured_k1": lambda rng: structured_exact_family(rng, D33, 1),
+    "structured_k2": lambda rng: structured_exact_family(rng, D33, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_constructed_family_reads_back(tmp_path, rng, name):
+    fam = FAMILIES[name](rng)
+    path = str(tmp_path / "fam.json")
+    matio.save_kraus_family(path, fam)
+    loaded = matio.load_kraus_family(path)
+    assert loaded.dims == fam.dims
+    assert loaded.mode is fam.mode
+    assert loaded.osr_bound == fam.osr_bound
+    assert loaded.seed == fam.seed
+    assert loaded.locality is fam.locality
+    assert len(loaded.ops) == len(fam.ops)
+    for a, b in zip(loaded.ops, fam.ops):
+        assert np.array_equal(a, b)
 
 
 class TestCsvSummary:
@@ -701,6 +744,83 @@ class TestCliConstruct:
         assert main(argv) == 12
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(p.name.startswith("c_") for p in tmp_path.iterdir())
+
+
+def cli_inputs(tmp_path):
+    """Valid input files for every subcommand, written to tmp_path/inputs."""
+    d = BipartiteDims(2, 2)
+    where = tmp_path / "inputs"
+    where.mkdir()
+    return {
+        "psd": write_matrix(where / "eye.json", 2, 2, np.eye(4)),
+        "swap": write_matrix(where / "swap.json", 2, 2, swap_operator(d)),
+        "bell": write_matrix(where / "bell.json", 2, 2, max_entangled_vector(d)),
+        "e0": write_matrix(where / "e0.json", 2, 1, basis_vec(2, 0)),
+    }
+
+
+def cli_commands(files, out):
+    """One argv per subcommand and kind, each valid but for what is appended."""
+    return {
+        **{f"check {kind}": ["check", kind, files["psd"]] for kind in ("psd", "ppt", "sep")},
+        "check blockpos": ["check", "blockpos", files["swap"]],
+        "rank sr": ["rank", "sr", files["bell"]],
+        "rank osr": ["rank", "osr", files["swap"]],
+        "construct collapse": ["construct", "collapse", "--target", files["bell"], "--out", out],
+        "construct embed_k": [
+            "construct", "embed_k", "--v", files["bell"], "--k", "2", "--out", out
+        ],
+        "construct witness_break": ["construct", "witness_break", "--w", files["swap"],
+                                    "--out", out],
+        "construct lift": ["construct", "lift", "--u", files["e0"], "--v", files["e0"],
+                           "--w", files["bell"], "--out", out],
+        "verify": ["verify", "srank", "--m", "2", "--n", "2", "--trials", "2", "--out", out],
+    }
+
+
+COMMANDS = list(cli_commands(defaultdict(str), ""))
+
+
+class TestCliRefusals:
+    """Refusals the library calls make exit 13 and leave no file behind."""
+
+    @staticmethod
+    def written(tmp_path):
+        return sorted(p.name for p in tmp_path.iterdir() if p.name != "inputs")
+
+    @pytest.mark.parametrize("tol", ["0", "1", "nan"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_tol_exits_13(self, tmp_path, capsys, command, tol):
+        argv = cli_commands(cli_inputs(tmp_path), str(tmp_path / "c"))[command]
+        assert main(argv + ["--tol", tol]) == 13
+        assert "tol must lie in (0, 1)" in capsys.readouterr().err
+        assert self.written(tmp_path) == []
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_trials_exit_13(self, tmp_path, capsys, trials):
+        out = str(tmp_path / "r.json")
+        argv = ["verify", "srank", "--m", "2", "--n", "2", "--trials", trials, "--out", out]
+        assert main(argv) == 13
+        assert "trials must be an integer >= 1" in capsys.readouterr().err
+        assert self.written(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "psd", "MISSING"],
+            ["rank", "sr", "MISSING"],
+            ["construct", "collapse", "--target", "MISSING", "--out", "OUT"],
+            ["verify", "srank", "--m", "2", "--n", "2", "--out", "OUT",
+             "--extra-inputs", "MISSING"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_file_error_wins_over_bad_tol(self, tmp_path, capsys, argv):
+        # Files are read before the library call that refuses the tolerance.
+        names = {"MISSING": str(tmp_path / "missing.json"), "OUT": str(tmp_path / "c")}
+        assert main([names.get(a, a) for a in argv] + ["--tol", "0"]) == 11
+        assert "cannot read" in capsys.readouterr().err
+        assert self.written(tmp_path) == []
 
 
 class TestCliVerify:

@@ -449,29 +449,37 @@ class TestSeesawConfig:
         SeesawConfig(**kwargs)
 
 
-def looped_optimize_level(h, wx, wy, ground, floor, dims, level, cfg, warm_v):
-    """_optimize_level one start at a time, on the looped reference kernel."""
+def looped_ladder(h, dims, k, cfg, evals, evecs):
+    """_seesaw one start at a time, on the looped reference kernel.
+
+    Level by level: the ground frame, then the warm frame of the previous
+    level's minimizer, then the level's random frames; the first start with
+    the least value wins; a level at the floor ends the ladder.
+    """
     m, n = dims.m, dims.n
-    ftol = membership.SEESAW_FTOL
+    ftol, iters = _kernels.SEESAW_FTOL, _kernels.SEESAW_ITERS
     starts = membership.SEESAW_RESTARTS
-    inits = [_frame_from_vector(ground, dims, level)]
-    if warm_v is not None:
-        inits.append(_frame_from_vector(warm_v, dims, level))
-    drawn = ginibre(np.random.default_rng([cfg.seed, level]), starts * n, level)
-    inits += [drawn[r * n:(r + 1) * n] for r in range(starts)]
-    iters = membership.SEESAW_ITERS
-    runs = looped_stack(m, n, level, wx, wy, np.stack(inits), iters, ftol, floor)
-    best_val = np.inf
-    best_pair = None
-    for val, x, y, _ in runs:
-        if val < best_val:
-            best_val = val
-            best_pair = (x, y)
-    x, y = best_pair
-    v = (x @ y.T).reshape(dims.total)
-    v = v / np.linalg.norm(v)
-    value = float(np.real(np.vdot(v, h @ v)))
-    return value, v, x, y, reaches_floor(best_val, floor, ftol)
+    wx, wy = _kernels._layouts(h, m, n)
+    ground, floor = evecs[:, 0], float(evals[0])
+    warm_v = None
+    for level in range(1, k + 1):
+        inits = [_frame_from_vector(ground, dims, level)]
+        if warm_v is not None:
+            inits.append(_frame_from_vector(warm_v, dims, level))
+        drawn = ginibre(np.random.default_rng([cfg.seed, level]), starts * n, level)
+        inits += [drawn[r * n:(r + 1) * n] for r in range(starts)]
+        runs = looped_stack(m, n, level, wx, wy, np.stack(inits), iters, ftol, floor)
+        best_val = np.inf
+        for val, x, y, _ in runs:
+            if val < best_val:
+                best_val = val
+                best_x, best_y = x, y
+        warm_v = (best_x @ best_y.T).reshape(dims.total)
+        warm_v = warm_v / np.linalg.norm(warm_v)
+        if reaches_floor(best_val, floor, ftol):
+            break
+    value = float(np.real(np.vdot(warm_v, h @ warm_v)))
+    return value, warm_v, best_x, best_y
 
 
 def assert_same(got, want):
@@ -507,7 +515,7 @@ class TestStackedLevelPin:
     def assert_matches_loop(self, w, dims, cfg, monkeypatch):
         got = self.calls(w, dims, cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(membership, "_optimize_level", looped_optimize_level)
+            patch.setattr(membership, "_seesaw", looped_ladder)
             want = self.calls(w, dims, cfg)
         assert_same(tuple(got), tuple(want))
         return got
@@ -540,15 +548,17 @@ class TestStackedLevelPin:
         starts = membership.SEESAW_RESTARTS
         drawn = ginibre(np.random.default_rng([0, 1]), starts * 2, 1).reshape(starts, 2, 1)
         y0 = np.concatenate([_frame_from_vector(ground, dims, 1)[None], drawn])
-        wx, wy = _kernels.prepare_layouts(w, 2, 2)
-        # Without the floor every start runs until it settles.
-        values, _, ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -np.inf)
-        tied = np.flatnonzero(values == values.min())
-        assert tied[0] == 0 and len(tied) == len(y0)
-        assert any(abs(abs(ys[t, 0, 0]) - abs(ys[0, 0, 0])) > 0.5 for t in tied)
-        # With the floor the stack stops where the first start reaches -1,
-        # and the ground-frame init still wins.
-        floored, _, floored_ys = _kernels.seesaw_minimize(2, 2, 1, wx, wy, y0, 60, 1e-13, -1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "SEESAW_ITERS", 60)
+            # Without the floor every start runs until it settles.
+            values, _, ys, _ = _kernels.seesaw_minimize(2, 2, 1, w, y0, -np.inf)
+            tied = np.flatnonzero(values == values.min())
+            assert tied[0] == 0 and len(tied) == len(y0)
+            assert any(abs(abs(ys[t, 0, 0]) - abs(ys[0, 0, 0])) > 0.5 for t in tied)
+            # With the floor the stack stops where the first start reaches
+            # -1, and the ground-frame init still wins.
+            floored, _, floored_ys, reached = _kernels.seesaw_minimize(2, 2, 1, w, y0, -1.0)
+        assert reached
         assert np.argmin(floored) == 0 and floored[0] == -1.0
         assert np.array_equal(floored_ys[0], ys[0])
         value, z, y = min_product_expectation(w, dims, cfg)
@@ -629,7 +639,7 @@ class TestSeesawStoppingRules:
     def test_one_generator_per_level(self, rng, monkeypatch):
         dims = BipartiteDims(3, 3)
         w = hermitian(rng, dims.total)
-        starts = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *args: args[5])
+        starts = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *args: args[4])
         first = min_sr_k_expectation(w, dims, 2, FAST_CFG)
         # One kernel call per level: level 1 stacks the ground frame and the
         # random frames, level 2 also the warm frame.
