@@ -69,10 +69,7 @@ class KrausFamily:
     seed: int | None = None
 
     def __post_init__(self):
-        try:
-            self.mode = Mode(self.mode)
-        except ValueError as exc:
-            raise PreconditionError(f"unknown Kraus family mode {self.mode!r}") from exc
+        self.mode = _as_mode(self.mode)
         for name in ("osr_bound", "seed"):
             value = getattr(self, name)
             if value is not None and not _is_int(value):
@@ -82,6 +79,14 @@ class KrausFamily:
     def locality(self) -> Locality:
         """LOCAL iff the certified OSR bound is 1: every coefficient is a product."""
         return Locality.LOCAL if self.osr_bound == 1 else Locality.GLOBAL
+
+
+def _as_mode(mode) -> Mode:
+    """mode as a Mode member; its value ("exact", "contractive") is accepted too."""
+    try:
+        return Mode(mode)
+    except ValueError as exc:
+        raise PreconditionError(f"unknown Kraus family mode {mode!r}") from exc
 
 
 @dataclass
@@ -223,6 +228,7 @@ def random_family(
         raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
     if not (_is_int(seed) and seed >= 0):
         raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
+    mode = _as_mode(mode)
     rng = np.random.default_rng(seed)
     if mode is Mode.CONTRACTIVE:
         ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]

@@ -163,6 +163,20 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
     return vh[:level, :].T
 
 
+# The see-saw ladder of the most recent input, as one tuple (m, n, seed, h,
+# levels, reached): levels[l - 1] holds level l's (v, x, y), and reached says
+# whether the last level stopped at the spectral floor.  Level l depends only
+# on h, the seed, l and level l - 1's minimizer, so a call whose dims and
+# seed match and whose Hermitian part is equal bit for bit resumes this
+# ladder and gets the result a fresh run would give.  Bits, not values: a
+# signed zero changes the signs LAPACK's eigh picks, and so the ground frame.
+# Only one input is kept; a call on another input replaces it.  The cached
+# tuple, list and arrays are never written after they are stored (h is the
+# call's own hermitian_part result, which no caller holds), and callers get
+# copies.
+_last_ladder = None
+
+
 def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
     """Optimize levels 1..k of the Hermitian h; returns the last level's (value, v, x, y).
 
@@ -172,27 +186,36 @@ def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
     SEESAW_RESTARTS random frames, drawn in order from the level's one
     generator.  argmin keeps the first of equal values, so an earlier init
     wins a tie.  A level that reaches lambda_min has found the minimum over
-    every higher level too, so the later levels are not run.
+    every higher level too, so the later levels are not run.  Levels already
+    on the last input's ladder (see _last_ladder) are not run again.
     """
+    global _last_ladder
     m, n = dims.m, dims.n
-    ground, floor = evecs[:, 0], float(evals[0])
-    v = None
-    for level in range(1, k + 1):
-        inits = [_frame_from_vector(ground, dims, level)]
-        if v is not None:
-            inits.append(_frame_from_vector(v, dims, level))
-        rng = np.random.default_rng([cfg.seed, level])
-        drawn = ginibre(rng, SEESAW_RESTARTS * n, level).reshape(SEESAW_RESTARTS, n, level)
-        values, xs, ys, reached = _kernels.seesaw_minimize(
-            m, n, level, h, np.concatenate([np.stack(inits), drawn]), floor
-        )
-        best = int(np.argmin(values))
-        x, y = xs[best], ys[best]
-        v = (x @ y.T).reshape(dims.total)
-        v = v / np.linalg.norm(v)
-        if reached:
-            break
-    return float(np.real(np.vdot(v, h @ v))), v, x, y
+    levels, reached = [], False
+    last = _last_ladder
+    if last is not None and last[:3] == (m, n, cfg.seed) and last[3].tobytes() == h.tobytes():
+        levels, reached = last[4:]
+    if len(levels) < k and not reached:
+        levels = list(levels)
+        ground, floor = evecs[:, 0], float(evals[0])
+        for level in range(len(levels) + 1, k + 1):
+            inits = [_frame_from_vector(ground, dims, level)]
+            if levels:
+                inits.append(_frame_from_vector(levels[-1][0], dims, level))
+            rng = np.random.default_rng([cfg.seed, level])
+            drawn = ginibre(rng, SEESAW_RESTARTS * n, level).reshape(SEESAW_RESTARTS, n, level)
+            values, xs, ys, reached = _kernels.seesaw_minimize(
+                m, n, level, h, np.concatenate([np.stack(inits), drawn]), floor
+            )
+            best = int(np.argmin(values))
+            x, y = xs[best].copy(), ys[best].copy()
+            v = (x @ y.T).reshape(dims.total)
+            levels.append((v / np.linalg.norm(v), x, y))
+            if reached:
+                break
+        _last_ladder = (m, n, cfg.seed, h, levels, reached)
+    v, x, y = levels[min(k, len(levels)) - 1]
+    return float(np.real(np.vdot(v, h @ v))), v.copy(), x.copy(), y.copy()
 
 
 def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig, evals, evecs):
@@ -220,6 +243,11 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     every start stops at `_kernels.SEESAW_ITERS` iterations.  lambda_min
     bounds every level from below, so a floor stop proves the value optimal
     for this and every higher k; the remaining levels are then skipped.
+
+    The levels of the last input are kept: a call whose Hermitian part (bit
+    for bit), dims and seed equal the previous see-saw call's resumes that
+    ladder and runs only the levels it lacks.  Results are bit-identical to
+    a fresh run in any call order.  Only one input is kept.
     """
     if not (_is_int(k) and 1 <= k <= dims.d):
         raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
@@ -235,6 +263,10 @@ def min_product_expectation(w, dims: BipartiteDims, cfg: SeesawConfig):
     """Heuristic minimum of (z (x) y)* w (z (x) y) over unit z, y.
 
     Identical to min_sr_k_expectation at k = 1, but returns the factor pair.
+    It shares that function's ladder of the last input: a repeat call on an
+    equal Hermitian part (bit for bit), dims and seed runs no see-saw level
+    again, and its result is bit-identical to a fresh run.  Only one input is
+    kept.
     """
     h = hermitian_part(w, dims, cfg.tol)
     return _min_product(h, dims, cfg, *np.linalg.eigh(h))
@@ -249,6 +281,11 @@ def is_block_positive_heuristic(
     Acceptance is only claimed through the PSD sufficient condition; a
     see-saw that merely fails to find a violator yields Indeterminate, since
     the product optimization is nonconvex.
+
+    The product search is level 1 of min_sr_k_expectation's ladder, and the
+    last input's ladder is kept: after a see-saw call on an equal Hermitian
+    part (bit for bit), dims and seed, no level runs again.  Reports are
+    bit-identical to a fresh run in any call order.  Only one input is kept.
     """
     h = hermitian_part(w, dims, cfg.tol)
     evals, evecs = np.linalg.eigh(h)

@@ -297,6 +297,22 @@ class TestRandomFamily:
             assert fam.osr_bound == k
             assert validate(fam).verdict is Verdict.IN
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_string_mode_matches_enum(self, mode, k):
+        d = BipartiteDims(2, 3)
+        want = random_family(d, 3, k, mode, seed=1)
+        got = random_family(d, 3, k, mode.value, seed=1)
+        assert got.mode is want.mode is mode
+        assert got.osr_bound == want.osr_bound
+        assert len(got.ops) == len(want.ops)
+        assert all(np.array_equal(a, b) for a, b in zip(got.ops, want.ops))
+
+    @pytest.mark.parametrize("mode", ["bogus", "CONTRACTIVE", None], ids=repr)
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(PreconditionError, match="mode"):
+            random_family(BipartiteDims(2, 2), 2, 1, mode, seed=1)
+
     def test_deterministic_per_seed(self, dims):
         fam1 = random_family(dims, 3, 1, Mode.EXACT, seed=99)
         fam2 = random_family(dims, 3, 1, Mode.EXACT, seed=99)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -624,6 +626,8 @@ class TestSeesawStoppingRules:
         monkeypatch.setattr(
             _kernels, "seesaw_minimize", lambda *args: original(*args[:-1], -np.inf)
         )
+        # Empty the memo, or the repeat would not reach the patched kernel.
+        monkeypatch.setattr(membership, "_last_ladder", None)
         assert_same(got, calls())
 
     def test_later_levels_skipped(self, rng, monkeypatch):
@@ -649,5 +653,105 @@ class TestSeesawStoppingRules:
             rng_level = np.random.default_rng([FAST_CFG.seed, level])
             drawn = ginibre(rng_level, drawn_count * n, level).reshape(drawn_count, n, level)
             assert np.array_equal(y0[-drawn_count:], drawn)
+        # A repeat on the same input resumes the memo's ladder: no kernel call.
         assert_same(min_sr_k_expectation(w, dims, 2, FAST_CFG), first)
-        assert np.array_equal(starts[2], starts[0]) and np.array_equal(starts[3], starts[1])
+        assert len(starts) == 2
+        # A call on another input evicts the ladder; the repeat then replays
+        # both levels from bit-identical starts.
+        min_sr_k_expectation(hermitian(rng, dims.total), dims, 1, FAST_CFG)
+        assert_same(min_sr_k_expectation(w, dims, 2, FAST_CFG), first)
+        assert len(starts) == 5
+        assert np.array_equal(starts[3], starts[0]) and np.array_equal(starts[4], starts[1])
+
+
+class TestLadderMemo:
+    """A call on the last input's (Hermitian part, dims, seed) resumes its ladder."""
+
+    @staticmethod
+    def fresh(call, monkeypatch):
+        monkeypatch.setattr(membership, "_last_ladder", None)
+        return call()
+
+    def test_levels_run_once_per_input(self, rng, monkeypatch):
+        dims = BipartiteDims(4, 4)
+        w = hermitian(rng, dims.total)
+        calls = [lambda: is_block_positive_heuristic(w, dims, FAST_CFG)]
+        calls += [lambda k=k: min_sr_k_expectation(w, dims, k, FAST_CFG) for k in (1, 2, 3)]
+        want = [self.fresh(call, monkeypatch) for call in calls]
+        assert want[0].verdict is not Verdict.IN
+        for order in (calls, calls[::-1]):
+            monkeypatch.setattr(membership, "_last_ladder", None)
+            with monkeypatch.context() as patch:
+                levels = record_calls(patch, _kernels, "seesaw_minimize", lambda *a: a[2])
+                got = [call() for call in order]
+            assert levels == [1, 2, 3]
+            if order is not calls:
+                got = got[::-1]
+            assert_same(tuple(got), tuple(want))
+
+    def test_other_seed_dims_or_bits_miss(self, rng, monkeypatch):
+        levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *a: a[2])
+        # The same 16x16 matrix under two splittings, then another seed.
+        w = hermitian(rng, 16)
+        runs = [
+            (w, BipartiteDims(4, 4), FAST_CFG),
+            (w, BipartiteDims(2, 8), FAST_CFG),
+            (w, BipartiteDims(2, 8), SeesawConfig(seed=FAST_CFG.seed + 1)),
+        ]
+        # Equal values, other bits: a signed zero can move eigh's output.
+        d = BipartiteDims(2, 2)
+        x = hermitian(rng, d.total)
+        x[0, 3] = x[3, 0] = 0.0
+        flipped = x.copy()
+        flipped[0, 3], flipped[3, 0] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+        h, h_flipped = hermitian_part(x, d), hermitian_part(flipped, d)
+        assert np.array_equal(h, h_flipped) and h.tobytes() != h_flipped.tobytes()
+        runs += [(x, d, FAST_CFG), (flipped, d, FAST_CFG)]
+        for w, dims, cfg in runs:
+            got = min_product_expectation(w, dims, cfg)
+            assert_same(got, self.fresh(lambda: min_product_expectation(w, dims, cfg), monkeypatch))
+        assert levels == [1] * 2 * len(runs)
+
+    def test_changed_in_place_misses(self, rng, monkeypatch):
+        d = BipartiteDims(3, 3)
+        w = hermitian(rng, d.total)
+        levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *a: a[2])
+        before = min_sr_k_expectation(w, d, 1, FAST_CFG)
+        w[1, 1] += 0.5
+        got = min_sr_k_expectation(w, d, 1, FAST_CFG)
+        assert levels == [1, 1]
+        assert got[0] != before[0]
+        assert_same(got, self.fresh(lambda: min_sr_k_expectation(w, d, 1, FAST_CFG), monkeypatch))
+
+    def test_writing_into_results_changes_nothing(self, rng, monkeypatch):
+        d = BipartiteDims(3, 3)
+        w = hermitian(rng, d.total)
+        calls = [
+            lambda: min_sr_k_expectation(w, d, 2, FAST_CFG),
+            lambda: min_product_expectation(w, d, FAST_CFG),
+            lambda: is_block_positive_heuristic(w, d, FAST_CFG),
+        ]
+        first = [call() for call in calls]
+        want = copy.deepcopy(first)
+        (_, v), (_, z, y), report = first
+        assert report.verdict is Verdict.OUT
+        for arr in (v, z, y, report.certificate["z"], report.certificate["y"]):
+            arr[:] = 7.0
+        levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *a: a[2])
+        assert_same(tuple(call() for call in calls), tuple(want))
+        assert levels == []
+
+    def test_floor_ladder_answers_higher_k(self, rng, monkeypatch):
+        # As in test_later_levels_skipped, level 2 reaches the floor; k = 3
+        # and k = 1 are then answered from the ladder.
+        dims = BipartiteDims(4, 4)
+        w = pt_of_full_rank_state(rng, dims)
+        levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *a: a[2])
+        got = [min_sr_k_expectation(w, dims, k, FAST_CFG) for k in (2, 3, 1)]
+        assert levels == [1, 2]
+        assert_same(got[1], got[0])
+        want = [
+            self.fresh(lambda k=k: min_sr_k_expectation(w, dims, k, FAST_CFG), monkeypatch)
+            for k in (2, 3, 1)
+        ]
+        assert_same(tuple(got), tuple(want))
