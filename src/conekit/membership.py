@@ -163,41 +163,48 @@ def _frame_from_vector(v: np.ndarray, dims: BipartiteDims, level: int) -> np.nda
     return vh[:level, :].T
 
 
-# The see-saw ladder of the most recent input, as one tuple (m, n, seed, h,
-# levels, reached): levels[l - 1] holds level l's (v, x, y), and reached says
-# whether the last level stopped at the spectral floor.  Level l depends only
-# on h, the seed, l and level l - 1's minimizer, so a call whose dims and
-# seed match and whose Hermitian part is equal bit for bit resumes this
-# ladder and gets the result a fresh run would give.  Bits, not values: a
-# signed zero changes the signs LAPACK's eigh picks, and so the ground frame.
-# Only one input is kept; a call on another input replaces it.  The cached
-# tuple, list and arrays are never written after they are stored (h is the
-# call's own hermitian_part result, which no caller holds), and callers get
-# copies.
+# The see-saw state of the most recent input, one tuple (m, n, seed, h,
+# floor, ground, levels, reached): h is its Hermitian part, (floor, ground)
+# h's bottom eigenpair, levels[l - 1] level l's (v, x, y), and reached
+# whether the last level stopped at the floor.  Every see-saw entry point
+# makes one lookup, _seesaw_state, which takes the one eigh of a new input
+# and replaces the state.  Level l depends only on h, the seed, l and level
+# l - 1's minimizer, so a call with equal dims, seed and Hermitian part (bit
+# for bit: a signed zero moves the signs LAPACK's eigh picks, and so the
+# ground frame) resumes the ladder and gets a fresh run's result, in any
+# call order.  Only one input is kept.  Nothing is written after it is
+# stored (h is the lookup's own, ground a copy), and callers get copies.
 _last_ladder = None
 
 
-def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
-    """Optimize levels 1..k of the Hermitian h; returns the last level's (value, v, x, y).
+def _seesaw_state(w, dims: BipartiteDims, cfg: SeesawConfig):
+    """The see-saw state of w's Hermitian part: the stored one, or a fresh one."""
+    global _last_ladder
+    h = hermitian_part(w, dims, cfg.tol)
+    last, key = _last_ladder, (dims.m, dims.n, cfg.seed)
+    if last is not None and last[:3] == key and last[3].tobytes() == h.tobytes():
+        return last
+    evals, evecs = np.linalg.eigh(h)
+    _last_ladder = key + (h, float(evals[0]), evecs[:, 0].copy(), [], False)
+    return _last_ladder
 
-    evals, evecs are h's eigen-decomposition.  All inits of a level run as
-    one kernel stack: the Schmidt frame of the ground-state vector, from
-    level 2 on the frame of the previous level's minimizer, then the
-    SEESAW_RESTARTS random frames, drawn in order from the level's one
-    generator.  argmin keeps the first of equal values, so an earlier init
-    wins a tie.  A level that reaches lambda_min has found the minimum over
-    every higher level too, so the later levels are not run.  Levels already
-    on the last input's ladder (see _last_ladder) are not run again.
+
+def _seesaw(state, dims: BipartiteDims, k: int, cfg: SeesawConfig):
+    """Optimize levels 1..k of a see-saw state; returns the last level's (value, v, x, y).
+
+    All inits of a level run as one kernel stack: the Schmidt frame of the
+    ground-state vector, from level 2 on the frame of the previous level's
+    minimizer, then the SEESAW_RESTARTS random frames, drawn in order from
+    the level's one generator.  argmin keeps the first of equal values, so an
+    earlier init wins a tie.  A level that reaches lambda_min has found the
+    minimum over every higher level too, so the later levels are not run.
+    Levels the state already holds are not run again.
     """
     global _last_ladder
     m, n = dims.m, dims.n
-    levels, reached = [], False
-    last = _last_ladder
-    if last is not None and last[:3] == (m, n, cfg.seed) and last[3].tobytes() == h.tobytes():
-        levels, reached = last[4:]
+    h, floor, ground, levels, reached = state[3:]
     if len(levels) < k and not reached:
         levels = list(levels)
-        ground, floor = evecs[:, 0], float(evals[0])
         for level in range(len(levels) + 1, k + 1):
             inits = [_frame_from_vector(ground, dims, level)]
             if levels:
@@ -213,14 +220,14 @@ def _seesaw(h, dims: BipartiteDims, k: int, cfg: SeesawConfig, evals, evecs):
             levels.append((v / np.linalg.norm(v), x, y))
             if reached:
                 break
-        _last_ladder = (m, n, cfg.seed, h, levels, reached)
+        _last_ladder = state[:6] + (levels, reached)
     v, x, y = levels[min(k, len(levels)) - 1]
     return float(np.real(np.vdot(v, h @ v))), v.copy(), x.copy(), y.copy()
 
 
-def _min_product(h, dims: BipartiteDims, cfg: SeesawConfig, evals, evecs):
-    """min_product_expectation on an already Hermitian h and its eigh (evals, evecs)."""
-    value, _, x, y = _seesaw(h, dims, 1, cfg, evals, evecs)
+def _min_product(state, dims: BipartiteDims, cfg: SeesawConfig):
+    """min_product_expectation on a see-saw state."""
+    value, _, x, y = _seesaw(state, dims, 1, cfg)
     z = x[:, 0] / np.linalg.norm(x[:, 0])
     yv = y[:, 0] / np.linalg.norm(y[:, 0])
     return value, z, yv
@@ -243,19 +250,14 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     every start stops at `_kernels.SEESAW_ITERS` iterations.  lambda_min
     bounds every level from below, so a floor stop proves the value optimal
     for this and every higher k; the remaining levels are then skipped.
-
-    The levels of the last input are kept: a call whose Hermitian part (bit
-    for bit), dims and seed equal the previous see-saw call's resumes that
-    ladder and runs only the levels it lacks.  Results are bit-identical to
-    a fresh run in any call order.  Only one input is kept.
     """
     if not (_is_int(k) and 1 <= k <= dims.d):
         raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
-    h = hermitian_part(w, dims, cfg.tol)
-    evals, evecs = np.linalg.eigh(h)
+    state = _seesaw_state(w, dims, cfg)
     if k == dims.d:
-        return float(evals[0]), evecs[:, 0]
-    value, v, _, _ = _seesaw(h, dims, k, cfg, evals, evecs)
+        floor, ground = state[4:6]
+        return floor, ground.copy()
+    value, v, _, _ = _seesaw(state, dims, k, cfg)
     return value, v
 
 
@@ -263,13 +265,8 @@ def min_product_expectation(w, dims: BipartiteDims, cfg: SeesawConfig):
     """Heuristic minimum of (z (x) y)* w (z (x) y) over unit z, y.
 
     Identical to min_sr_k_expectation at k = 1, but returns the factor pair.
-    It shares that function's ladder of the last input: a repeat call on an
-    equal Hermitian part (bit for bit), dims and seed runs no see-saw level
-    again, and its result is bit-identical to a fresh run.  Only one input is
-    kept.
     """
-    h = hermitian_part(w, dims, cfg.tol)
-    return _min_product(h, dims, cfg, *np.linalg.eigh(h))
+    return _min_product(_seesaw_state(w, dims, cfg), dims, cfg)
 
 
 def is_block_positive_heuristic(
@@ -282,18 +279,14 @@ def is_block_positive_heuristic(
     see-saw that merely fails to find a violator yields Indeterminate, since
     the product optimization is nonconvex.
 
-    The product search is level 1 of min_sr_k_expectation's ladder, and the
-    last input's ladder is kept: after a see-saw call on an equal Hermitian
-    part (bit for bit), dims and seed, no level runs again.  Reports are
-    bit-identical to a fresh run in any call order.  Only one input is kept.
+    The product search is level 1 of min_sr_k_expectation's ladder.
     """
-    h = hermitian_part(w, dims, cfg.tol)
-    evals, evecs = np.linalg.eigh(h)
-    lam_min = float(evals[0])
+    state = _seesaw_state(w, dims, cfg)
+    lam_min = state[4]
     if lam_min >= -cfg.tol:
         cert = {"kind": "psd_sufficient", "min_eig": lam_min}
         return MembershipReport(Verdict.IN, lam_min, cfg.tol, cert)
-    value, z, y = _min_product(h, dims, cfg, evals, evecs)
+    value, z, y = _min_product(state, dims, cfg)
     if value < -cfg.tol:
         cert = {
             "kind": "product_pair",

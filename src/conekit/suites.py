@@ -152,6 +152,11 @@ def suite_lemma_srank(
 STRICT_ENLARGEMENT_CASES = 6
 
 
+def _entangled_vector_exists(dims, **_):
+    if dims.d == 1:
+        raise PreconditionError("min(m, n) = 1: every vector is a product, nothing to entangle")
+
+
 def _trial_strict_enlargement(rng, t, dims, tol, **_):
     if t == 0:
         target = max_entangled_vector(dims)
@@ -194,8 +199,8 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
         y = np.eye(total, dtype=np.complex128)
     elif t == 1:
         y = np.zeros((total, total), dtype=np.complex128)  # boundary: empty combination
-    elif t % 5 == 2:
-        # Rank-deficient draws exercise the dropped-eigenvalue path.
+    elif t % 5 == 2 and total > 1:
+        # Rank-deficient draws exercise the dropped-eigenvalue path (none at 1x1).
         rank = int(rng.integers(1, total))
         g = ginibre(rng, total, rank)
         y = (g @ g.conj().T) * rng.uniform(0.5, 2.0)
@@ -507,13 +512,13 @@ _SUITES = {
     "srank": _Suite(_trial_srank, 1000),
     "strict-enlargement": _Suite(
         _trial_strict_enlargement, STRICT_ENLARGEMENT_CASES, fixed=True,
-        residual_bound=RESIDUAL_BOUND,
+        residual_bound=RESIDUAL_BOUND, check=_entangled_vector_exists,
     ),
     "cone-collapse": _Suite(_trial_cone_collapse, 200, residual_bound=RESIDUAL_BOUND),
     "local-stability": _Suite(_trial_local_stability, 500, check=_separability_decidable),
     "witness-not-cstar": _Suite(
         _trial_witness_not_cstar, WITNESS_CASES, fixed=True,
-        residual_bound=RESIDUAL_BOUND_TIGHT,
+        residual_bound=RESIDUAL_BOUND_TIGHT, check=_entangled_vector_exists,
     ),
     "ppt-stability": _Suite(
         _trial_ppt_stability, 500, check=_extra_inputs_ppt, samples_ppt=True

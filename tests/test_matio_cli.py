@@ -804,6 +804,13 @@ class TestCliRefusals:
         assert "trials must be an integer >= 1" in capsys.readouterr().err
         assert self.written(tmp_path) == []
 
+    def test_product_only_dims_exit_13(self, tmp_path, capsys):
+        # At min(m, n) = 1 there is no entangled target to lift to.
+        out = str(tmp_path / "r.json")
+        assert main(["verify", "strict-enlargement", "--m", "1", "--n", "3", "--out", out]) == 13
+        assert "every vector is a product" in capsys.readouterr().err
+        assert self.written(tmp_path) == []
+
     @pytest.mark.parametrize(
         "argv",
         [

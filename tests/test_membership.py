@@ -451,18 +451,19 @@ class TestSeesawConfig:
         SeesawConfig(**kwargs)
 
 
-def looped_ladder(h, dims, k, cfg, evals, evecs):
+def looped_ladder(state, dims, k, cfg):
     """_seesaw one start at a time, on the looped reference kernel.
 
     Level by level: the ground frame, then the warm frame of the previous
     level's minimizer, then the level's random frames; the first start with
-    the least value wins; a level at the floor ends the ladder.
+    the least value wins; a level at the floor ends the ladder.  Every level
+    is recomputed; only h, floor and ground are read from the state.
     """
     m, n = dims.m, dims.n
     ftol, iters = _kernels.SEESAW_FTOL, _kernels.SEESAW_ITERS
     starts = membership.SEESAW_RESTARTS
+    h, floor, ground = state[3:6]
     wx, wy = _kernels._layouts(h, m, n)
-    ground, floor = evecs[:, 0], float(evals[0])
     warm_v = None
     for level in range(1, k + 1):
         inits = [_frame_from_vector(ground, dims, level)]
@@ -676,15 +677,18 @@ class TestLadderMemo:
         dims = BipartiteDims(4, 4)
         w = hermitian(rng, dims.total)
         calls = [lambda: is_block_positive_heuristic(w, dims, FAST_CFG)]
-        calls += [lambda k=k: min_sr_k_expectation(w, dims, k, FAST_CFG) for k in (1, 2, 3)]
+        calls += [lambda k=k: min_sr_k_expectation(w, dims, k, FAST_CFG) for k in (1, 2, 3, 4)]
         want = [self.fresh(call, monkeypatch) for call in calls]
         assert want[0].verdict is not Verdict.IN
         for order in (calls, calls[::-1]):
             monkeypatch.setattr(membership, "_last_ladder", None)
             with monkeypatch.context() as patch:
                 levels = record_calls(patch, _kernels, "seesaw_minimize", lambda *a: a[2])
+                eighs = record_calls(patch, np.linalg, "eigh", np.ndim)
                 got = [call() for call in order]
             assert levels == [1, 2, 3]
+            # One input-sized eigh, in the first call; the repeats take none.
+            assert eighs.count(2) == 1
             if order is not calls:
                 got = got[::-1]
             assert_same(tuple(got), tuple(want))
@@ -728,14 +732,15 @@ class TestLadderMemo:
         w = hermitian(rng, d.total)
         calls = [
             lambda: min_sr_k_expectation(w, d, 2, FAST_CFG),
+            lambda: min_sr_k_expectation(w, d, 3, FAST_CFG),
             lambda: min_product_expectation(w, d, FAST_CFG),
             lambda: is_block_positive_heuristic(w, d, FAST_CFG),
         ]
         first = [call() for call in calls]
         want = copy.deepcopy(first)
-        (_, v), (_, z, y), report = first
+        (_, v), (_, ground), (_, z, y), report = first
         assert report.verdict is Verdict.OUT
-        for arr in (v, z, y, report.certificate["z"], report.certificate["y"]):
+        for arr in (v, ground, z, y, report.certificate["z"], report.certificate["y"]):
             arr[:] = 7.0
         levels = record_calls(monkeypatch, _kernels, "seesaw_minimize", lambda *a: a[2])
         assert_same(tuple(call() for call in calls), tuple(want))

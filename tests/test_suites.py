@@ -352,16 +352,30 @@ class TestValidateOnce:
 class TestEnvelope:
     # Every suite either runs across the whole m*n <= 64 envelope or refuses
     # up front.  At 4x5 and 8x8 a PPT sampler whose environment sits below
-    # the ~4mn threshold exhausts its rejection cap.
-    @pytest.mark.parametrize("m,n", [(4, 5), (8, 8)])
+    # the ~4mn threshold exhausts its rejection cap.  At min(m, n) = 1 every
+    # vector is a product, so there is no entangled target and no witness.
+    REFUSED = {
+        (4, 5): {"local-stability"},
+        (8, 8): {"local-stability"},
+        (1, 1): {"strict-enlargement", "witness-not-cstar"},
+        (1, 3): {"strict-enlargement", "witness-not-cstar"},
+        (3, 1): {"strict-enlargement", "witness-not-cstar"},
+        (1, 8): {"local-stability", "strict-enlargement", "witness-not-cstar"},
+    }
+
+    @pytest.mark.parametrize("m,n", list(REFUSED))
     @pytest.mark.parametrize("suite_id", SUITE_IDS)
     def test_runs_or_refuses(self, suite_id, m, n):
-        k = 2 if suite_id == "probe-intermediate" else None
-        try:
-            report = run_suite(suite_id, BipartiteDims(m, n), SEED, trials=3, k=k)
-        except PreconditionError:
-            assert suite_id == "local-stability"
+        dims = BipartiteDims(m, n)
+        k = min(2, dims.d) if suite_id == "probe-intermediate" else None
+        if suite_id in self.REFUSED[m, n]:
+            with pytest.raises(PreconditionError):
+                run_suite(suite_id, dims, SEED, trials=3, k=k)
+            with pytest.raises(PreconditionError):
+                rerun_trial(suite_id, dims, SEED, 0, k=k)
             return
+        # Trial 2 is cone-collapse's rank-deficient class, empty at 1x1.
+        report = run_suite(suite_id, dims, SEED, trials=3, k=k)
         assert report.passes == report.trials
         if suite_id in ("ppt-stability", "probe-intermediate"):
             assert report.tolerances["ppt_environment"] == "5mn"
