@@ -6,23 +6,29 @@ starting frames come in as an (R, n, k) array, every half-step is one
 matmul pair, one batched `np.linalg.eigh` and, when k > 1, one batched
 `np.linalg.qr` over the starts still running (numpy's linalg broadcasts
 over leading axes), and a start leaves the running set at the iteration
-where it converges.  At k = 1 the bottom eigenvector is already a unit
-frame: QR would only multiply it by a unit phase, which the next
-contraction F* W F cancels.  numpy and LAPACK solve each matrix of a stack
-exactly as they would solve it alone, so every start's result is
-bit-identical to a run of that start by itself, cut at the iteration
-where the stack reached the spectral floor (tests/test_kernels.py pins
-this against a looped reference).  A see-saw level stacks at most 34
-starts (32 random frames, the ground frame and the warm frame), which
-bounds the (R, k, m*m*n) contraction intermediates.
+where it converges or meets an earlier start.  At k = 1 the bottom
+eigenvector is already a unit frame: QR would only multiply it by a unit
+phase, which the next contraction F* W F cancels.  numpy and LAPACK solve
+each matrix of a stack exactly as they would solve it alone, so every
+start's result is bit-identical to a run of that start by itself, cut at
+the earlier of two iterations: the one where the stack reached the
+spectral floor, and the one where the start's frame met the frame of an
+earlier start that ran the same iteration (tests/test_kernels.py pins this
+against a looped reference).  A see-saw level stacks at most 34 starts
+(32 random frames, the ground frame and the warm frame), which bounds the
+(R, k, m*m*n) contraction intermediates.
 """
 
 import numpy as np
 
 # Every start runs for at most SEESAW_ITERS iterations, and SEESAW_FTOL is
 # the relative tolerance of both the decrease stop and the floor stop.
+# SEESAW_MEET bounds k - ||Y_a* Y_b||_F^2, the summed squared sines of the
+# principal angles between two k-column frames, below which they span one
+# subspace.
 SEESAW_ITERS = 200
 SEESAW_FTOL = 1e-13
+SEESAW_MEET = 1e-6
 
 
 def _layouts(w: np.ndarray, m: int, n: int):
@@ -70,13 +76,18 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     for y; each half-step minimizes over a superset of the current iterate, so
     the value is nonincreasing.
 
-    y0 is an (R, n, k) stack of starting frames, run as one stack.  Three
+    y0 is an (R, n, k) stack of starting frames, run as one stack.  Four
     rules stop the work:
       * a start stops at the first iteration whose decrease is below
         SEESAW_FTOL * (1 + |value|);
+      * a start stops at the first iteration where its y-frame spans the
+        subspace of an earlier start that ran that iteration, to within
+        SEESAW_MEET (see _meets_earlier);
       * the stack stops at the first iteration where its least value
         reaches the spectral floor (see at_floor);
       * a start stops after SEESAW_ITERS iterations.
+    The x-step depends on the y-frame only through its span, so two starts
+    that meet have the same future, and the earlier one runs it.
     Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
     reached), so a floor stop proves the least value optimal to within
@@ -94,6 +105,7 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     x_out = np.zeros((rows, m, k), dtype=np.complex128)
     y_out = np.zeros((rows, n, k), dtype=np.complex128)
     active = np.arange(rows)
+    earlier = ~np.tri(rows, dtype=bool)
     y_frame, _ = np.linalg.qr(y0)
     prev = np.full(rows, np.inf)
     for _ in range(SEESAW_ITERS):
@@ -107,6 +119,7 @@ def seesaw_minimize(m, n, k, w, y0, floor):
         if at_floor(val, floor):
             return values, x_out, y_out, True
         running = ~(prev - val < SEESAW_FTOL * (1.0 + np.abs(val)))
+        running &= ~_meets_earlier(y_frame, earlier[: active.size, : active.size])
         if not running.all():
             active = active[running]
             if active.size == 0:
@@ -115,6 +128,19 @@ def seesaw_minimize(m, n, k, w, y0, floor):
             val = val[running]
         prev = val
     return values, x_out, y_out, False
+
+
+def _meets_earlier(frames, earlier):
+    """Which of an (R, n, k) stack of orthonormal frames meet an earlier frame.
+
+    Frame b meets frame a when earlier[a, b] (a comes first) and
+    k - ||Y_a* Y_b||_F^2 <= SEESAW_MEET.  That norm is tr(P_a P_b) for the
+    projectors P = Y Y*, so every pair comes from one real Gram matrix of
+    the flattened projectors.
+    """
+    r, n, k = frames.shape
+    proj = (frames @ frames.conj().transpose(0, 2, 1)).reshape(r, n * n).view(np.float64)
+    return ((k - proj @ proj.T <= SEESAW_MEET) & earlier).any(axis=0)
 
 
 def _unit_frames(stack, k):

@@ -5,6 +5,7 @@ import pytest
 
 from conekit import _kernels
 from conekit.bipartite import BipartiteDims, partial_transpose
+from conekit.membership import _frame_from_vector
 from conekit.sampling import ginibre, random_vector_with_sr
 
 from conftest import DESK_DIMS, hermitian
@@ -39,7 +40,8 @@ def block_entries(k, m):
 def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
     """Reference kernel for one (n, k) start, assembling blocks entry by entry.
 
-    Returns (value, x, y, iterations run).
+    Returns one (value, x, y, frame) per iteration run, frame being the
+    orthonormal y-frame the next iteration starts from.
     """
 
     def block_vector(layout, frame, m, n):
@@ -55,32 +57,47 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
 
     y_frame = np.linalg.qr(y0)[0]
     prev = np.inf
-    for it in range(1, iters + 1):
+    history = []
+    for _ in range(iters):
         x = orthonormal(block_vector(wx, y_frame, m, n)[1])
         val, y = block_vector(wy, x, n, m)
         y_frame = orthonormal(y)
+        history.append((val, x, y, y_frame))
         if reaches_floor(val, floor, ftol) or prev - val < ftol * (1.0 + abs(val)):
             break
         prev = val
-    return val, x, y, it
+    return history
 
 
-def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor):
-    """Reference for a stacked call: every start run alone.
+def frames_meet(a, b, k, meet):
+    """Whether two orthonormal (n, k) frames span one subspace to within meet."""
+    return k - np.sum(np.abs(a.conj().T @ b) ** 2) <= meet
 
-    The stack stops at the first iteration where one of its starts reaches
-    the floor, so each start still running then is run again alone, capped
-    at that iteration.  Returns one (value, x, y, iterations run) per start.
+
+def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor, meet):
+    """Reference for a stacked call: every start run alone, then cut.
+
+    Iteration by iteration, the starts that run it are those whose own run
+    lasts that long and that no earlier cut has stopped.  A start whose
+    frame then meets the frame of an earlier such start is cut at that
+    iteration, and once one of them reaches the floor, all of them are.
+    Returns one (value, x, y, iterations run) per start.
     """
     runs = [looped_seesaw(m, n, k, wx, wy, s, iters, ftol, floor) for s in y0]
-    hits = [run[3] for run in runs if reaches_floor(run[0], floor, ftol)]
-    if not hits:
-        return runs
-    cut = min(hits)
-    return [
-        run if run[3] <= cut else looped_seesaw(m, n, k, wx, wy, s, cut, ftol, floor)
-        for run, s in zip(runs, y0)
-    ]
+    stops = [len(run) for run in runs]
+    for it in range(1, max(stops) + 1):
+        ran = [r for r, stop in enumerate(stops) if stop >= it]
+        if any(reaches_floor(runs[r][it - 1][0], floor, ftol) for r in ran):
+            for r in ran:
+                stops[r] = it
+            break
+        for later, b in enumerate(ran):
+            if any(
+                frames_meet(runs[a][it - 1][3], runs[b][it - 1][3], k, meet)
+                for a in ran[:later]
+            ):
+                stops[b] = it
+    return [run[stop - 1][:3] + (stop,) for run, stop in zip(runs, stops)]
 
 
 def run_kernel(m, n, k, w, y0, floor):
@@ -90,17 +107,24 @@ def run_kernel(m, n, k, w, y0, floor):
     return values, xs, ys, reached
 
 
+def kernel_reference(m, n, k, w, y0, floor):
+    """looped_stack at the kernel's current constants."""
+    wx, wy = _kernels._layouts(w, m, n)
+    return looped_stack(
+        m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL, floor,
+        _kernels.SEESAW_MEET,
+    )
+
+
 def assert_rows_match_looped(m, n, k, w, y0, floor):
     """Every row of a stacked run is bit-equal to the reference run alone.
 
-    The reference runs at the kernel's current SEESAW_ITERS and SEESAW_FTOL.
-    Returns the reference's iteration counts, one per start.
+    The reference runs at the kernel's current SEESAW_ITERS, SEESAW_FTOL
+    and SEESAW_MEET.  Returns the reference's iteration counts, one per
+    start.
     """
     values, xs, ys, _ = run_kernel(m, n, k, w, y0, floor)
-    wx, wy = _kernels._layouts(w, m, n)
-    runs = looped_stack(
-        m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL, floor
-    )
+    runs = kernel_reference(m, n, k, w, y0, floor)
     assert values.shape == (len(runs),)
     assert xs.shape == (len(runs), m, k) and ys.shape == (len(runs), n, k)
     for row, (val, x, y, _) in enumerate(runs):
@@ -214,6 +238,78 @@ class TestKernel:
         assert not all(reaches_floor(val, lam_min, ftol) for val in values)
         cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, ftol))
         assert max(counts) == cut
-        wx, wy = _kernels._layouts(w, m, n)
-        free = looped_stack(m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, ftol, -np.inf)
+        free = kernel_reference(m, n, k, w, y0, -np.inf)
         assert max(counts) < max(run[3] for run in free)
+
+
+class TestMeeting:
+    """A start whose frame spans an earlier running start's subspace stops."""
+
+    @staticmethod
+    def alone(m, n, k, w, start, iters=None):
+        # One start's own run: its per-iteration history, with no floor.
+        wx, wy = _kernels._layouts(w, m, n)
+        iters = _kernels.SEESAW_ITERS if iters is None else iters
+        return looped_seesaw(m, n, k, wx, wy, start, iters, _kernels.SEESAW_FTOL, -np.inf)
+
+    @staticmethod
+    def assert_row_is(result, row, state):
+        values, xs, ys, _ = result
+        val, x, y, _ = state
+        assert values[row] == val
+        assert np.array_equal(xs[row], x) and np.array_equal(ys[row], y)
+
+    @pytest.mark.parametrize("k,rotated", [(1, False), (2, False), (2, True)],
+                             ids=["k1-twice", "k2-twice", "k2-rotated"])
+    def test_same_span_stops_after_one_iteration(self, rng, k, rotated):
+        # The x-step sees the y-frame only through its span, so a frame
+        # repeated, or times a k x k unitary, has the earlier frame's
+        # future: the later row stops at iteration 1 and the earlier row
+        # runs on as if alone.
+        m, n = 3, 3
+        w = hermitian(rng, m * n)
+        frame = ginibre(rng, n, k)
+        twin = frame @ np.linalg.qr(ginibre(rng, k, k))[0] if rotated else frame
+        result = run_kernel(m, n, k, w, np.stack([frame, twin]), -np.inf)
+        first = self.alone(m, n, k, w, frame)
+        assert len(first) > 1
+        self.assert_row_is(result, 0, first[-1])
+        self.assert_row_is(result, 1, self.alone(m, n, k, w, twin, iters=1)[0])
+
+    def test_first_row_never_retired(self, dims, rng):
+        # Row 0 of a see-saw level is the ground frame: random frames that
+        # land in its basin stop, and it runs as if no start could meet.
+        m, n = dims.m, dims.n
+        retired = 0
+        for _ in range(3):
+            w = hermitian(rng, dims.total)
+            wx, wy = _kernels._layouts(w, m, n)
+            ground = np.linalg.eigh(w)[1][:, 0]
+            for k in range(1, dims.d):
+                y0 = np.concatenate(
+                    [_frame_from_vector(ground, dims, k)[None]]
+                    + [ginibre(rng, n, k)[None] for _ in range(33)]
+                )
+                result = run_kernel(m, n, k, w, y0, -np.inf)
+                free = looped_stack(
+                    m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL,
+                    -np.inf, -1.0,
+                )
+                self.assert_row_is(result, 0, free[0])
+                cut = kernel_reference(m, n, k, w, y0, -np.inf)
+                retired += sum(c[3] < f[3] for c, f in zip(cut, free))
+        assert retired > 0
+
+    def test_values_nonincreasing_per_row(self, rng, monkeypatch):
+        # Capping the stack at one more iteration never raises a row's value:
+        # a row that met an earlier one stays frozen where it stopped.
+        m, n, k = 3, 3, 2
+        w = hermitian(rng, m * n)
+        y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
+        prev = None
+        for cap in range(1, 31):
+            monkeypatch.setattr(_kernels, "SEESAW_ITERS", cap)
+            values = run_kernel(m, n, k, w, y0, -np.inf)[0]
+            if prev is not None:
+                assert np.all(values <= prev + _kernels.SEESAW_FTOL * (1.0 + np.abs(prev)))
+            prev = values

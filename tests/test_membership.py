@@ -37,7 +37,7 @@ from conekit.sampling import (
 )
 
 from conftest import hermitian
-from test_kernels import looped_stack, reaches_floor
+from test_kernels import kernel_reference, reaches_floor
 
 FAST_CFG = SeesawConfig(seed=11)
 
@@ -460,10 +460,8 @@ def looped_ladder(state, dims, k, cfg):
     is recomputed; only h, floor and ground are read from the state.
     """
     m, n = dims.m, dims.n
-    ftol, iters = _kernels.SEESAW_FTOL, _kernels.SEESAW_ITERS
     starts = membership.SEESAW_RESTARTS
     h, floor, ground = state[3:6]
-    wx, wy = _kernels._layouts(h, m, n)
     warm_v = None
     for level in range(1, k + 1):
         inits = [_frame_from_vector(ground, dims, level)]
@@ -471,7 +469,7 @@ def looped_ladder(state, dims, k, cfg):
             inits.append(_frame_from_vector(warm_v, dims, level))
         drawn = ginibre(np.random.default_rng([cfg.seed, level]), starts * n, level)
         inits += [drawn[r * n:(r + 1) * n] for r in range(starts)]
-        runs = looped_stack(m, n, level, wx, wy, np.stack(inits), iters, ftol, floor)
+        runs = kernel_reference(m, n, level, h, np.stack(inits), floor)
         best_val = np.inf
         for val, x, y, _ in runs:
             if val < best_val:
@@ -479,7 +477,7 @@ def looped_ladder(state, dims, k, cfg):
                 best_x, best_y = x, y
         warm_v = (best_x @ best_y.T).reshape(dims.total)
         warm_v = warm_v / np.linalg.norm(warm_v)
-        if reaches_floor(best_val, floor, ftol):
+        if reaches_floor(best_val, floor, _kernels.SEESAW_FTOL):
             break
     value = float(np.real(np.vdot(warm_v, h @ warm_v)))
     return value, warm_v, best_x, best_y
@@ -663,6 +661,19 @@ class TestSeesawStoppingRules:
         assert_same(min_sr_k_expectation(w, dims, 2, FAST_CFG), first)
         assert len(starts) == 5
         assert np.array_equal(starts[3], starts[0]) and np.array_equal(starts[4], starts[1])
+
+    def test_meeting_keeps_best_values(self, dims, rng, monkeypatch):
+        # Retiring starts that meet an earlier start moves no level's best
+        # value by more than 1e-12 * ||W|| from a run where no start can meet.
+        for _ in range(4):
+            w = hermitian(rng, dims.total)
+            scale = np.linalg.norm(w, 2)
+            got = [min_sr_k_expectation(w, dims, k, FAST_CFG)[0] for k in range(1, dims.d)]
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "SEESAW_MEET", -1.0)
+                patch.setattr(membership, "_last_ladder", None)
+                free = [min_sr_k_expectation(w, dims, k, FAST_CFG)[0] for k in range(1, dims.d)]
+            assert np.allclose(got, free, rtol=0, atol=1e-12 * scale)
 
 
 class TestLadderMemo:
