@@ -269,20 +269,43 @@ def lift_product_to_target(
     and U = B_w B_{u(x)v}*, which sends the first column of one basis to
     the first column of the other, so the image of the product vector is
     exact up to rounding.  norm_tol must lie in (0, 1).
+
+    The two factors of U are built apart: `_source_adjoint` checks u and v
+    and returns B_{u(x)v}*, and `_lift_from` checks w and multiplies.  A
+    caller that lifts one product vector onto many targets builds the
+    source factor once; every U it gets has the bits this function returns.
+    Refusals come in this order: norm_tol, w's shape and finiteness, u and
+    v's shapes, their finiteness, then the unit norms of u, v and w.
     """
+    _check_tol(norm_tol)
+    w = as_vector(dims, w)
+    return _lift_from(_source_adjoint(u, v, dims, norm_tol), w, dims, norm_tol)
+
+
+def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
+    # B_{u(x)v}*, the right factor of every lift of u (x) v, after the
+    # checks on u, v and norm_tol.
     _check_tol(norm_tol)
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
-    w = as_vector(dims, w)
     if u.shape != (dims.m,) or v.shape != (dims.n,):
         raise DimError("u must live in C^m and v in C^n")
     u, v = _finite(u), _finite(v)
-    for name, vec in (("u", u), ("v", v), ("w", w)):
+    for name, vec in (("u", u), ("v", v)):
         if abs(np.linalg.norm(vec) - 1.0) > norm_tol:
             raise NormError(f"{name} must be a unit vector")
     source = product_vec(u, v)
-    source = source / np.linalg.norm(source)
-    target = w / np.linalg.norm(w)
-    b_source = complete_orthonormal_basis(source)
-    b_target = complete_orthonormal_basis(target)
-    return b_target @ b_source.conj().T
+    return complete_orthonormal_basis(source / np.linalg.norm(source)).conj().T
+
+
+def _lift_from(
+    b_source_adjoint: np.ndarray, w, dims: BipartiteDims, norm_tol: float
+) -> np.ndarray:
+    # The lift onto w from a source factor built by `_source_adjoint`.
+    # Each w is normalized by the norm of the 1-d vector itself: row norms
+    # of a stack sum in another order and move the last bits.
+    w = as_vector(dims, w)
+    norm = np.linalg.norm(w)
+    if abs(norm - 1.0) > norm_tol:
+        raise NormError("w must be a unit vector")
+    return complete_orthonormal_basis(w / norm) @ b_source_adjoint

@@ -363,8 +363,17 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
 
 
 def conic_scale(combo: ConicCombination) -> np.ndarray:
-    """Evaluate the nonnegative combination sum_j lambda_j X_j."""
-    weights = np.asarray(combo.weights, dtype=np.float64)
+    """Evaluate the nonnegative combination sum_j lambda_j X_j.
+
+    The weights must be integers or real floats; a complex, boolean, string
+    or object weight is refused, not cast.
+    """
+    weights = np.asarray(combo.weights)
+    if weights.dtype.kind not in "iuf":
+        raise PreconditionError(
+            f"conic weights must be real numbers, got dtype {weights.dtype}"
+        )
+    weights = weights.astype(np.float64, copy=False)
     if weights.ndim != 1 or weights.shape[0] != len(combo.terms):
         raise DimError("need exactly one weight per term")
     _finite(weights)

@@ -25,6 +25,8 @@ from .bipartite import (
     BipartiteDims,
     _check_tol,
     _is_int,
+    _lift_from,
+    _source_adjoint,
     as_matrix,
     basis_vec,
     complete_orthonormal_basis,
@@ -210,12 +212,15 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
     v = random_unit_vector(rng, dims.n)
     x0 = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
+    # Every term lifts the same u (x) v, so its basis is built and checked
+    # once; each lift has the bits of lift_product_to_target(u, v, ...).
+    b_source_adjoint = _source_adjoint(u, v, dims, DEFAULT_TOL)
     weights = []
     terms = []
     for j in range(total):
         if evals[j] <= 1e-12:
             continue
-        unitary = lift_product_to_target(u, v, evecs[:, j], dims)
+        unitary = _lift_from(b_source_adjoint, evecs[:, j], dims, DEFAULT_TOL)
         weights.append(float(evals[j]))
         terms.append(unitary @ x0 @ unitary.conj().T)
     rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))

@@ -310,6 +310,44 @@ class TestLift:
         with pytest.raises(PreconditionError, match="NaN or infinite"):
             lift_product_to_target(vecs["u"], vecs["v"], bell(d), d)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_target_refused(self, bad):
+        d = BipartiteDims(2, 3)
+        w = bell(d)
+        w[1] = bad
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            lift_product_to_target(basis_vec(2, 0), basis_vec(3, 0), w, d)
+
+    def test_non_unit_target_refused(self, dims):
+        u, v = basis_vec(dims.m, 0), basis_vec(dims.n, 0)
+        with pytest.raises(NormError, match="w must be a unit vector"):
+            lift_product_to_target(u, v, 2.0 * max_entangled_vector(dims), dims)
+
+    @pytest.mark.parametrize(
+        "u,w,norm_tol,error,match",
+        [
+            ("2e0", "len3", 1e-9, DimError, "expected vector of length 4"),
+            ("len3", "2e0", 1e-9, DimError, r"u must live in C\^m and v in C\^n"),
+            ("2e0", "2e0", 1e-9, NormError, "u must be a unit vector"),
+            ("len3", "nan", 1e-9, PreconditionError, "NaN or infinite"),
+            ("nan", "2e0", 1e-9, PreconditionError, "NaN or infinite"),
+            ("2e0", "len3", 1.5, PreconditionError, r"tol must lie in \(0, 1\)"),
+        ],
+        ids=["w-shape", "u-shape", "u-norm", "w-finite", "u-finite", "tol"],
+    )
+    def test_refusal_order(self, u, w, norm_tol, error, match):
+        # With several faults the first in this order is reported: norm_tol,
+        # w's shape and finiteness, u and v's shapes, their finiteness, then
+        # the unit norms of u, v and w.  e0 is the first basis vector.
+        d = BipartiteDims(2, 2)
+
+        def vec(kind, dim):
+            return {"2e0": 2.0 * basis_vec(dim, 0), "len3": np.ones(3) / np.sqrt(3.0),
+                    "nan": np.full(dim, np.nan)}[kind]
+
+        with pytest.raises(error, match=match):
+            lift_product_to_target(vec(u, 2), basis_vec(2, 0), vec(w, 4), d, norm_tol)
+
     def test_loose_norm_tol_refused(self):
         # At norm_tol = 1.5 a zero u would pass the unit-norm test.
         d = BipartiteDims(2, 2)

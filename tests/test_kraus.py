@@ -646,6 +646,24 @@ class TestConicScale:
             with pytest.raises(PreconditionError):
                 conic_scale(combo)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1 + 1j]), [1 + 1j], np.array([1 + 0j]), [True], ["1"],
+         np.array([1.0], dtype=object)],
+        ids=["complex-array", "complex-list", "complex-zero-imag", "bool", "str", "object"],
+    )
+    def test_non_real_weight_refused(self, dims, bad):
+        combo = ConicCombination(dims, bad, [np.eye(dims.total)])
+        with pytest.raises(PreconditionError, match="real numbers"):
+            conic_scale(combo)
+
+    @pytest.mark.parametrize(
+        "weights", [[2], np.array([2], dtype=np.uint8), np.array([2.0], dtype=np.float32)]
+    )
+    def test_integer_and_real_float_weights_accepted(self, dims, weights):
+        combo = ConicCombination(dims, weights, [np.eye(dims.total)])
+        assert np.array_equal(conic_scale(combo), 2.0 * np.eye(dims.total))
+
     def test_length_mismatch(self, dims):
         combo = ConicCombination(dims, np.array([1.0, 2.0]), [np.eye(dims.total)])
         with pytest.raises(DimError):

@@ -21,9 +21,9 @@ from conekit import (
     suite_witness_not_cstar,
     validate,
 )
-from conekit import kraus
+from conekit import ConicCombination, conic_scale, kron, kraus, lift_product_to_target, suites
 from conekit.matio import canonical_dumps
-from conekit.sampling import random_ppt
+from conekit.sampling import ginibre, random_ppt, random_psd, random_unit_vector
 from conekit.suites import structured_exact_family
 
 SEED = 20240817
@@ -150,6 +150,56 @@ class TestDeterminism:
         obj = report.to_obj(include_wall_time=True)
         assert "wall_time" in obj
         assert "wall_time" not in report.to_obj(include_wall_time=False)
+
+
+def _cone_collapse_looped(rng, t, dims):
+    # The cone-collapse trial with one public lift per kept eigenvector.
+    total = dims.total
+    if t == 0:
+        y = np.eye(total, dtype=np.complex128)
+    elif t == 1:
+        y = np.zeros((total, total), dtype=np.complex128)
+    elif t % 5 == 2 and total > 1:
+        rank = int(rng.integers(1, total))
+        g = ginibre(rng, total, rank)
+        y = (g @ g.conj().T) * rng.uniform(0.5, 2.0)
+    else:
+        y = random_psd(rng, total) * rng.uniform(0.5, 2.0)
+    u = random_unit_vector(rng, dims.m)
+    v = random_unit_vector(rng, dims.n)
+    x0 = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
+    weights, terms = [], []
+    for j in range(total):
+        if evals[j] <= 1e-12:
+            continue
+        unitary = lift_product_to_target(u, v, evecs[:, j], dims)
+        weights.append(float(evals[j]))
+        terms.append(unitary @ x0 @ unitary.conj().T)
+    rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))
+    residual = float(np.linalg.norm(rebuilt - y))
+    ok = residual <= suites.RESIDUAL_BOUND
+    return ok, residual, None if ok else {"terms": len(terms)}
+
+
+class TestConeCollapseBits:
+    # Trial 0 is the identity (its eigenvectors are basis vectors, some
+    # with a zero first entry), trial 1 the empty combination, and trials
+    # 2 and 7 the rank-deficient class.
+    @pytest.mark.parametrize(
+        "m,n,seeds",
+        [(1, 1, (0, 7, SEED)), (1, 3, (0, 7, SEED)), (2, 2, (0, 7, SEED)),
+         (2, 3, (0, 7, SEED)), (3, 3, (0, 7, SEED)), (4, 4, (0, 7)),
+         (4, 5, (0, 7)), (8, 8, (0,))],
+    )
+    def test_trial_matches_one_public_lift_per_term(self, m, n, seeds):
+        dims = BipartiteDims(m, n)
+        for seed in seeds:
+            for t in range(10):
+                got = suites._trial_cone_collapse(suites._trial_rng(seed, t), t, dims, 1e-9)
+                want = _cone_collapse_looped(suites._trial_rng(seed, t), t, dims)
+                assert got == want, (seed, t)
+                assert got[0]
 
 
 class TestRerun:
