@@ -41,9 +41,18 @@ class BipartiteDims:
         return self.m * self.n
 
 
+def _as_complex(x) -> np.ndarray:
+    # numpy's own ValueError or TypeError on non-numeric or ragged input
+    # becomes a refusal.
+    try:
+        return np.asarray(x, dtype=np.complex128)
+    except (ValueError, TypeError) as exc:
+        raise PreconditionError(f"input is not a numeric array: {exc}") from exc
+
+
 def as_vector(dims: BipartiteDims, v) -> np.ndarray:
     """Coerce to a finite complex vector of length dims.total."""
-    arr = np.asarray(v, dtype=np.complex128)
+    arr = _as_complex(v)
     if arr.shape != (dims.total,):
         raise DimError(f"expected vector of length {dims.total}, got shape {arr.shape}")
     return _finite(arr)
@@ -51,7 +60,7 @@ def as_vector(dims: BipartiteDims, v) -> np.ndarray:
 
 def as_matrix(dims: BipartiteDims, x) -> np.ndarray:
     """Coerce to a finite complex square matrix of side dims.total."""
-    arr = np.asarray(x, dtype=np.complex128)
+    arr = _as_complex(x)
     if arr.shape != (dims.total, dims.total):
         raise DimError(
             f"expected {dims.total}x{dims.total} matrix, got shape {arr.shape}"
@@ -69,8 +78,8 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices, row-major index pairing."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a = _as_complex(a)
+    b = _as_complex(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimError(f"first factor must be square, got shape {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -83,8 +92,8 @@ def kron(a, b) -> np.ndarray:
 
 def product_vec(u, v) -> np.ndarray:
     """The simple tensor u (x) v as a flat vector."""
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    u = _as_complex(u)
+    v = _as_complex(v)
     if u.ndim != 1 or v.ndim != 1:
         raise DimError("product_vec expects two 1-d vectors")
     return (u[:, None] * v[None, :]).reshape(-1)
@@ -142,9 +151,23 @@ def _realign(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return a.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
 
 
-def _rank_from_singulars(s: np.ndarray, tol: float) -> int:
-    # Conservative: values at the cutoff count as nonzero.
-    return int(np.count_nonzero(s >= tol * s[0]))
+def _rank_from_singulars(s: np.ndarray, tol: float):
+    # The one rank rule of every Schmidt and operator Schmidt rank: singular
+    # values at or above tol times the largest count, so values at the
+    # cutoff count as nonzero.  s is one nonincreasing spectrum (an int is
+    # returned) or a stack of them on the last axis (an array of counts).
+    # count_nonzero with an axis is a slow Python path, and sr and osr take
+    # the 1-d branch on every call.
+    if s.ndim == 1:
+        return int(np.count_nonzero(s >= tol * s[0]))
+    return np.add.reduce(s >= tol * s[..., :1], axis=-1)
+
+
+def _schmidt_ranks(vecs: np.ndarray, dims: BipartiteDims, tol: float) -> list[int]:
+    # The Schmidt rank of each row of an already coerced (k, mn) stack of
+    # nonzero vectors, from one stacked SVD of their (m, n) reshapes.
+    singulars = np.linalg.svd(vecs.reshape(-1, dims.m, dims.n), compute_uv=False)
+    return _rank_from_singulars(singulars, tol).tolist()
 
 
 def _check_tol(tol: float):
@@ -286,8 +309,8 @@ def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
     # B_{u(x)v}*, the right factor of every lift of u (x) v, after the
     # checks on u, v and norm_tol.
     _check_tol(norm_tol)
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    u = _as_complex(u)
+    v = _as_complex(v)
     if u.shape != (dims.m,) or v.shape != (dims.n,):
         raise DimError("u must live in C^m and v in C^n")
     u, v = _finite(u), _finite(v)

@@ -18,11 +18,13 @@ import numpy as np
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _as_complex,
     _check_tol,
     _finite,
     _is_int,
     _rank_from_singulars,
     _realign,
+    _schmidt_ranks,
     as_matrix,
     as_vector,
     basis_vec,
@@ -110,14 +112,17 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
     """The OSR of each coerced operator, OSR_BATCH realignments per SVD.
 
     Each rank follows `osr`'s rule (singular values at or above tol times
-    the largest); zero operators are allowed and contribute rank 0.
+    the largest); zero operators are allowed and contribute rank 0.  An
+    operator is zero when its largest singular value is: a Frobenius norm
+    underflows to 0 for entries below about 1e-154, and would read a tiny
+    nonzero operator as rank 0.
     """
     ranks = []
     for start in range(0, len(ops), OSR_BATCH):
         stack = np.stack(ops[start:start + OSR_BATCH])
         singulars = np.linalg.svd(_realign(stack, dims), compute_uv=False)
-        zero = np.linalg.norm(stack, axis=(1, 2)) == 0.0
-        ranks += [0 if z else _rank_from_singulars(s, tol) for z, s in zip(zero, singulars)]
+        nonzero = singulars[:, 0] > 0.0
+        ranks += np.where(nonzero, _rank_from_singulars(singulars, tol), 0).tolist()
     return ranks
 
 
@@ -179,8 +184,12 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
 
     The operators are converted once: `validate` coerces and checks that very
     list, and the sum conjugates it, so no operator is checked twice.
+    `validate` covers every operator, whatever its input.  An input that is
+    exactly zero is coerced and checked like any other, but its term is not
+    multiplied out: it adds nothing, so an entry of the sum that is -0.0
+    stays -0.0 where adding the zero term would have made it +0.0.
     """
-    ops = [np.asarray(a, dtype=np.complex128) for a in family.ops]
+    ops = [_as_complex(a) for a in family.ops]
     report = validate(replace(family, ops=ops), tol)
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
@@ -194,7 +203,8 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
     out = np.zeros((total, total), dtype=np.complex128)
     for a, x in zip(ops, inputs):
         x = as_matrix(family.dims, x)
-        out += a.conj().T @ x @ a
+        if x.any():
+            out += a.conj().T @ x @ a
     return out, report
 
 
@@ -265,14 +275,22 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
     decides contractivity: a least eigenvalue below -1e-9 is refused.  Each
     retained mode (eigenvalue above 1e-12), largest first, becomes
     sqrt(mu_j) e_j u_j* on the standard product basis vector e_j.  The
-    appended operators have OSR equal to the Schmidt rank of their
-    eigenvector, so the certified bound of the result is recomputed rather
-    than inherited.
+    certified bound of the result is recomputed rather than inherited: the
+    partial operators' OSRs come from their realignment SVDs, and each
+    appended operator's OSR is the Schmidt rank of its eigenvector u_j.
     """
     _check_tol(tol)
     dims = partial.dims
-    total = dims.total
     ops = [as_matrix(dims, a) for a in partial.ops]
+    return _completed(dims, ops, _op_ranks(dims, ops, tol), partial.seed, tol)
+
+
+def _completed(dims: BipartiteDims, ops: list, ranks: list, seed, tol: float) -> KrausFamily:
+    # The completion of coerced operators whose OSRs the caller has already
+    # certified (ranks, one per operator).  An appended sqrt(mu) e_j u* has
+    # OSR = SR(e_j) SR(u) = SR(u), so its rank comes from one stacked SVD of
+    # the kept eigenvectors' (m, n) reshapes instead of a realignment SVD.
+    total = dims.total
     remainder = np.eye(total) - _normalization_sum(dims, ops)
     evals, evecs = np.linalg.eigh((remainder + remainder.conj().T) / 2.0)
     if evals[0] < -CONTRACTIVE_EXCESS_BOUND:
@@ -286,9 +304,9 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
     appended = [
         np.sqrt(mu) * np.outer(basis_vec(total, j), u.conj()) for j, (mu, u) in enumerate(modes)
     ]
-    ops = ops + appended
-    bound = max(max(_op_ranks(dims, ops, tol)), 1)
-    return KrausFamily(dims, ops, Mode.EXACT, osr_bound=bound, seed=partial.seed)
+    kept = np.array([u for _, u in modes]).reshape(len(modes), total)
+    bound = max([1, *ranks, *_schmidt_ranks(kept, dims, tol)])
+    return KrausFamily(dims, ops + appended, Mode.EXACT, osr_bound=bound, seed=seed)
 
 
 def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
@@ -298,6 +316,12 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     I/(c^2 M), completed to an exact family with zero-matrix inputs on the
     completion operators.  Every coefficient is rank-one, hence of OSR at
     most d, and apply(family, inputs) reproduces vv*.
+
+    No realignment SVD runs here: c e_i v* has OSR = SR(v), and each
+    completion operator the Schmidt rank of its eigenvector (see
+    `complete_to_identity`), so the bound comes from Schmidt ranks alone.
+    `validate`, which `apply` runs, takes the one realignment pass over
+    every operator.
     """
     _check_tol(tol)
     v = as_vector(dims, v)
@@ -306,8 +330,8 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     total = dims.total
     c = 1.0 / np.sqrt(2.0 * total)
     scaled = [c * np.outer(basis_vec(total, i), v.conj()) for i in range(total)]
-    partial = KrausFamily(dims, scaled, Mode.EXACT)
-    family = complete_to_identity(partial, tol=tol)
+    rank = _schmidt_ranks(v[None], dims, tol)[0]
+    family = _completed(dims, scaled, [rank] * total, None, tol)
     shared_input = np.eye(total, dtype=np.complex128) / (c * c * total)
     zero = np.zeros((total, total), dtype=np.complex128)
     inputs = [shared_input] * total + [zero] * (len(family.ops) - total)
@@ -366,13 +390,25 @@ def conic_scale(combo: ConicCombination) -> np.ndarray:
     """Evaluate the nonnegative combination sum_j lambda_j X_j.
 
     The weights must be integers or real floats; a complex, boolean, string
-    or object weight is refused, not cast.
+    or object weight is refused, not cast, and so is a list that numpy
+    cannot make into one array.  A bool inside a list of numbers is refused
+    too, although numpy would promote it to 0 or 1.
     """
-    weights = np.asarray(combo.weights)
+    try:
+        weights = np.asarray(combo.weights)
+    except (ValueError, TypeError) as exc:
+        raise PreconditionError(f"conic weights must be real numbers: {exc}") from exc
     if weights.dtype.kind not in "iuf":
         raise PreconditionError(
             f"conic weights must be real numbers, got dtype {weights.dtype}"
         )
+    # The dtype of a list is its promoted one, so each entry is looked at too.
+    if (
+        not isinstance(combo.weights, np.ndarray)
+        and weights.ndim == 1
+        and any(np.asarray(w).dtype.kind == "b" for w in combo.weights)
+    ):
+        raise PreconditionError("conic weights must be real numbers, got a bool")
     weights = weights.astype(np.float64, copy=False)
     if weights.ndim != 1 or weights.shape[0] != len(combo.terms):
         raise DimError("need exactly one weight per term")

@@ -378,8 +378,9 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     else:
         v = random_unit_vector(rng, total)
     family, inputs = collapse_construction(v, dims)
-    # Validation checks every operator's OSR against the bound that
-    # complete_to_identity certified as the largest of those same ranks.
+    # Validation checks every operator's OSR, by the one realignment pass
+    # over the family, against the bound collapse_construction certified
+    # from Schmidt ranks.
     out, validation = _validated_image(family, inputs, DEFAULT_TOL)
     norm_residual = validation.certificate["normalization_residual"]
     out_residual = float(np.linalg.norm(out - np.outer(v, v.conj())))

@@ -19,7 +19,7 @@ from conekit import (
     sr,
     swap_operator,
 )
-from conekit.bipartite import complete_orthonormal_basis
+from conekit.bipartite import _schmidt_ranks, as_matrix, as_vector, complete_orthonormal_basis
 from conekit.sampling import (
     ginibre,
     random_operator_with_osr,
@@ -163,6 +163,23 @@ class TestSchmidt:
         for r in range(1, dims.d + 1):
             v = random_vector_with_sr(rng, dims, r)
             assert sr(v, dims) == r
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 3), (4, 5), (8, 8)])
+    def test_stacked_ranks_match_sr(self, m, n):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n])
+        vecs = [random_vector_with_sr(rng, d, r) for r in range(1, d.d + 1)]
+        vecs += [random_unit_vector(rng, d.total) for _ in range(3)]
+        ranks = _schmidt_ranks(np.array(vecs), d, 1e-9)
+        assert ranks == [sr(v, d) for v in vecs]
+        assert ranks[: d.d] == list(range(1, d.d + 1))
+        assert all(type(r) is int for r in ranks)
+        assert _schmidt_ranks(np.zeros((0, d.total), dtype=complex), d, 1e-9) == []
+
+    def test_rank_is_a_python_int(self, dims, rng):
+        v = random_unit_vector(rng, dims.total)
+        assert type(schmidt_decompose(v, dims).rank) is int
+        assert type(op_schmidt_decompose(np.outer(v, v), dims).rank) is int
 
 
 class TestOperatorSchmidt:
@@ -382,3 +399,21 @@ class TestToleranceRefused:
     def test_samplers_refuse_ranks_outside_range(self, rng, sampler, rank):
         with pytest.raises(PreconditionError, match=r"must lie in \[1, 2\]"):
             sampler(rng, BipartiteDims(2, 2), rank)
+
+
+class TestNonNumericRefused:
+    # numpy's own ValueError or TypeError must not escape as a bare error.
+    @pytest.mark.parametrize(
+        "bad", ["x", [1.0, "x", 0.0, 0.0], [[1.0], [2.0, 3.0]], {"a": 1}], ids=repr
+    )
+    def test_coercions_refuse(self, bad):
+        d = BipartiteDims(2, 2)
+        for call in (
+            lambda: as_vector(d, bad),
+            lambda: as_matrix(d, bad),
+            lambda: kron(bad, np.eye(2)),
+            lambda: product_vec(bad, basis_vec(2, 0)),
+            lambda: lift_product_to_target(bad, basis_vec(2, 0), bell(d), d),
+        ):
+            with pytest.raises(PreconditionError, match="not a numeric array"):
+                call()

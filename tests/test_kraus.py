@@ -34,7 +34,7 @@ from conekit import (
     witness_conjugation,
 )
 from conekit import bipartite, kraus
-from conekit.kraus import OSR_BATCH, _op_ranks
+from conekit.kraus import OSR_BATCH, _op_ranks, _validated_image
 from conekit.sampling import (
     haar_unitary,
     random_operator_with_osr,
@@ -226,6 +226,15 @@ class TestOpRanks:
         ranks = _op_ranks(d, ops, 1e-9)
         assert ranks == _osr_loop(d, ops)
         assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
+
+    def test_tiny_nonzero_operator_is_not_rank_zero(self):
+        # Its Frobenius norm underflows to 0; its singular values do not.
+        d = BipartiteDims(2, 2)
+        tiny = 1e-170 * haar_unitary(np.random.default_rng(3), d.total)
+        assert np.linalg.norm(np.stack([tiny]), axis=(1, 2))[0] == 0.0
+        assert _op_ranks(d, [tiny], 1e-9) == [d.total]
+        fam = family_of(d, [np.eye(d.total), tiny], Mode.CONTRACTIVE, osr_bound=1)
+        assert validate(fam).verdict is Verdict.OUT
 
     def test_matches_osr_loop_on_seeded_families(self, dims):
         for seed in range(6):
@@ -442,6 +451,111 @@ class TestCollapseConstruction:
             collapse_construction(np.ones(dims.total), dims)
 
 
+COLLAPSE_DIMS = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (4, 5), (8, 8)]
+
+
+def _collapse_targets(dims):
+    rng = np.random.default_rng([dims.m, dims.n, 11])
+    targets = {
+        "e0f0": product_vec(basis_vec(dims.m, 0), basis_vec(dims.n, 0)),
+        "max_entangled": max_entangled_vector(dims),
+        "random": random_unit_vector(rng, dims.total),
+    }
+    for k in range(1, dims.d + 1):
+        targets[f"sr{k}"] = random_vector_with_sr(rng, dims, k)
+    return targets
+
+
+class TestCollapseRankPass:
+    @pytest.mark.parametrize("m,n", COLLAPSE_DIMS)
+    def test_closed_form_ranks_match_realignment(self, m, n, monkeypatch):
+        dims = BipartiteDims(m, n)
+        seen = {}
+        real_completed, real_schmidt_ranks = kraus._completed, kraus._schmidt_ranks
+
+        def completed(dims, ops, ranks, seed, tol):
+            seen["given"] = list(ranks)
+            return real_completed(dims, ops, ranks, seed, tol)
+
+        def schmidt_ranks(vecs, dims, tol):
+            # The last call is _completed's, over the kept eigenvectors.
+            seen["appended"] = real_schmidt_ranks(vecs, dims, tol)
+            return seen["appended"]
+
+        monkeypatch.setattr(kraus, "_completed", completed)
+        monkeypatch.setattr(kraus, "_schmidt_ranks", schmidt_ranks)
+        for name, v in _collapse_targets(dims).items():
+            fam, _ = collapse_construction(v, dims)
+            realigned = _op_ranks(dims, fam.ops, 1e-9)
+            assert seen["given"] + seen["appended"] == realigned, name
+            assert fam.osr_bound == max(realigned), name
+
+    def test_collapse_takes_no_realignment_svd(self, dims, rng, monkeypatch):
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            shapes.append(a.shape[-2:])
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        collapse_construction(random_unit_vector(rng, dims.total), dims)
+        assert shapes and all(shape == (dims.m, dims.n) for shape in shapes)
+
+    @pytest.mark.parametrize("m,n,k", [(3, 3, 2), (4, 5, 2), (4, 5, 3), (8, 8, 5)])
+    def test_public_completion_bound_is_max_realigned_rank(self, m, n, k):
+        dims = BipartiteDims(m, n)
+        for seed in range(3):
+            fam = random_family(dims, 3, k, Mode.EXACT, seed=seed)
+            assert fam.osr_bound == max(_op_ranks(dims, fam.ops, 1e-9))
+
+    def test_public_completion_ignores_a_declared_bound(self, dims, rng):
+        ops = [random_operator_with_osr(rng, dims, dims.d) / (2 * dims.total)]
+        fam = complete_to_identity(KrausFamily(dims, ops, Mode.EXACT, osr_bound=1))
+        assert fam.osr_bound == max(_op_ranks(dims, fam.ops, 1e-9))
+        assert fam.osr_bound > 1
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 3), (3, 3), (8, 8)])
+    def test_zero_inputs_match_every_term_multiplied(self, m, n):
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 5])
+        v = random_unit_vector(rng, dims.total)
+        families = [collapse_construction(v, dims)]
+        fam = random_family(dims, 4, dims.d, Mode.EXACT, seed=3)
+        zero = np.zeros((dims.total, dims.total))
+        mixed = [random_psd(rng, dims.total), zero, -0.0 * np.eye(dims.total), zero]
+        families.append((fam, mixed))
+        for fam, inputs in families:
+            out, report = _validated_image(fam, inputs, 1e-9)
+            ref = np.zeros((dims.total, dims.total), dtype=np.complex128)
+            for a, x in zip(fam.ops, inputs):
+                ref += a.conj().T @ np.asarray(x, dtype=np.complex128) @ a
+            assert np.array_equal(out, ref)
+            assert report.verdict is Verdict.IN
+
+    @pytest.mark.parametrize("change", ["rotate", "scale"])
+    def test_operator_with_zero_input_still_validated(self, dims, rng, change):
+        v = product_vec(basis_vec(dims.m, 0), basis_vec(dims.n, 0))
+        fam, inputs = collapse_construction(v, dims)
+        assert fam.osr_bound == 1
+        last = len(fam.ops) - 1
+        assert not inputs[last].any()
+        if change == "rotate":
+            fam.ops[last] = haar_unitary(rng, dims.total) @ fam.ops[last]
+            invariant = "osr_bound"
+        else:
+            fam.ops[last] = 2.0 * fam.ops[last]
+            invariant = "exact_normalization"
+        with pytest.raises(PreconditionError, match=invariant):
+            apply_family(fam, inputs)
+
+    def test_bad_zero_input_still_refused(self, dims):
+        fam, inputs = collapse_construction(max_entangled_vector(dims), dims)
+        inputs[-1] = np.zeros((dims.total + 1, dims.total + 1))
+        with pytest.raises(DimError):
+            apply_family(fam, inputs)
+
+
 class TestEmbedSchmidtK:
     def test_product_vector(self, dims, rng):
         v = random_product_vector(rng, dims)
@@ -654,6 +768,26 @@ class TestConicScale:
     )
     def test_non_real_weight_refused(self, dims, bad):
         combo = ConicCombination(dims, bad, [np.eye(dims.total)])
+        with pytest.raises(PreconditionError, match="real numbers"):
+            conic_scale(combo)
+
+    @pytest.mark.parametrize(
+        "bad", [[1, True], [1.5, np.True_], (2, False), [np.array(True), 1]], ids=repr
+    )
+    def test_bool_among_numbers_refused(self, bad):
+        d = BipartiteDims(1, 1)
+        combo = ConicCombination(d, bad, [[[1.0]]] * len(bad))
+        with pytest.raises(PreconditionError, match="got a bool"):
+            conic_scale(combo)
+
+    def test_non_numeric_term_refused(self):
+        combo = ConicCombination(BipartiteDims(1, 1), [1.0, 2.0], [[[1.0]], "x"])
+        with pytest.raises(PreconditionError, match="not a numeric array"):
+            conic_scale(combo)
+
+    @pytest.mark.parametrize("bad", [[[1], [2, 3]], [1.0, [2.0]]], ids=repr)
+    def test_ragged_weights_refused(self, bad):
+        combo = ConicCombination(BipartiteDims(1, 1), bad, [[[1.0]]] * 2)
         with pytest.raises(PreconditionError, match="real numbers"):
             conic_scale(combo)
 
