@@ -221,10 +221,11 @@ def schmidt_decompose(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> Schmi
     """Schmidt decomposition of a bipartite vector via SVD of its (m, n) reshape."""
     _check_tol(tol)
     v = as_vector(dims, v)
-    if np.linalg.norm(v) == 0.0:
+    u, s, vh = np.linalg.svd(v.reshape(dims.m, dims.n), full_matrices=False)
+    # Zero is read off the largest singular value: the norm underflows to 0
+    # for nonzero entries below about 1e-162.
+    if s[0] == 0.0:
         raise ZeroInputError("cannot Schmidt-decompose the zero vector")
-    coeff_matrix = v.reshape(dims.m, dims.n)
-    u, s, vh = np.linalg.svd(coeff_matrix, full_matrices=False)
     return SchmidtDecomp(
         dims=dims,
         coeffs=s,
@@ -241,9 +242,10 @@ def op_schmidt_decompose(
     """Operator Schmidt decomposition via SVD of the realignment matrix."""
     _check_tol(tol)
     a = as_matrix(dims, a)
-    if np.linalg.norm(a) == 0.0:
-        raise ZeroInputError("cannot decompose the zero operator")
     u, s, vh = np.linalg.svd(_realign(a, dims), full_matrices=False)
+    # As in schmidt_decompose: zero by the largest singular value, not the norm.
+    if s[0] == 0.0:
+        raise ZeroInputError("cannot decompose the zero operator")
     m, n = dims.m, dims.n
     r = s.shape[0]
     return OpSchmidtDecomp(

@@ -184,9 +184,12 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
 
     The operators are converted once: `validate` coerces and checks that very
     list, and the sum conjugates it, so no operator is checked twice.
-    `validate` covers every operator, whatever its input.  An input that is
-    exactly zero is coerced and checked like any other, but its term is not
-    multiplied out: it adds nothing, so an entry of the sum that is -0.0
+    `validate` covers every operator, whatever its input.  Each distinct
+    input object is coerced and checked once, at its first slot, so the
+    first bad input still raises first.  The table keyed by `id` holds each
+    object for the call, so no id is reused, and dies with the call.  An
+    input that is exactly zero is checked like any other, but its term is
+    not multiplied out: it adds nothing, so an entry of the sum that is -0.0
     stays -0.0 where adding the zero term would have made it +0.0.
     """
     ops = [_as_complex(a) for a in family.ops]
@@ -201,9 +204,13 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
         )
     total = family.dims.total
     out = np.zeros((total, total), dtype=np.complex128)
+    checked = {}  # id(input) -> (input, coerced, nonzero)
     for a, x in zip(ops, inputs):
-        x = as_matrix(family.dims, x)
-        if x.any():
+        if id(x) not in checked:
+            arr = as_matrix(family.dims, x)
+            checked[id(x)] = (x, arr, bool(arr.any()))
+        _, x, nonzero = checked[id(x)]
+        if nonzero:
             out += a.conj().T @ x @ a
     return out, report
 

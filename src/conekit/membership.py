@@ -130,17 +130,25 @@ def is_separable_decidable(
 ) -> MembershipReport:
     """Separability in the regimes where it is decidable.
 
-    For mn <= 6 the PPT criterion is exact.  Beyond that, rank-one matrices
-    are decided through the Schmidt rank of their range vector, a failed PPT
-    test is a sound rejection, and everything else is Indeterminate.
+    One `eigh` of the Hermitian part comes first; a least eigenvalue below
+    -tol is refused as not PSD.  Then, in this order:
+
+    - mn <= 6: the PPT criterion is exact, and decides.
+    - mn > 6, numeric rank one: the Schmidt rank of the range vector
+      decides (SR 1 is In, more is Out), with the vector as certificate.
+    - otherwise: the PPT test runs, and a failed one is a sound rejection
+      with its `ppt_side` certificate; a passed one is Indeterminate.
+
+    The partial transpose and its `eigh` run only on the first and last
+    branches, where their result is read.
     """
     h = hermitian_part(x, dims, tol)
     evals, evecs = np.linalg.eigh(h)
     if evals[0] < -tol:
         raise PreconditionError(f"input is not PSD (min eigenvalue {evals[0]:.3e})")
 
-    ppt = _ppt_report(h, evals, evecs, dims, tol)
     if dims.total <= 6:
+        ppt = _ppt_report(h, evals, evecs, dims, tol)
         cert = dict(ppt.certificate, decided_by="ppt_criterion")
         return MembershipReport(ppt.verdict, ppt.min_eig, tol, cert)
 
@@ -152,6 +160,7 @@ def is_separable_decidable(
         cert = {"kind": "range_vector", "vector": vec, "sr": rank}
         verdict = Verdict.IN if rank == 1 else Verdict.OUT
         return MembershipReport(verdict, float(evals[0]), tol, cert)
+    ppt = _ppt_report(h, evals, evecs, dims, tol)
     if ppt.verdict is Verdict.OUT:
         return MembershipReport(Verdict.OUT, ppt.min_eig, tol, ppt.certificate)
     return MembershipReport(Verdict.INDETERMINATE, float(evals[0]), tol, None)

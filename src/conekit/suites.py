@@ -210,19 +210,21 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
         y = random_psd(rng, total) * rng.uniform(0.5, 2.0)
     u = random_unit_vector(rng, dims.m)
     v = random_unit_vector(rng, dims.n)
-    x0 = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    p = product_vec(u, v)
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
-    # Every term lifts the same u (x) v, so its basis is built and checked
-    # once; each lift has the bits of lift_product_to_target(u, v, ...).
+    # Every term lifts the same p = u (x) v, so its basis is built and
+    # checked once; each U has the bits of lift_product_to_target(u, v, ...).
+    # The term U (pp*) U* is rank one, so it is built as qq* with q = U p:
+    # one matrix-vector product and one outer product, no D x D products.
     b_source_adjoint = _source_adjoint(u, v, dims, DEFAULT_TOL)
     weights = []
     terms = []
     for j in range(total):
         if evals[j] <= 1e-12:
             continue
-        unitary = _lift_from(b_source_adjoint, evecs[:, j], dims, DEFAULT_TOL)
+        q = _lift_from(b_source_adjoint, evecs[:, j], dims, DEFAULT_TOL) @ p
         weights.append(float(evals[j]))
-        terms.append(unitary @ x0 @ unitary.conj().T)
+        terms.append(np.outer(q, q.conj()))
     rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))
     residual = float(np.linalg.norm(rebuilt - y))
     ok = residual <= RESIDUAL_BOUND

@@ -22,6 +22,7 @@ from conekit import (
 from conekit.bipartite import _schmidt_ranks, as_matrix, as_vector, complete_orthonormal_basis
 from conekit.sampling import (
     ginibre,
+    haar_unitary,
     random_operator_with_osr,
     random_product_vector,
     random_unit_vector,
@@ -159,6 +160,15 @@ class TestSchmidt:
         with pytest.raises(ZeroInputError):
             schmidt_decompose(np.zeros(dims.total), dims)
 
+    def test_tiny_nonzero_vector_is_not_zero(self):
+        # Its norm underflows to 0; its largest singular value does not.
+        d = BipartiteDims(2, 2)
+        v = random_vector_with_sr(np.random.default_rng(3), d, 2)
+        assert np.linalg.norm(1e-163 * v) == 0.0
+        assert sr(1e-163 * v, d) == 2
+        with pytest.raises(ZeroInputError):
+            sr(np.zeros(d.total, dtype=complex), d)
+
     def test_planted_rank_sampler(self, dims, rng):
         for r in range(1, dims.d + 1):
             v = random_vector_with_sr(rng, dims, r)
@@ -212,6 +222,15 @@ class TestOperatorSchmidt:
     def test_zero_rejected(self, dims):
         with pytest.raises(ZeroInputError):
             op_schmidt_decompose(np.zeros((dims.total, dims.total)), dims)
+
+    def test_tiny_nonzero_operator_is_not_zero(self):
+        # Its norm underflows to 0; its largest singular value does not.
+        d = BipartiteDims(2, 2)
+        u = haar_unitary(np.random.default_rng(3), d.total)
+        assert np.linalg.norm(1e-163 * u) == 0.0
+        assert osr(1e-163 * u, d) == 4
+        with pytest.raises(ZeroInputError):
+            osr(np.zeros((d.total, d.total)), d)
 
 
 class TestSrankInequality:

@@ -555,6 +555,46 @@ class TestCollapseRankPass:
         with pytest.raises(DimError):
             apply_family(fam, inputs)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (8, 8)])
+    def test_each_distinct_input_checked_once(self, m, n, monkeypatch):
+        # A collapse family's inputs are one shared matrix and one zero
+        # matrix, repeated: every operator is checked, each input once.
+        dims = BipartiteDims(m, n)
+        fam, inputs = collapse_construction(max_entangled_vector(dims), dims)
+        assert len({id(x) for x in inputs}) == 2
+        calls = []
+        real_finite = bipartite._finite
+
+        def finite(arr):
+            calls.append(arr.shape)
+            return real_finite(arr)
+
+        monkeypatch.setattr(bipartite, "_finite", finite)
+        apply_family(fam, inputs)
+        assert len(fam.ops) == 2 * dims.total
+        assert len(calls) == len(fam.ops) + 2
+
+    def test_stacked_inputs_match_a_list(self, dims, rng):
+        # Rows of a 3-d array are fresh views: none may pass for another.
+        fam = random_family(dims, 4, dims.d, Mode.EXACT, seed=5)
+        inputs = [random_psd(rng, dims.total) for _ in fam.ops]
+        inputs[2] = np.zeros((dims.total, dims.total))
+        stacked, _ = _validated_image(fam, np.stack(inputs), 1e-9)
+        listed, _ = _validated_image(fam, inputs, 1e-9)
+        assert np.array_equal(stacked, listed)
+
+    def test_first_bad_input_raises_first(self, dims):
+        fam, inputs = collapse_construction(max_entangled_vector(dims), dims)
+        nan = np.full((dims.total, dims.total), np.nan)
+        wrong = np.zeros((dims.total + 1, dims.total + 1))
+        for bad in ([nan, wrong], [wrong, nan]):
+            inputs = list(inputs)
+            inputs[0], inputs[-1] = bad[0], bad[0]
+            inputs[1] = bad[1]
+            error = PreconditionError if bad[0] is nan else DimError
+            with pytest.raises(error):
+                apply_family(fam, inputs)
+
 
 class TestEmbedSchmidtK:
     def test_product_vector(self, dims, rng):

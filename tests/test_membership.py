@@ -165,6 +165,35 @@ class TestPpt:
         assert outcomes == {"ppt", "matrix", "partial_transpose"}
 
 
+def _separable_ppt_first(x, dims, tol):
+    # is_separable_decidable in its earlier order: the PPT report is built
+    # before the rank-one branch, which does not read it.
+    h = hermitian_part(x, dims, tol)
+    evals, evecs = np.linalg.eigh(h)
+    ppt = membership._ppt_report(h, evals, evecs, dims, tol)
+    if dims.total <= 6:
+        cert = dict(ppt.certificate, decided_by="ppt_criterion")
+        return membership.MembershipReport(ppt.verdict, ppt.min_eig, tol, cert)
+    lam_max = float(evals[-1])
+    if int(np.count_nonzero(evals >= tol * lam_max)) == 1:
+        vec = evecs[:, -1].copy()
+        rank = sr(vec, dims, tol)
+        cert = {"kind": "range_vector", "vector": vec, "sr": rank}
+        verdict = Verdict.IN if rank == 1 else Verdict.OUT
+        return membership.MembershipReport(verdict, float(evals[0]), tol, cert)
+    if ppt.verdict is Verdict.OUT:
+        return membership.MembershipReport(Verdict.OUT, ppt.min_eig, tol, ppt.certificate)
+    return membership.MembershipReport(Verdict.INDETERMINATE, float(evals[0]), tol, None)
+
+
+def _assert_same_report(got, want):
+    assert got.verdict is want.verdict
+    assert got.min_eig == want.min_eig
+    assert got.certificate.keys() == want.certificate.keys()
+    for key, value in want.certificate.items():
+        assert np.array_equal(got.certificate[key], value), key
+
+
 class TestSeparableDecidable:
     def test_product_state_in(self, dims, rng):
         u = random_unit_vector(rng, dims.m)
@@ -245,6 +274,60 @@ class TestSeparableDecidable:
             x = random_psd(rng, dims.total)
             if is_separable_decidable(x, dims).verdict is Verdict.IN:
                 assert is_ppt(x, dims).verdict is Verdict.IN
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (8, 8)])
+    def test_rank_one_takes_one_eigh(self, m, n, monkeypatch):
+        # Beyond mn = 6 the range vector decides a rank-one input before the
+        # PPT test would run, so the partial transpose is never diagonalized;
+        # the report is the one the PPT-first order gave, bit for bit.
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 21])
+        vectors = [random_product_vector(rng, d)]
+        vectors += [random_vector_with_sr(rng, d, r) for r in (2, d.d)]
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        for w in vectors:
+            x = 2.5 * np.outer(w, w.conj()) + 1e-13 * hermitian(rng, d.total)
+            want = _separable_ppt_first(x, d, 1e-9)
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            got = is_separable_decidable(x, d)
+            monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+            assert len(calls) == 1
+            assert got.certificate["kind"] == "range_vector"
+            _assert_same_report(got, want)
+
+    def test_rank_two_not_ppt_is_out_by_ppt_side(self):
+        d = BipartiteDims(3, 3)
+        phi = max_entangled_vector(d)
+        p = product_vec(basis_vec(3, 0), basis_vec(3, 1))
+        x = 0.5 * np.outer(phi, phi.conj()) + 0.5 * np.outer(p, p.conj())
+        report = is_separable_decidable(x, d)
+        assert report.verdict is Verdict.OUT
+        assert report.certificate["kind"] == "ppt_side"
+        assert report.certificate["side"] == "partial_transpose"
+        _assert_same_report(report, _separable_ppt_first(x, d, 1e-9))
+
+    def test_rank_two_separable_is_indeterminate(self, rng):
+        d = BipartiteDims(3, 3)
+        p, q = random_product_vector(rng, d), random_product_vector(rng, d)
+        x = 0.5 * np.outer(p, p.conj()) + 0.5 * np.outer(q, q.conj())
+        report = is_separable_decidable(x, d)
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.certificate is None
+
+    def test_rank_one_in_decidable_region_takes_ppt(self, rng):
+        d = BipartiteDims(2, 3)
+        w = random_vector_with_sr(rng, d, 2)
+        report = is_separable_decidable(np.outer(w, w.conj()), d)
+        assert report.verdict is Verdict.OUT
+        assert report.certificate["kind"] == "ppt_side"
+        assert report.certificate["decided_by"] == "ppt_criterion"
 
 
 class TestMinProductExpectation:

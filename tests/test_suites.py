@@ -152,8 +152,10 @@ class TestDeterminism:
         assert "wall_time" not in report.to_obj(include_wall_time=False)
 
 
-def _cone_collapse_looped(rng, t, dims):
-    # The cone-collapse trial with one public lift per kept eigenvector.
+def _cone_collapse_looped(rng, t, dims, term=None):
+    # The cone-collapse trial with one public lift per kept eigenvector.  By
+    # default each term is qq* with q = U (u (x) v); `term(unitary, u, v)`
+    # builds it another way.
     total = dims.total
     if t == 0:
         y = np.eye(total, dtype=np.complex128)
@@ -167,7 +169,6 @@ def _cone_collapse_looped(rng, t, dims):
         y = random_psd(rng, total) * rng.uniform(0.5, 2.0)
     u = random_unit_vector(rng, dims.m)
     v = random_unit_vector(rng, dims.n)
-    x0 = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
     weights, terms = [], []
     for j in range(total):
@@ -175,23 +176,36 @@ def _cone_collapse_looped(rng, t, dims):
             continue
         unitary = lift_product_to_target(u, v, evecs[:, j], dims)
         weights.append(float(evals[j]))
-        terms.append(unitary @ x0 @ unitary.conj().T)
+        if term is None:
+            q = unitary @ np.kron(u, v)
+            terms.append(np.outer(q, q.conj()))
+        else:
+            terms.append(term(unitary, u, v))
     rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))
     residual = float(np.linalg.norm(rebuilt - y))
     ok = residual <= suites.RESIDUAL_BOUND
     return ok, residual, None if ok else {"terms": len(terms)}
 
 
+def _conjugated_projector(unitary, u, v):
+    # The term as U x0 U*, with x0 = kron(uu*, vv*): two dense products.
+    x0 = kron(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    return unitary @ x0 @ unitary.conj().T
+
+
+_CONE_COLLAPSE_CASES = pytest.mark.parametrize(
+    "m,n,seeds",
+    [(1, 1, (0, 7, SEED)), (1, 3, (0, 7, SEED)), (2, 2, (0, 7, SEED)),
+     (2, 3, (0, 7, SEED)), (3, 3, (0, 7, SEED)), (4, 4, (0, 7)),
+     (4, 5, (0, 7)), (8, 8, (0,))],
+)
+
+
 class TestConeCollapseBits:
     # Trial 0 is the identity (its eigenvectors are basis vectors, some
     # with a zero first entry), trial 1 the empty combination, and trials
     # 2 and 7 the rank-deficient class.
-    @pytest.mark.parametrize(
-        "m,n,seeds",
-        [(1, 1, (0, 7, SEED)), (1, 3, (0, 7, SEED)), (2, 2, (0, 7, SEED)),
-         (2, 3, (0, 7, SEED)), (3, 3, (0, 7, SEED)), (4, 4, (0, 7)),
-         (4, 5, (0, 7)), (8, 8, (0,))],
-    )
+    @_CONE_COLLAPSE_CASES
     def test_trial_matches_one_public_lift_per_term(self, m, n, seeds):
         dims = BipartiteDims(m, n)
         for seed in seeds:
@@ -200,6 +214,20 @@ class TestConeCollapseBits:
                 want = _cone_collapse_looped(suites._trial_rng(seed, t), t, dims)
                 assert got == want, (seed, t)
                 assert got[0]
+
+    @_CONE_COLLAPSE_CASES
+    def test_rank_one_terms_match_conjugated_projectors(self, m, n, seeds):
+        # qq* and U x0 U* are one matrix summed in another order: the
+        # verdict is the same and the residual moves in its last bits only.
+        dims = BipartiteDims(m, n)
+        for seed in seeds:
+            for t in range(10):
+                got = suites._trial_cone_collapse(suites._trial_rng(seed, t), t, dims, 1e-9)
+                old = _cone_collapse_looped(
+                    suites._trial_rng(seed, t), t, dims, _conjugated_projector
+                )
+                assert got[0] == old[0], (seed, t)
+                assert abs(got[1] - old[1]) <= 1e-12, (seed, t)
 
 
 class TestRerun:
