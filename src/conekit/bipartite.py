@@ -144,11 +144,35 @@ def realign(a, dims: BipartiteDims) -> np.ndarray:
 
 
 def _realign(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    # The reshuffle of an already coerced operator, or of each operator in a
-    # stack of shape (..., mn, mn).
+    # The reshuffle of an already coerced operator.
     m, n = dims.m, dims.n
-    lead = a.shape[:-2]
-    return a.reshape(lead + (m, n, m, n)).swapaxes(-3, -2).reshape(lead + (m * m, n * n))
+    return a.reshape(m, n, m, n).swapaxes(1, 2).reshape(m * m, n * n)
+
+
+def _realign_singulars(ops, dims: BipartiteDims) -> np.ndarray:
+    # The singular values of each realignment of k coerced (mn, mn)
+    # operators (a list or a stack), shape (k, r), from a values-only SVD.
+    # Each operator is reshuffled straight into the stacked copy.  A stack
+    # with an exact zero is first cut down to the realigned rows and columns
+    # that are nonzero somewhere in it: that adds or drops only zero singular
+    # values, which the rank rule never counts, so every rank is unchanged.
+    # A rank-one operator e_i v* realigns to an m x n block of its m^2 x n^2
+    # matrix.  An all-zero stack gives one zero singular value per operator.
+    # The zero tests read the real and imaginary parts as one float array,
+    # several times faster than comparing complex entries.
+    m, n = dims.m, dims.n
+    realigned = np.stack([a.reshape(m, n, m, n).swapaxes(1, 2) for a in ops])
+    realigned = realigned.reshape(len(realigned), m * m, n * n)
+    parts = realigned.view(np.float64) != 0.0  # (k, m^2, 2 n^2)
+    if np.count_nonzero(parts) != parts.size:
+        rows = np.flatnonzero(parts.any(axis=(0, 2)))
+        pairs = parts.any(axis=(0, 1))
+        cols = np.flatnonzero(pairs[0::2] | pairs[1::2])
+        if rows.size == 0:
+            return np.zeros((len(realigned), 1))
+        if rows.size < m * m or cols.size < n * n:
+            realigned = realigned[:, rows[:, None], cols]
+    return np.linalg.svd(realigned, compute_uv=False)
 
 
 def _rank_from_singulars(s: np.ndarray, tol: float):
@@ -259,13 +283,35 @@ def op_schmidt_decompose(
 
 
 def sr(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
-    """Schmidt rank of a vector."""
-    return schmidt_decompose(v, dims, tol).rank
+    """Schmidt rank of a vector: singular values of its (m, n) reshape at or
+    above tol times the largest.
+
+    Only the singular values are computed; `schmidt_decompose` applies the
+    same rule and also returns the Schmidt vectors.  A zero vector, read off
+    the largest singular value, raises `ZeroInputError`.
+    """
+    _check_tol(tol)
+    s = np.linalg.svd(as_vector(dims, v).reshape(dims.m, dims.n), compute_uv=False)
+    if s[0] == 0.0:
+        raise ZeroInputError("cannot Schmidt-decompose the zero vector")
+    return _rank_from_singulars(s, tol)
 
 
 def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
-    """Operator Schmidt rank of an operator."""
-    return op_schmidt_decompose(a, dims, tol).rank
+    """Operator Schmidt rank of an operator: singular values of its
+    realignment at or above tol times the largest.
+
+    Only the singular values are computed, and only of the realignment's
+    rows and columns that are not identically zero (`_realign_singulars`,
+    shared with `kraus.validate`); `op_schmidt_decompose` applies the same
+    rule to the full SVD and also returns the factors.  A zero operator,
+    read off the largest singular value, raises `ZeroInputError`.
+    """
+    _check_tol(tol)
+    s = _realign_singulars([as_matrix(dims, a)], dims)[0]
+    if s[0] == 0.0:
+        raise ZeroInputError("cannot decompose the zero operator")
+    return _rank_from_singulars(s, tol)
 
 
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .bipartite import (
     _finite,
     _is_int,
     _rank_from_singulars,
-    _realign,
+    _realign_singulars,
     _schmidt_ranks,
     as_matrix,
     as_vector,
@@ -40,9 +40,10 @@ from .sampling import random_exact_kraus_ops, random_operator_with_osr
 EXACT_RESIDUAL_BOUND = 1e-9
 CONTRACTIVE_EXCESS_BOUND = 1e-9
 COMPLETION_MODE_CUTOFF = 1e-12
-# Operators per stacked realignment SVD in _op_ranks.  Small batches keep the
-# stack, and the peak memory of large families, bounded.
-OSR_BATCH = 4
+# Bytes of operators per stacked realignment SVD in _op_ranks: four 64 x 64
+# complex operators at 8x8, so the stack, and the peak memory of a large
+# family, stay bounded, while a whole family at 4x4 or below is one stack.
+OSR_STACK_BYTES = 4 * 64 * 64 * 16
 
 
 class Mode(str, enum.Enum):
@@ -109,18 +110,21 @@ def _normalization_sum(dims: BipartiteDims, ops: list) -> np.ndarray:
 
 
 def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
-    """The OSR of each coerced operator, OSR_BATCH realignments per SVD.
+    """The OSR of each coerced operator, from stacks of OSR_STACK_BYTES.
 
-    Each rank follows `osr`'s rule (singular values at or above tol times
-    the largest); zero operators are allowed and contribute rank 0.  An
-    operator is zero when its largest singular value is: a Frobenius norm
-    underflows to 0 for entries below about 1e-154, and would read a tiny
-    nonzero operator as rank 0.
+    Each stack takes one values-only SVD of its realignments, cut down to
+    the rows and columns that are nonzero somewhere in the stack
+    (`bipartite._realign_singulars`, which `osr` shares), and each rank
+    follows `osr`'s rule: singular values at or above tol times the
+    largest.  Zero operators are allowed and contribute rank 0.  An operator
+    is zero when its largest singular value is: a Frobenius norm underflows
+    to 0 for entries below about 1e-154, and would read a tiny nonzero
+    operator as rank 0.
     """
+    per_stack = max(1, OSR_STACK_BYTES // (16 * dims.total * dims.total))
     ranks = []
-    for start in range(0, len(ops), OSR_BATCH):
-        stack = np.stack(ops[start:start + OSR_BATCH])
-        singulars = np.linalg.svd(_realign(stack, dims), compute_uv=False)
+    for start in range(0, len(ops), per_stack):
+        singulars = _realign_singulars(ops[start:start + per_stack], dims)
         nonzero = singulars[:, 0] > 0.0
         ranks += np.where(nonzero, _rank_from_singulars(singulars, tol), 0).tolist()
     return ranks
@@ -380,8 +384,16 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
     w = as_matrix(dims, w)
     z = as_vector(dims, z)
     nz = np.linalg.norm(z)
-    if nz == 0.0:
-        raise PreconditionError("z must be nonzero")
+    if not 1e-150 <= nz < np.inf:
+        # The norm overflows, or squares entries into the subnormal range
+        # where it loses digits or reads 0.  z over its largest real or
+        # imaginary part has norm at least 1 and is normalized as usual.
+        # Only an exact zero has no such part.
+        top = float(np.maximum(np.abs(z.real), np.abs(z.imag)).max())
+        if top == 0.0:
+            raise PreconditionError("z must be nonzero")
+        z = z / top
+        nz = np.linalg.norm(z)
     zn = z / nz
     value = float(np.real(np.vdot(zn, w @ zn)))
     if value >= -tol:

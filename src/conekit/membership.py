@@ -75,13 +75,39 @@ def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarr
     Asymmetry up to 100*tol (relative to the Frobenius norm) is absorbed as
     serialization round-off.  Every membership test enters here, so this is
     where a tolerance outside (0, 1) is refused.
+
+    The test gives one answer at every scale from norm 1 up.  numpy's norm
+    overflows once entries pass about 1e154; then both norms are taken
+    again of x over its largest real or imaginary part.  On that path a
+    matrix whose Frobenius norm exceeds the float range is refused, since
+    its eigenvalues may too, and the Hermitian part halves before it adds,
+    so two entries near the float limit do not overflow.
     """
     _check_tol(tol)
     x = as_matrix(dims, x)
     asym = np.linalg.norm(x - x.conj().T)
-    if asym > 100.0 * tol * max(np.linalg.norm(x), 1.0):
+    norm = np.linalg.norm(x)
+    if asym == np.inf or norm == np.inf:
+        return _huge_hermitian_part(x, tol)
+    if asym > 100.0 * tol * max(norm, 1.0):
         raise HermiticityError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     return (x + x.conj().T) / 2.0
+
+
+def _huge_hermitian_part(x: np.ndarray, tol: float) -> np.ndarray:
+    # hermitian_part's test on x / c, c the largest |Re| or |Im| entry:
+    # |x - x*| > 100 tol max(|x|, 1) is c |y - y*| > 100 tol max(c |y|, 1).
+    c = float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
+    y = x / c
+    asym = float(np.linalg.norm(y - y.conj().T))
+    norm = float(np.linalg.norm(y))
+    if asym > 100.0 * tol * max(norm, 1.0 / c):
+        raise HermiticityError(f"matrix is not Hermitian (asymmetry {c * asym:.3e})")
+    if c * norm == np.inf:
+        raise PreconditionError(
+            f"matrix norm {c:.3e} * {norm:.3e} overflows a float"
+        )
+    return x / 2.0 + x.conj().T / 2.0
 
 
 def is_psd(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport:

@@ -12,6 +12,7 @@ from conekit import (
     NormError,
     PreconditionError,
     Verdict,
+    ZeroInputError,
     apply_family,
     basis_vec,
     collapse_construction,
@@ -24,17 +25,19 @@ from conekit import (
     kron,
     lift_product_to_target,
     max_entangled_vector,
+    op_schmidt_decompose,
     osr,
     partial_transpose,
     product_vec,
     random_family,
+    schmidt_decompose,
     sr,
     swap_operator,
     validate,
     witness_conjugation,
 )
 from conekit import bipartite, kraus
-from conekit.kraus import OSR_BATCH, _op_ranks, _validated_image
+from conekit.kraus import _op_ranks, _validated_image
 from conekit.sampling import (
     haar_unitary,
     random_operator_with_osr,
@@ -208,24 +211,55 @@ class TestApply:
 
 
 def _osr_loop(dims, ops, tol=1e-9):
-    # The per-operator reference for the stacked rank pass.
-    return [0 if np.linalg.norm(a) == 0.0 else osr(a, dims, tol) for a in ops]
+    # The per-operator reference for the stacked rank pass: the full SVD of
+    # each whole realignment, with its vectors, which osr no longer takes.
+    return [op_schmidt_decompose(a, dims, tol).rank if np.any(a) else 0 for a in ops]
+
+
+def _stacks_of(monkeypatch, dims, per_stack=None):
+    # Returns the list that records the operator count of each stack
+    # _op_ranks decomposes; per_stack shrinks its byte budget to that many
+    # operators at dims.
+    if per_stack is not None:
+        monkeypatch.setattr(kraus, "OSR_STACK_BYTES", per_stack * 16 * dims.total**2)
+    sizes = []
+    helper = kraus._realign_singulars
+
+    def counted(ops, d):
+        sizes.append(len(ops))
+        return helper(ops, d)
+
+    monkeypatch.setattr(kraus, "_realign_singulars", counted)
+    return sizes
 
 
 class TestOpRanks:
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 5), (8, 8)])
-    def test_matches_osr_loop(self, m, n):
+    def test_matches_osr_loop(self, m, n, monkeypatch):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n])
-        # Every planted k, zero operators among them, and a count that is
-        # not a multiple of the batch size.
+        # Every planted k and zero operators among them, under a budget of
+        # 4 operators, so the ranks cross at least one stack boundary.
+        sizes = _stacks_of(monkeypatch, d, 4)
         ops = [random_operator_with_osr(rng, d, k) for k in range(1, d.d + 1)]
         ops += [np.zeros((d.total, d.total), dtype=np.complex128)]
-        ops += [haar_unitary(rng, d.total) for _ in range(OSR_BATCH + 1)]
+        ops += [haar_unitary(rng, d.total) for _ in range(5)]
         ops.insert(1, np.zeros((d.total, d.total), dtype=np.complex128))
         ranks = _op_ranks(d, ops, 1e-9)
+        assert len(sizes) >= 2 and sizes[0] == 4 and sum(sizes) == len(ops)
         assert ranks == _osr_loop(d, ops)
         assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
+
+    def test_default_budget_is_four_operators_at_8x8(self):
+        assert kraus.OSR_STACK_BYTES // (16 * 64 * 64) == 4
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4)])
+    def test_small_collapse_family_is_one_stack(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        fam, _ = collapse_construction(random_unit_vector(np.random.default_rng(0), d.total), d)
+        sizes = _stacks_of(monkeypatch, d)
+        _op_ranks(d, fam.ops, 1e-9)
+        assert sizes == [len(fam.ops)]
 
     def test_tiny_nonzero_operator_is_not_rank_zero(self):
         # Its Frobenius norm underflows to 0; its singular values do not.
@@ -244,6 +278,154 @@ class TestOpRanks:
             v = random_unit_vector(np.random.default_rng(seed), dims.total)
             fam, _ = collapse_construction(v, dims)
             assert _op_ranks(dims, fam.ops, 1e-9) == _osr_loop(dims, fam.ops)
+
+
+def _sparse_factor(rng, dim):
+    # A complex Gaussian dim x dim matrix that is zero past its first
+    # ceil(dim^2 / 2) row-major entries.
+    g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    g[(dim * dim + 1) // 2:] = 0.0
+    return g.reshape(dim, dim)
+
+
+def _block_sparse(rng, dims, terms):
+    # A sum of `terms` products of sparse factors: its realignment is zero
+    # outside the rows and columns of the factors' common support.
+    return sum(
+        kron(_sparse_factor(rng, dims.m), _sparse_factor(rng, dims.n))
+        for _ in range(terms)
+    )
+
+
+def _rank_one_rows(ops):
+    # The vector w of each operator e_i w*, read off its one nonzero row.
+    return [a[np.flatnonzero(np.abs(a).sum(axis=1))[0]].conj() for a in ops]
+
+
+class TestRankPath:
+    """`_op_ranks`, `osr` and `sr` against full-SVD references.
+
+    The references are `op_schmidt_decompose(...).rank` and
+    `schmidt_decompose(...).rank`, which keep the full SVD of the whole
+    realignment or reshape.  Each stacked case runs under the default byte
+    budget and under one of 3 operators, so stacks of every size are cut
+    down to their nonzero rows and columns.
+    """
+
+    def assert_paths_agree(self, dims, ops, monkeypatch):
+        reference = _osr_loop(dims, ops)
+        assert _op_ranks(dims, ops, 1e-9) == reference
+        with monkeypatch.context() as patch:
+            sizes = _stacks_of(patch, dims, 3)
+            assert _op_ranks(dims, ops, 1e-9) == reference
+            assert len(sizes) == -(-len(ops) // 3)
+        for a, rank in zip(ops, reference):
+            if rank:
+                assert osr(a, dims) == rank
+            else:
+                with pytest.raises(ZeroInputError):
+                    osr(a, dims)
+        return reference
+
+    def assert_sr_agrees(self, dims, vecs):
+        for v in vecs:
+            rank = schmidt_decompose(v, dims).rank
+            assert sr(v, dims) == rank
+            assert type(sr(v, dims)) is int
+
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 5), (8, 8)]
+    )
+    def test_collapse_families(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 1])
+        targets = [
+            random_unit_vector(rng, d.total),
+            random_vector_with_sr(rng, d, max(1, d.d // 2)),
+            product_vec(basis_vec(m, 0), basis_vec(n, 0)),
+        ]
+        for v in targets:
+            fam, _ = collapse_construction(v, d)
+            ranks = self.assert_paths_agree(d, fam.ops, monkeypatch)
+            assert max(ranks) == fam.osr_bound
+            # Each operator is e_i w*, whose OSR is SR(w).
+            rows = _rank_one_rows(fam.ops)
+            self.assert_sr_agrees(d, rows)
+            assert [sr(w, d) for w in rows] == ranks
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 5), (8, 8)])
+    def test_dense_rank_one_and_zero_mixed(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 2])
+        zero = np.zeros((d.total, d.total), dtype=np.complex128)
+        ops = [haar_unitary(rng, d.total), zero]
+        ops += [random_operator_with_osr(rng, d, k) for k in range(1, d.d + 1)]
+        ops += [
+            np.outer(random_product_vector(rng, d), random_vector_with_sr(rng, d, k).conj())
+            for k in range(1, d.d + 1)
+        ]
+        ops += [zero, zero.copy()]
+        order = rng.permutation(len(ops))
+        ops = [ops[i] for i in order]
+        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        assert ranks.count(0) == 3
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 5), (8, 8)])
+    def test_block_sparse_sums_of_products(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 3])
+        ops = [_block_sparse(rng, d, terms) for terms in (1, 2, 2, 3, d.d)]
+        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        assert ranks[0] == 1 and max(ranks) > 1
+        parts = np.stack([bipartite.realign(a, d) for a in ops]) != 0
+        # The stack is cut: half its realigned rows and columns are zero.
+        assert parts.any(axis=(0, 2)).sum() == (m * m + 1) // 2
+        assert parts.any(axis=(0, 1)).sum() == (n * n + 1) // 2
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (8, 8)])
+    def test_all_zero_stack(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        ops = [np.zeros((d.total, d.total), dtype=np.complex128) for _ in range(5)]
+        assert self.assert_paths_agree(d, ops, monkeypatch) == [0] * 5
+        with pytest.raises(ZeroInputError):
+            sr(np.zeros(d.total), d)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (8, 8)])
+    def test_tiny_operator_in_a_sparse_stack(self, m, n, monkeypatch):
+        # 1e-170 U has a Frobenius norm that underflows to 0 but is a full
+        # operator; the sparse operators around it are cut down, it is not.
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 4])
+        tiny = 1e-170 * haar_unitary(rng, d.total)
+        zero = np.zeros((d.total, d.total), dtype=np.complex128)
+        fam, _ = collapse_construction(random_unit_vector(rng, d.total), d)
+        ops = [fam.ops[0], zero, tiny, _block_sparse(rng, d, 2), fam.ops[-1]]
+        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        assert ranks[1:3] == [0, d.total]
+        v = 1e-170 * random_vector_with_sr(rng, d, d.d)
+        self.assert_sr_agrees(d, [v, random_product_vector(rng, d)])
+        assert sr(v, d) == d.d
+
+    def test_ranks_take_values_only_svds(self, dims, rng, monkeypatch):
+        # osr, sr and _op_ranks read singular values only; the
+        # decompositions still ask for the vectors.
+        calls = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kw):
+            calls.append(kw.get("compute_uv", True))
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        a = haar_unitary(rng, dims.total)
+        v = random_unit_vector(rng, dims.total)
+        osr(a, dims)
+        sr(v, dims)
+        _op_ranks(dims, [a, a], 1e-9)
+        assert calls == [False, False, False]
+        op_schmidt_decompose(a, dims)
+        schmidt_decompose(v, dims)
+        assert calls[3:] == [True, True]
 
 
 class TestRandomFamily:
@@ -704,6 +886,28 @@ class TestWitnessConjugation:
                 dims,
             )
 
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e160, 1e170])
+    def test_z_normalized_at_any_scale(self, scale):
+        # The norm of 1e-170 z underflows to 0 and that of 1e170 z
+        # overflows; both are normalized and give the unit-z answer.
+        d = BipartiteDims(2, 2)
+        b = max_entangled_vector(d)
+        w = partial_transpose(np.outer(b, b.conj()), d)
+        z = np.linalg.eigh(w)[1][:, 0]
+        u, v = basis_vec(2, 0), basis_vec(2, 1)
+        want, p = witness_conjugation(w, z, u, v, d)
+        got, q = witness_conjugation(w, scale * z, u, v, d)
+        assert np.array_equal(p, q)
+        assert np.linalg.norm(got - want) <= 1e-14
+        assert abs(np.real(np.vdot(q, got @ q)) + 0.5) <= 1e-10
+
+    def test_zero_z_refused(self):
+        d = BipartiteDims(2, 2)
+        w = swap_operator(d)
+        with pytest.raises(PreconditionError, match="z must be nonzero"):
+            witness_conjugation(w, np.zeros(4), basis_vec(2, 0), basis_vec(2, 0), d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_factor_refused(self, bad):

@@ -74,6 +74,97 @@ class TestPsd:
             is_psd(x, dims)
 
 
+def _gaussian(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+_VERDICT_CALLS = {
+    "is_psd": is_psd,
+    "is_ppt": is_ppt,
+    "is_separable_decidable": is_separable_decidable,
+    "is_block_positive_heuristic": (
+        lambda x, d: is_block_positive_heuristic(x, d, SeesawConfig(seed=0))
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestHermitianPartAtEveryScale:
+    """The asymmetry test gives one answer at any scale from 1 up.
+
+    Below norm 1 the slack is absolute, 100 * tol.  numpy's Frobenius norm
+    squares the entries and overflows once they pass about 1e154; those
+    inputs are rescaled before the test.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    def test_non_hermitian_refused(self, scale):
+        d = BipartiteDims(2, 2)
+        g = _gaussian(np.random.default_rng(5), d.total)
+        with pytest.raises(HermiticityError, match="not Hermitian"):
+            is_psd(scale * g, d)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("slack", [10.0, 1000.0])
+    def test_slack_is_relative_at_every_scale(self, scale, slack):
+        # A Hermitian matrix plus an anti-Hermitian part of relative size
+        # slack * tol passes below the 100 * tol cutoff and fails above it.
+        d = BipartiteDims(2, 3)
+        rng = np.random.default_rng(6)
+        h = hermitian(rng, d.total)
+        k = _gaussian(rng, d.total)
+        k = k - k.conj().T
+        x = h + (slack * 1e-9 * np.linalg.norm(h) / np.linalg.norm(k)) * k
+        if slack < 100.0:
+            got = hermitian_part(scale * x, d)
+            assert np.linalg.norm(got / scale - h) <= 1e-6 * np.linalg.norm(h)
+        else:
+            with pytest.raises(HermiticityError):
+                hermitian_part(scale * x, d)
+
+    @pytest.mark.parametrize("name", list(_VERDICT_CALLS))
+    def test_every_entry_at_the_float_limit_refused(self, name):
+        # Re and Im both 1e308: x - x* overflows, yet x is not Hermitian.
+        d = BipartiteDims(2, 2)
+        x = np.full((d.total, d.total), 1e308 + 1e308j)
+        with pytest.raises(HermiticityError):
+            _VERDICT_CALLS[name](x, d)
+
+    @pytest.mark.parametrize("name", list(_VERDICT_CALLS))
+    def test_norm_past_the_float_limit_refused(self, name):
+        # Hermitian, finite entries, but a Frobenius norm of 4e308.
+        d = BipartiteDims(2, 2)
+        x = np.full((d.total, d.total), 1e308 + 0j)
+        with pytest.raises(PreconditionError, match="overflows a float"):
+            _VERDICT_CALLS[name](x, d)
+
+    @pytest.mark.parametrize("name", list(_VERDICT_CALLS))
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    def test_huge_entries_get_a_verdict(self, name, m, n):
+        # An entry of 1.7e308 (its doubled sum overflows) or a PSD matrix
+        # scaled to 1e300: every call answers, as it does at scale 1.
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 7])
+        corner = np.zeros((d.total, d.total), dtype=np.complex128)
+        corner[0, 0] = 1.7e308
+        g = _gaussian(rng, d.total)
+        psd = g @ g.conj().T
+        call = _VERDICT_CALLS[name]
+        assert call(corner, d).verdict is Verdict.IN
+        for x in (psd, 1e300 / np.abs(psd).max() * psd):
+            report = call(x, d)
+            assert np.isfinite(report.min_eig)
+        assert call(psd, d).verdict is call(1e300 / np.abs(psd).max() * psd, d).verdict
+
+    def test_huge_hermitian_part_is_exact(self):
+        # Halving before adding is exact away from subnormals.
+        d = BipartiteDims(2, 2)
+        h = 1e300 * hermitian(np.random.default_rng(8), d.total)
+        assert np.linalg.norm(h) == np.inf
+        assert np.array_equal(hermitian_part(h, d), h / 2.0 + h.conj().T / 2.0)
+        assert np.array_equal(hermitian_part(h, d), (h + h.conj().T) / 2.0)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, 5.0])
 @pytest.mark.parametrize(
     "call", [hermitian_part, is_psd, is_ppt, is_separable_decidable],
