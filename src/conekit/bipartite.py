@@ -4,6 +4,13 @@ The index convention is row-major throughout: the product basis vector
 e_i (x) f_j lives at flat index i*n + j, which is exactly numpy's reshape
 order for an (m, n) array.  Every reshuffle (partial transpose,
 realignment) is derived from that single convention.
+
+The numerical rules behind every rank and verdict are decided here once:
+the rank rule (`_rank_from_singulars`), the zero refusal of `sr`, `osr`
+and the decompositions (`_nonzero_rank`), the stacked rank passes
+(`_schmidt_ranks`, `_op_ranks`), the rescaling of an array whose norm
+overflows or underflows (`_largest_part`) and the range of a rank bound k
+(`_check_k`).
 """
 
 import numbers
@@ -14,6 +21,10 @@ import numpy as np
 from .errors import DimError, NormError, PreconditionError, ZeroInputError
 
 DEFAULT_TOL = 1e-9
+# Bytes of operators per stacked realignment SVD in _op_ranks: four 64 x 64
+# complex operators at 8x8, so the stack, and the peak memory of a large
+# family, stay bounded, while a whole family at 4x4 or below is one stack.
+OSR_STACK_BYTES = 4 * 64 * 64 * 16
 
 
 @dataclass(frozen=True)
@@ -176,22 +187,55 @@ def _realign_singulars(ops, dims: BipartiteDims) -> np.ndarray:
 
 
 def _rank_from_singulars(s: np.ndarray, tol: float):
-    # The one rank rule of every Schmidt and operator Schmidt rank: singular
-    # values at or above tol times the largest count, so values at the
-    # cutoff count as nonzero.  s is one nonincreasing spectrum (an int is
-    # returned) or a stack of them on the last axis (an array of counts).
-    # count_nonzero with an axis is a slow Python path, and sr and osr take
-    # the 1-d branch on every call.
+    # The rank rule: values at or above tol times the largest count, and a
+    # spectrum whose largest value is not positive has rank 0.  s is one
+    # nonincreasing spectrum (an int is returned) or a stack of them on the
+    # last axis (an array of counts).  count_nonzero with an axis is a slow
+    # Python path, and sr and osr take the 1-d branch on every call.
     if s.ndim == 1:
-        return int(np.count_nonzero(s >= tol * s[0]))
-    return np.add.reduce(s >= tol * s[..., :1], axis=-1)
+        return int(np.count_nonzero(s >= tol * s[0])) if s[0] > 0.0 else 0
+    top = s[..., :1]
+    return np.add.reduce((s >= tol * top) & (top > 0.0), axis=-1)
+
+
+def _nonzero_rank(s: np.ndarray, tol: float, of: str) -> int:
+    # The rank of one spectrum of a vector or of an operator's realignment
+    # (of names which), refusing a zero input.  Zero is read off the largest
+    # singular value: a norm underflows to 0 below about 1e-162.
+    if s[0] == 0.0:
+        verb = "Schmidt-decompose" if of == "vector" else "decompose"
+        raise ZeroInputError(f"cannot {verb} the zero {of}")
+    return _rank_from_singulars(s, tol)
 
 
 def _schmidt_ranks(vecs: np.ndarray, dims: BipartiteDims, tol: float) -> list[int]:
-    # The Schmidt rank of each row of an already coerced (k, mn) stack of
-    # nonzero vectors, from one stacked SVD of their (m, n) reshapes.
+    # The Schmidt rank of each row of a coerced (k, mn) stack of vectors,
+    # from one stacked SVD of their (m, n) reshapes; a zero row has rank 0.
     singulars = np.linalg.svd(vecs.reshape(-1, dims.m, dims.n), compute_uv=False)
     return _rank_from_singulars(singulars, tol).tolist()
+
+
+def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
+    # The OSR of each coerced operator, zero ones included (rank 0), from
+    # one `_realign_singulars` SVD per stack of OSR_STACK_BYTES.
+    per_stack = max(1, OSR_STACK_BYTES // (16 * dims.total * dims.total))
+    ranks = []
+    for start in range(0, len(ops), per_stack):
+        singulars = _realign_singulars(ops[start:start + per_stack], dims)
+        ranks += _rank_from_singulars(singulars, tol).tolist()
+    return ranks
+
+
+def _largest_part(x: np.ndarray) -> float:
+    # The largest |Re| or |Im| entry of x, 0 only for an exact zero: x over
+    # it has a norm in [1, sqrt(2 x.size)], free of overflow and underflow.
+    return float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
+
+
+def _check_k(k, dims: BipartiteDims):
+    # The range check of a Schmidt-rank or OSR bound: an integer in [1, d].
+    if not (_is_int(k) and 1 <= k <= dims.d):
+        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
 
 
 def _check_tol(tol: float):
@@ -246,16 +290,12 @@ def schmidt_decompose(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> Schmi
     _check_tol(tol)
     v = as_vector(dims, v)
     u, s, vh = np.linalg.svd(v.reshape(dims.m, dims.n), full_matrices=False)
-    # Zero is read off the largest singular value: the norm underflows to 0
-    # for nonzero entries below about 1e-162.
-    if s[0] == 0.0:
-        raise ZeroInputError("cannot Schmidt-decompose the zero vector")
     return SchmidtDecomp(
         dims=dims,
         coeffs=s,
         left=np.ascontiguousarray(u.T),
         right=np.ascontiguousarray(vh),
-        rank=_rank_from_singulars(s, tol),
+        rank=_nonzero_rank(s, tol, "vector"),
         tol=tol,
     )
 
@@ -267,9 +307,6 @@ def op_schmidt_decompose(
     _check_tol(tol)
     a = as_matrix(dims, a)
     u, s, vh = np.linalg.svd(_realign(a, dims), full_matrices=False)
-    # As in schmidt_decompose: zero by the largest singular value, not the norm.
-    if s[0] == 0.0:
-        raise ZeroInputError("cannot decompose the zero operator")
     m, n = dims.m, dims.n
     r = s.shape[0]
     return OpSchmidtDecomp(
@@ -277,7 +314,7 @@ def op_schmidt_decompose(
         coeffs=s,
         left=np.ascontiguousarray(u.T).reshape(r, m, m),
         right=np.ascontiguousarray(vh).reshape(r, n, n),
-        rank=_rank_from_singulars(s, tol),
+        rank=_nonzero_rank(s, tol, "operator"),
         tol=tol,
     )
 
@@ -292,9 +329,7 @@ def sr(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
     """
     _check_tol(tol)
     s = np.linalg.svd(as_vector(dims, v).reshape(dims.m, dims.n), compute_uv=False)
-    if s[0] == 0.0:
-        raise ZeroInputError("cannot Schmidt-decompose the zero vector")
-    return _rank_from_singulars(s, tol)
+    return _nonzero_rank(s, tol, "vector")
 
 
 def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
@@ -303,15 +338,12 @@ def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
 
     Only the singular values are computed, and only of the realignment's
     rows and columns that are not identically zero (`_realign_singulars`,
-    shared with `kraus.validate`); `op_schmidt_decompose` applies the same
+    shared with `_op_ranks`); `op_schmidt_decompose` applies the same
     rule to the full SVD and also returns the factors.  A zero operator,
     read off the largest singular value, raises `ZeroInputError`.
     """
     _check_tol(tol)
-    s = _realign_singulars([as_matrix(dims, a)], dims)[0]
-    if s[0] == 0.0:
-        raise ZeroInputError("cannot decompose the zero operator")
-    return _rank_from_singulars(s, tol)
+    return _nonzero_rank(_realign_singulars([as_matrix(dims, a)], dims)[0], tol, "operator")
 
 
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:

@@ -19,11 +19,12 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _as_complex,
+    _check_k,
     _check_tol,
     _finite,
     _is_int,
-    _rank_from_singulars,
-    _realign_singulars,
+    _largest_part,
+    _op_ranks,
     _schmidt_ranks,
     as_matrix,
     as_vector,
@@ -40,10 +41,6 @@ from .sampling import random_exact_kraus_ops, random_operator_with_osr
 EXACT_RESIDUAL_BOUND = 1e-9
 CONTRACTIVE_EXCESS_BOUND = 1e-9
 COMPLETION_MODE_CUTOFF = 1e-12
-# Bytes of operators per stacked realignment SVD in _op_ranks: four 64 x 64
-# complex operators at 8x8, so the stack, and the peak memory of a large
-# family, stay bounded, while a whole family at 4x4 or below is one stack.
-OSR_STACK_BYTES = 4 * 64 * 64 * 16
 
 
 class Mode(str, enum.Enum):
@@ -107,27 +104,6 @@ def _normalization_sum(dims: BipartiteDims, ops: list) -> np.ndarray:
     for a in ops:
         s += a.conj().T @ a
     return s
-
-
-def _op_ranks(dims: BipartiteDims, ops: list, tol: float) -> list[int]:
-    """The OSR of each coerced operator, from stacks of OSR_STACK_BYTES.
-
-    Each stack takes one values-only SVD of its realignments, cut down to
-    the rows and columns that are nonzero somewhere in the stack
-    (`bipartite._realign_singulars`, which `osr` shares), and each rank
-    follows `osr`'s rule: singular values at or above tol times the
-    largest.  Zero operators are allowed and contribute rank 0.  An operator
-    is zero when its largest singular value is: a Frobenius norm underflows
-    to 0 for entries below about 1e-154, and would read a tiny nonzero
-    operator as rank 0.
-    """
-    per_stack = max(1, OSR_STACK_BYTES // (16 * dims.total * dims.total))
-    ranks = []
-    for start in range(0, len(ops), per_stack):
-        singulars = _realign_singulars(ops[start:start + per_stack], dims)
-        nonzero = singulars[:, 0] > 0.0
-        ranks += np.where(nonzero, _rank_from_singulars(singulars, tol), 0).tolist()
-    return ranks
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -245,8 +221,7 @@ def random_family(
     _check_tol(tol)
     if not (_is_int(count) and count >= 1):
         raise PreconditionError(f"count must be an integer >= 1, got {count!r}")
-    if not (_is_int(k) and 1 <= k <= dims.d):
-        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
+    _check_k(k, dims)
     if not (_is_int(seed) and seed >= 0):
         raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
     mode = _as_mode(mode)
@@ -383,13 +358,12 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
     hermitian_part(w, dims, tol)
     w = as_matrix(dims, w)
     z = as_vector(dims, z)
-    nz = np.linalg.norm(z)
+    with np.errstate(over="ignore"):
+        nz = np.linalg.norm(z)
     if not 1e-150 <= nz < np.inf:
-        # The norm overflows, or squares entries into the subnormal range
-        # where it loses digits or reads 0.  z over its largest real or
-        # imaginary part has norm at least 1 and is normalized as usual.
-        # Only an exact zero has no such part.
-        top = float(np.maximum(np.abs(z.real), np.abs(z.imag)).max())
+        # The norm overflows, or loses digits in the subnormal range: z is
+        # rescaled first (`_largest_part`), and only an exact zero refused.
+        top = _largest_part(z)
         if top == 0.0:
             raise PreconditionError("z must be nonzero")
         z = z / top

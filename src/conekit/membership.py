@@ -17,8 +17,11 @@ from . import _kernels
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _check_k,
     _check_tol,
     _is_int,
+    _largest_part,
+    _rank_from_singulars,
     as_matrix,
     partial_transpose,
     sr,
@@ -72,42 +75,33 @@ class SeesawConfig:
 def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symmetrized copy of x; rejects matrices that are not nearly Hermitian.
 
-    Asymmetry up to 100*tol (relative to the Frobenius norm) is absorbed as
-    serialization round-off.  Every membership test enters here, so this is
-    where a tolerance outside (0, 1) is refused.
-
-    The test gives one answer at every scale from norm 1 up.  numpy's norm
-    overflows once entries pass about 1e154; then both norms are taken
-    again of x over its largest real or imaginary part.  On that path a
-    matrix whose Frobenius norm exceeds the float range is refused, since
-    its eigenvalues may too, and the Hermitian part halves before it adds,
-    so two entries near the float limit do not overflow.
+    Asymmetry up to 100*tol relative to the Frobenius norm is absorbed as
+    serialization round-off, at every scale, and an exact zero is Hermitian.
+    Every membership test enters here, so this is where a tolerance outside
+    (0, 1) is refused.  A norm outside [1e-150, 1e153) is taken of x over its
+    largest real or imaginary part instead; on that path a Frobenius norm
+    past the float range is refused, since the eigenvalues may overflow too,
+    and a huge matrix is halved before the sum, which could overflow.
     """
     _check_tol(tol)
     x = as_matrix(dims, x)
-    asym = np.linalg.norm(x - x.conj().T)
-    norm = np.linalg.norm(x)
-    if asym == np.inf or norm == np.inf:
-        return _huge_hermitian_part(x, tol)
-    if asym > 100.0 * tol * max(norm, 1.0):
-        raise HermiticityError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    return (x + x.conj().T) / 2.0
-
-
-def _huge_hermitian_part(x: np.ndarray, tol: float) -> np.ndarray:
-    # hermitian_part's test on x / c, c the largest |Re| or |Im| entry:
-    # |x - x*| > 100 tol max(|x|, 1) is c |y - y*| > 100 tol max(c |y|, 1).
-    c = float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
-    y = x / c
-    asym = float(np.linalg.norm(y - y.conj().T))
-    norm = float(np.linalg.norm(y))
-    if asym > 100.0 * tol * max(norm, 1.0 / c):
+    # Norms from vdot, which overflows to inf or nan without a numpy warning;
+    # below 1e153, |x - x*| <= 2 |x| cannot overflow.
+    norm = float(np.vdot(x, x).real) ** 0.5
+    c, y = 1.0, x
+    if not 1e-150 <= norm < 1e153:
+        # The test on y = x / c (c = 1 for an exact zero), since
+        # |x - x*| > 100 tol |x| is |y - y*| > 100 tol |y|.
+        c = _largest_part(x) or 1.0
+        y = x / c
+        norm = float(np.vdot(y, y).real) ** 0.5
+    d = y - y.conj().T
+    asym = float(np.vdot(d, d).real) ** 0.5
+    if asym > 100.0 * tol * norm:
         raise HermiticityError(f"matrix is not Hermitian (asymmetry {c * asym:.3e})")
     if c * norm == np.inf:
-        raise PreconditionError(
-            f"matrix norm {c:.3e} * {norm:.3e} overflows a float"
-        )
-    return x / 2.0 + x.conj().T / 2.0
+        raise PreconditionError(f"matrix norm {c:.3e} * {norm:.3e} overflows a float")
+    return x / 2.0 + x.conj().T / 2.0 if c > 1.0 else (x + x.conj().T) / 2.0
 
 
 def is_psd(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -178,9 +172,7 @@ def is_separable_decidable(
         cert = dict(ppt.certificate, decided_by="ppt_criterion")
         return MembershipReport(ppt.verdict, ppt.min_eig, tol, cert)
 
-    lam_max = float(evals[-1])
-    numeric_rank = int(np.count_nonzero(evals >= tol * lam_max)) if lam_max > 0 else 0
-    if numeric_rank == 1:
+    if _rank_from_singulars(evals[::-1], tol) == 1:
         vec = evecs[:, -1].copy()
         rank = sr(vec, dims, tol)
         cert = {"kind": "range_vector", "vector": vec, "sr": rank}
@@ -288,8 +280,7 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     proves the value optimal for this and every higher k; the remaining
     levels are then skipped.
     """
-    if not (_is_int(k) and 1 <= k <= dims.d):
-        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
+    _check_k(k, dims)
     state = _seesaw_state(w, dims, cfg)
     if k == dims.d:
         floor, ground = state[4:6]

@@ -23,6 +23,7 @@ import numpy as np
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _check_k,
     _check_tol,
     _is_int,
     _lift_from,
@@ -390,7 +391,7 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     # The inputs repeat one shared matrix; each distinct one is checked once.
     distinct = {id(x): x for x in inputs}.values()
     inputs_ppt = all(
-        np.linalg.norm(x) == 0.0 or is_ppt(x, dims, tol).verdict is Verdict.IN
+        not x.any() or is_ppt(x, dims, tol).verdict is Verdict.IN
         for x in distinct
     )
     residual = max(norm_residual, out_residual)
@@ -452,8 +453,7 @@ def structured_exact_family(
 def _probe_k_in_range(dims, k, **_):
     if k is None:
         raise PreconditionError("probe-intermediate needs k")
-    if not (_is_int(k) and 1 <= k <= dims.d):
-        raise PreconditionError(f"k must be an integer in [1, {dims.d}], got {k!r}")
+    _check_k(k, dims)
 
 
 def _trial_probe(rng, t, dims, tol, k, **_):

@@ -8,6 +8,7 @@ from conekit import (
     PreconditionError,
     ZeroInputError,
     basis_vec,
+    is_separable_decidable,
     kron,
     lift_product_to_target,
     max_entangled_vector,
@@ -19,7 +20,13 @@ from conekit import (
     sr,
     swap_operator,
 )
-from conekit.bipartite import _schmidt_ranks, as_matrix, as_vector, complete_orthonormal_basis
+from conekit.bipartite import (
+    _op_ranks,
+    _schmidt_ranks,
+    as_matrix,
+    as_vector,
+    complete_orthonormal_basis,
+)
 from conekit.sampling import (
     ginibre,
     haar_unitary,
@@ -231,6 +238,63 @@ class TestOperatorSchmidt:
         assert osr(1e-163 * u, d) == 4
         with pytest.raises(ZeroInputError):
             osr(np.zeros((d.total, d.total)), d)
+
+
+def _range_vector_rank(x, dims):
+    # is_separable_decidable's numeric rank-one branch: the SR in its
+    # range-vector certificate, or 0 when the branch does not decide.
+    cert = is_separable_decidable(x, dims).certificate
+    return cert["sr"] if cert and cert["kind"] == "range_vector" else 0
+
+
+# name -> (input kind, rank of that input); each kind's unit input has rank d
+# (a vector of SR d, an operator of OSR d, or the projector onto the vector).
+_RANK_ENTRIES = {
+    "sr": ("vector", sr),
+    "schmidt_decompose": ("vector", lambda v, d: schmidt_decompose(v, d).rank),
+    "_schmidt_ranks": ("vector", lambda v, d: _schmidt_ranks(v[None], d, 1e-9)[0]),
+    "osr": ("operator", osr),
+    "op_schmidt_decompose": ("operator", lambda a, d: op_schmidt_decompose(a, d).rank),
+    "_op_ranks": ("operator", lambda a, d: _op_ranks(d, [a], 1e-9)[0]),
+    "range_vector": ("projector", _range_vector_rank),
+}
+
+
+class TestZeroParity:
+    """Every rank entry applies one rank rule and one zero rule.
+
+    An exact zero is refused with ZeroInputError or has rank 0; an input
+    scaled to 1e-300, whose Frobenius norm underflows, has its unit rank.
+    The range-vector branch only runs at mn > 6.
+    """
+
+    @pytest.mark.parametrize(
+        "name,m,n",
+        [
+            (name, m, n)
+            for name in _RANK_ENTRIES
+            for m, n in [(1, 1), (2, 3), (3, 3), (8, 8)]
+            if name != "range_vector" or m * n > 6
+        ],
+    )
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0])
+    def test_zero_tiny_and_unit(self, name, m, n, scale):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 21])
+        kind, rank = _RANK_ENTRIES[name]
+        v = random_vector_with_sr(rng, d, d.d)
+        base = {
+            "vector": v,
+            "operator": random_operator_with_osr(rng, d, d.d),
+            "projector": np.outer(v, v.conj()),
+        }[kind]
+        if scale == 0.0:
+            try:
+                assert rank(0.0 * base, d) == 0
+            except ZeroInputError:
+                assert name in ("sr", "schmidt_decompose", "osr", "op_schmidt_decompose")
+        else:
+            assert rank(scale * base, d) == d.d
 
 
 class TestSrankInequality:

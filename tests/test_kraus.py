@@ -37,7 +37,8 @@ from conekit import (
     witness_conjugation,
 )
 from conekit import bipartite, kraus
-from conekit.kraus import _op_ranks, _validated_image
+from conekit.bipartite import _op_ranks
+from conekit.kraus import _validated_image
 from conekit.sampling import (
     haar_unitary,
     random_operator_with_osr,
@@ -221,15 +222,15 @@ def _stacks_of(monkeypatch, dims, per_stack=None):
     # _op_ranks decomposes; per_stack shrinks its byte budget to that many
     # operators at dims.
     if per_stack is not None:
-        monkeypatch.setattr(kraus, "OSR_STACK_BYTES", per_stack * 16 * dims.total**2)
+        monkeypatch.setattr(bipartite, "OSR_STACK_BYTES", per_stack * 16 * dims.total**2)
     sizes = []
-    helper = kraus._realign_singulars
+    helper = bipartite._realign_singulars
 
     def counted(ops, d):
         sizes.append(len(ops))
         return helper(ops, d)
 
-    monkeypatch.setattr(kraus, "_realign_singulars", counted)
+    monkeypatch.setattr(bipartite, "_realign_singulars", counted)
     return sizes
 
 
@@ -251,7 +252,7 @@ class TestOpRanks:
         assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
 
     def test_default_budget_is_four_operators_at_8x8(self):
-        assert kraus.OSR_STACK_BYTES // (16 * 64 * 64) == 4
+        assert bipartite.OSR_STACK_BYTES // (16 * 64 * 64) == 4
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4)])
     def test_small_collapse_family_is_one_stack(self, m, n, monkeypatch):
@@ -887,11 +888,12 @@ class TestWitnessConjugation:
             )
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e160, 1e170])
     def test_z_normalized_at_any_scale(self, scale):
         # The norm of 1e-170 z underflows to 0 and that of 1e170 z
-        # overflows; both are normalized and give the unit-z answer.
+        # overflows; both are normalized, without a numpy warning, and give
+        # the unit-z answer.
         d = BipartiteDims(2, 2)
         b = max_entangled_vector(d)
         w = partial_transpose(np.outer(b, b.conj()), d)

@@ -88,23 +88,47 @@ _VERDICT_CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-class TestHermitianPartAtEveryScale:
-    """The asymmetry test gives one answer at any scale from 1 up.
+_SCALES = [1e-300, 1e-170, 1e-150, 1e-8, 1e-3, 1.0, 1e150, 1e160, 1e300]
 
-    Below norm 1 the slack is absolute, 100 * tol.  numpy's Frobenius norm
-    squares the entries and overflows once they pass about 1e154; those
-    inputs are rescaled before the test.
+
+@pytest.mark.filterwarnings("error")
+class TestHermitianPartAtEveryScale:
+    """The asymmetry test gives one answer at every scale, without warnings.
+
+    The slack is 100 * tol relative to the Frobenius norm.  A norm squares
+    the entries, overflowing past about 1e154 and underflowing below about
+    1e-154; a norm outside [1e-150, 1e153) is taken of the input over its
+    largest real or imaginary part instead.
     """
 
-    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", _SCALES)
     def test_non_hermitian_refused(self, scale):
         d = BipartiteDims(2, 2)
         g = _gaussian(np.random.default_rng(5), d.total)
         with pytest.raises(HermiticityError, match="not Hermitian"):
             is_psd(scale * g, d)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+    def test_hermitian_psd_in(self, scale, m, n):
+        # A PSD matrix whose largest entry is `scale`; below scale 1 its
+        # Hermitian part keeps the bits of (x + x*) / 2 on either path.
+        d = BipartiteDims(m, n)
+        g = _gaussian(np.random.default_rng([m, n, 9]), d.total)
+        psd = g @ g.conj().T
+        x = scale / np.abs(psd).max() * psd
+        assert is_psd(x, d).verdict is Verdict.IN
+        if scale <= 1.0:
+            assert hermitian_part(x, d).tobytes() == ((x + x.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("name", list(_VERDICT_CALLS))
+    def test_zero_matrix_accepted(self, name):
+        d = BipartiteDims(2, 3)
+        zero = np.zeros((d.total, d.total), dtype=np.complex128)
+        assert np.array_equal(hermitian_part(zero, d), zero)
+        assert _VERDICT_CALLS[name](zero, d).min_eig == 0.0
+
+    @pytest.mark.parametrize("scale", _SCALES)
     @pytest.mark.parametrize("slack", [10.0, 1000.0])
     def test_slack_is_relative_at_every_scale(self, scale, slack):
         # A Hermitian matrix plus an anti-Hermitian part of relative size
@@ -160,7 +184,8 @@ class TestHermitianPartAtEveryScale:
         # Halving before adding is exact away from subnormals.
         d = BipartiteDims(2, 2)
         h = 1e300 * hermitian(np.random.default_rng(8), d.total)
-        assert np.linalg.norm(h) == np.inf
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(h) == np.inf
         assert np.array_equal(hermitian_part(h, d), h / 2.0 + h.conj().T / 2.0)
         assert np.array_equal(hermitian_part(h, d), (h + h.conj().T) / 2.0)
 
