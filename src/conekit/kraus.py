@@ -8,6 +8,10 @@ families used by the verification suites: unitary lifts of product states,
 rank-one contractive embeddings of low-Schmidt-rank vectors, identity
 completions, and the rank-one collapse scheme that reaches any pure state
 from PPT inputs.
+
+The passes over a family's operators (the normalization sum, the
+conjugation sum and the OSR ranks) take each operator over its nonzero rows
+from side mn = 32 on; `bipartite._nonzero_rows` owns that row rule.
 """
 
 import enum
@@ -24,6 +28,7 @@ from .bipartite import (
     _finite,
     _is_int,
     _largest_part,
+    _nonzero_rows,
     _op_ranks,
     _schmidt_ranks,
     as_matrix,
@@ -98,11 +103,17 @@ class ConicCombination:
     terms: list
 
 
-def _normalization_sum(dims: BipartiteDims, ops: list) -> np.ndarray:
-    # The operator sum A_i* A_i over already coerced operators, in family order.
+def _normalization_sum(dims: BipartiteDims, ops: list, rows=None) -> np.ndarray:
+    # The operator sum A_i* A_i over already coerced operators, in family
+    # order.  By the row rule (`bipartite._nonzero_rows`, found here unless
+    # the caller passes them), each term is A_i[R]* A_i[R] over the
+    # operator's nonzero rows R.
+    if rows is None:
+        rows = _nonzero_rows(dims, ops)
     s = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for a in ops:
-        s += a.conj().T @ a
+    for a, r in zip(ops, rows):
+        b = a[r]
+        s += b.conj().T @ b
     return s
 
 
@@ -117,7 +128,8 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
     if not family.ops:
         raise PreconditionError("cannot validate an empty Kraus family")
     ops = [as_matrix(family.dims, a) for a in family.ops]
-    s = _normalization_sum(family.dims, ops)
+    rows = _nonzero_rows(family.dims, ops)
+    s = _normalization_sum(family.dims, ops, rows)
     evals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     violations = []
     if family.mode is Mode.EXACT:
@@ -129,7 +141,7 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
         if evals[-1] > 1.0 + CONTRACTIVE_EXCESS_BOUND:
             violations.append({"invariant": "contractive_normalization", "residual": residual})
     if family.osr_bound is not None:
-        ranks = _op_ranks(family.dims, ops, tol)
+        ranks = _op_ranks(family.dims, ops, tol, rows)
         bad = [i for i, r in enumerate(ranks) if r > family.osr_bound]
         if bad:
             violations.append(
@@ -170,7 +182,9 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
     object for the call, so no id is reused, and dies with the call.  An
     input that is exactly zero is checked like any other, but its term is
     not multiplied out: it adds nothing, so an entry of the sum that is -0.0
-    stays -0.0 where adding the zero term would have made it +0.0.
+    stays -0.0 where adding the zero term would have made it +0.0.  The
+    other terms follow the row rule (`bipartite._nonzero_rows`, found for
+    their operators only): A[R]* X[R, R] A[R] over A's nonzero rows R.
     """
     ops = [_as_complex(a) for a in family.ops]
     report = validate(replace(family, ops=ops), tol)
@@ -185,13 +199,18 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
     total = family.dims.total
     out = np.zeros((total, total), dtype=np.complex128)
     checked = {}  # id(input) -> (input, coerced, nonzero)
+    terms = []
     for a, x in zip(ops, inputs):
         if id(x) not in checked:
             arr = as_matrix(family.dims, x)
             checked[id(x)] = (x, arr, bool(arr.any()))
         _, x, nonzero = checked[id(x)]
         if nonzero:
-            out += a.conj().T @ x @ a
+            terms.append((a, x))
+    rows = _nonzero_rows(family.dims, [a for a, _ in terms])
+    for (a, x), r in zip(terms, rows):
+        b = a[r]
+        out += b.conj().T @ x[r][:, r] @ b
     return out, report
 
 
@@ -308,6 +327,12 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     `complete_to_identity`), so the bound comes from Schmidt ranks alone.
     `validate`, which `apply` runs, takes the one realignment pass over
     every operator.
+
+    Every coefficient is nonzero in one row only, so from side mn = 32 the
+    row rule (`bipartite._nonzero_rows`) has the completion's normalization
+    sum, `validate` and `apply` work on that row: each A*A and A* X A is a
+    product of one row, and each realignment is that row reshaped to
+    (m, n), all 2mn of them in one stacked SVD.
     """
     _check_tol(tol)
     v = as_vector(dims, v)
@@ -327,10 +352,12 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
 def embed_schmidt_k(
     v, u_product, dims: BipartiteDims, k: int, tol: float = DEFAULT_TOL
 ) -> KrausFamily:
-    """Single-operator contractive family u v* carrying SR(v) into its OSR."""
+    """Single-operator contractive family u v* carrying SR(v) into its OSR.
+
+    k must be an integer in [1, d], and SR(v) at most k.
+    """
     _check_tol(tol)
-    if not _is_int(k):
-        raise PreconditionError(f"k must be an integer, got {k!r}")
+    _check_k(k, dims)
     v = as_vector(dims, v)
     u = as_vector(dims, u_product)
     for name, vec in (("v", v), ("u_product", u)):

@@ -98,7 +98,17 @@ def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarr
     d = y - y.conj().T
     asym = float(np.vdot(d, d).real) ** 0.5
     if asym > 100.0 * tol * norm:
-        raise HermiticityError(f"matrix is not Hermitian (asymmetry {c * asym:.3e})")
+        # The figure c * asym can overflow a float, so it is formatted from
+        # the exact decimal product, digit for digit as "%.3e" formats it.
+        # decimal is imported here, on a refusal only: its import costs
+        # about 1 ms of every start-up.
+        from decimal import Context, Decimal
+
+        figure = Context(prec=2000).multiply(Decimal(c), Decimal(asym))
+        mantissa, exponent = f"{figure:.3e}".split("e")
+        raise HermiticityError(
+            f"matrix is not Hermitian (asymmetry {mantissa}e{int(exponent):+03d})"
+        )
     if c * norm == np.inf:
         raise PreconditionError(f"matrix norm {c:.3e} * {norm:.3e} overflows a float")
     return x / 2.0 + x.conj().T / 2.0 if c > 1.0 else (x + x.conj().T) / 2.0

@@ -40,6 +40,7 @@ from conekit import bipartite, kraus
 from conekit.bipartite import _op_ranks
 from conekit.kraus import _validated_image
 from conekit.sampling import (
+    ginibre,
     haar_unitary,
     random_operator_with_osr,
     random_ppt,
@@ -217,20 +218,23 @@ def _osr_loop(dims, ops, tol=1e-9):
     return [op_schmidt_decompose(a, dims, tol).rank if np.any(a) else 0 for a in ops]
 
 
-def _stacks_of(monkeypatch, dims, per_stack=None):
+def _stacks_of(monkeypatch, dims, per_stack=None, shapes=None):
     # Returns the list that records the operator count of each stack
-    # _op_ranks decomposes; per_stack shrinks its byte budget to that many
-    # operators at dims.
+    # _op_ranks decomposes, and appends each stack's (rows, columns) to
+    # shapes when given; per_stack shrinks its byte budget to that many
+    # whole operators at dims.
     if per_stack is not None:
         monkeypatch.setattr(bipartite, "OSR_STACK_BYTES", per_stack * 16 * dims.total**2)
     sizes = []
-    helper = bipartite._realign_singulars
+    helper = bipartite._stack_singulars
 
-    def counted(ops, d):
-        sizes.append(len(ops))
-        return helper(ops, d)
+    def counted(stack):
+        sizes.append(len(stack))
+        if shapes is not None:
+            shapes.append(stack.shape[1:])
+        return helper(stack)
 
-    monkeypatch.setattr(bipartite, "_realign_singulars", counted)
+    monkeypatch.setattr(bipartite, "_stack_singulars", counted)
     return sizes
 
 
@@ -247,14 +251,16 @@ class TestOpRanks:
         ops += [haar_unitary(rng, d.total) for _ in range(5)]
         ops.insert(1, np.zeros((d.total, d.total), dtype=np.complex128))
         ranks = _op_ranks(d, ops, 1e-9)
-        assert len(sizes) >= 2 and sizes[0] == 4 and sum(sizes) == len(ops)
+        # From ROW_PATH_SIDE on, the two zero operators take no SVD.
+        stacked = len(ops) - 2 * (d.total >= bipartite.ROW_PATH_SIDE)
+        assert len(sizes) >= 2 and sizes[0] == 4 and sum(sizes) == stacked
         assert ranks == _osr_loop(d, ops)
         assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
 
     def test_default_budget_is_four_operators_at_8x8(self):
         assert bipartite.OSR_STACK_BYTES // (16 * 64 * 64) == 4
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (8, 8)])
     def test_small_collapse_family_is_one_stack(self, m, n, monkeypatch):
         d = BipartiteDims(m, n)
         fam, _ = collapse_construction(random_unit_vector(np.random.default_rng(0), d.total), d)
@@ -317,9 +323,17 @@ class TestRankPath:
         reference = _osr_loop(dims, ops)
         assert _op_ranks(dims, ops, 1e-9) == reference
         with monkeypatch.context() as patch:
-            sizes = _stacks_of(patch, dims, 3)
+            shapes = []
+            sizes = _stacks_of(patch, dims, 3, shapes)
             assert _op_ranks(dims, ops, 1e-9) == reference
-            assert len(sizes) == -(-len(ops) // 3)
+            if dims.total < bipartite.ROW_PATH_SIDE:
+                assert len(sizes) == -(-len(ops) // 3)
+            else:
+                # Each nonzero operator's block sits in one stack of at
+                # most 3 whole operators' entries.
+                assert sum(sizes) == sum(1 for a in ops if a.any())
+                for k, (r, c) in zip(sizes, shapes):
+                    assert k * r * c <= 3 * dims.total**2
         for a, rank in zip(ops, reference):
             if rank:
                 assert osr(a, dims) == rank
@@ -427,6 +441,148 @@ class TestRankPath:
         op_schmidt_decompose(a, dims)
         schmidt_decompose(v, dims)
         assert calls[3:] == [True, True]
+
+
+def _row_path_ops(rng, dims):
+    # One-row, few-row, all-zero, all -0.0, dense, F-ordered and strided
+    # operators, in a shuffled order.
+    total = dims.total
+
+    def rows_of(index):
+        a = np.zeros((total, total), dtype=np.complex128)
+        a[index] = ginibre(rng, len(index), total)
+        return a
+
+    v = random_unit_vector(rng, total)
+    imaginary = rows_of([4, 5])
+    imaginary[5] = 1j * imaginary[5].imag  # a row with no real part
+    strided = np.zeros((total, 2 * total), dtype=np.complex128)
+    strided[[1, total - 2], ::2] = ginibre(rng, 2, total)
+    ops = [
+        rows_of([0]),
+        np.outer(basis_vec(total, total - 1), v.conj()),
+        rows_of([2, 3]),
+        rows_of([1, dims.n + 2, total - 1]),
+        rows_of(list(range(0, total, 3))),
+        np.zeros((total, total), dtype=np.complex128),
+        np.full((total, total), complex(-0.0, -0.0)),
+        haar_unitary(rng, total),
+        haar_unitary(rng, total).conj().T,
+        np.asfortranarray(imaginary),
+        strided[:, ::2],
+    ]
+    return [ops[i] for i in rng.permutation(len(ops))]
+
+
+class TestRowPath:
+    """The Kraus passes over each operator's nonzero rows (the row rule).
+
+    From side mn = ROW_PATH_SIDE the sums take A[R]* A[R] and
+    A[R]* X[R, R] A[R] over A's nonzero rows R, and `_op_ranks` takes each
+    operator's nonzero realignment block.  Ranks must equal the full-SVD
+    loop exactly.  A row-only product may round differently from the dense
+    one, so the sums are held to 8 eps sum_i |A_i|^2 |X_i| (Frobenius
+    norms, X_i = I for the normalization sum) from the dense loop.
+    """
+
+    DIMS = [(4, 8), (5, 7), (6, 6), (8, 8)]
+
+    @staticmethod
+    def bound(ops, inputs=None):
+        eps = np.finfo(np.float64).eps
+        weights = [1.0] * len(ops) if inputs is None else [np.linalg.norm(x) for x in inputs]
+        return 8 * eps * sum(np.linalg.norm(a) ** 2 * w for a, w in zip(ops, weights))
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_rows_match_a_dense_scan(self, m, n):
+        d = BipartiteDims(m, n)
+        ops = _row_path_ops(np.random.default_rng([m, n, 5]), d)
+        for a, rows in zip(ops, bipartite._nonzero_rows(d, ops)):
+            want = np.flatnonzero((a != 0).any(axis=1))
+            if want.size == d.total:
+                assert rows == slice(None)
+            else:
+                assert np.array_equal(rows, want)
+        negative_zero = np.full((d.total, d.total), complex(-0.0, -0.0))
+        assert bipartite._nonzero_rows(d, [negative_zero])[0].size == 0
+
+    @pytest.mark.parametrize("m,n", [(5, 6), (4, 8)])
+    def test_gate_is_the_side(self, m, n, monkeypatch):
+        # Side 30 keeps every dense pass and whole realignment; side 32
+        # takes the row path.
+        d = BipartiteDims(m, n)
+        ops = _row_path_ops(np.random.default_rng([m, n, 6]), d)
+        shapes = []
+        sizes = _stacks_of(monkeypatch, d, None, shapes)
+        rows = bipartite._nonzero_rows(d, ops)
+        assert _op_ranks(d, ops, 1e-9) == _osr_loop(d, ops)
+        if d.total < bipartite.ROW_PATH_SIDE:
+            assert rows == [slice(None)] * len(ops)
+            assert sizes == [len(ops)] and shapes == [(m * m, n * n)]
+        else:
+            assert sum(isinstance(r, slice) for r in rows) == 2  # the unitaries
+            assert sum(sizes) == len(ops) - 2  # the zero operators take no SVD
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_ranks_match_osr_loop(self, m, n, monkeypatch):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 7])
+        ops = _row_path_ops(rng, d)
+        ops += [_block_sparse(rng, d, 2), random_operator_with_osr(rng, d, 2)]
+        reference = _osr_loop(d, ops)
+        assert _op_ranks(d, ops, 1e-9) == reference
+        assert reference.count(0) == 2
+        with monkeypatch.context() as patch:
+            # One whole operator's bytes a stack: every block shape splits.
+            sizes = _stacks_of(patch, d, 1)
+            assert _op_ranks(d, ops, 1e-9) == reference
+            assert sum(sizes) == len(ops) - 2
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_normalization_sum_matches_dense_loop(self, m, n):
+        d = BipartiteDims(m, n)
+        ops = _row_path_ops(np.random.default_rng([m, n, 8]), d)
+        dense = np.zeros((d.total, d.total), dtype=np.complex128)
+        for a in ops:
+            dense += a.conj().T @ a
+        got = kraus._normalization_sum(d, ops)
+        assert np.abs(got - dense).max() <= self.bound(ops)
+        rows = bipartite._nonzero_rows(d, ops)
+        assert np.array_equal(kraus._normalization_sum(d, ops, rows), got)
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_image_matches_dense_loop(self, m, n):
+        d = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 9])
+        ops = _row_path_ops(rng, d)
+        s = sum(a.conj().T @ a for a in ops)
+        scale = 1.0 / np.sqrt(1.01 * np.linalg.eigvalsh(s)[-1])
+        ops = [scale * a for a in ops]
+        shared = random_psd(rng, d.total)
+        inputs = [random_psd(rng, d.total) for _ in ops]
+        inputs[1] = inputs[4] = shared
+        inputs[2] = np.zeros((d.total, d.total))
+        fam = family_of(d, ops, Mode.CONTRACTIVE, osr_bound=max(_osr_loop(d, ops)))
+        got, report = _validated_image(fam, inputs, 1e-9)
+        assert report.verdict is Verdict.IN
+        dense = np.zeros((d.total, d.total), dtype=np.complex128)
+        for a, x in zip(ops, inputs):
+            dense += a.conj().T @ x @ a
+        assert np.abs(got - dense).max() <= self.bound(ops, inputs)
+
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_collapse_family_matches_dense_loop(self, m, n):
+        d = BipartiteDims(m, n)
+        v = random_unit_vector(np.random.default_rng([m, n, 10]), d.total)
+        fam, inputs = collapse_construction(v, d)
+        rows = bipartite._nonzero_rows(d, fam.ops)
+        assert all(r.size == 1 for r in rows)
+        s = kraus._normalization_sum(d, fam.ops)
+        assert np.abs(s - sum(a.conj().T @ a for a in fam.ops)).max() <= self.bound(fam.ops)
+        out = apply_family(fam, inputs)
+        dense = sum(a.conj().T @ x @ a for a, x in zip(fam.ops, inputs) if x.any())
+        assert np.abs(out - dense).max() <= self.bound(fam.ops, inputs)
+        assert max(_osr_loop(d, fam.ops)) == fam.osr_bound
 
 
 class TestRandomFamily:
@@ -822,6 +978,16 @@ class TestEmbedSchmidtK:
         u = product_vec(basis_vec(2, 0), basis_vec(2, 0))
         with pytest.raises(PreconditionError, match="k must be an integer"):
             embed_schmidt_k(u, u, d, bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3, 5])
+    def test_k_outside_one_to_d_refused(self, bad):
+        # k = 0 used to read as "v has Schmidt rank 2 > k = 0", and k > d
+        # was accepted.
+        d = BipartiteDims(2, 2)
+        v = max_entangled_vector(d)
+        u = product_vec(basis_vec(2, 0), basis_vec(2, 0))
+        with pytest.raises(PreconditionError, match=r"k must be an integer in \[1, 2\]"):
+            embed_schmidt_k(v, u, d, bad)
 
     def test_numpy_integer_k_accepted(self):
         d = BipartiteDims(2, 2)

@@ -456,6 +456,14 @@ class TestCliCheck:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "in"
 
+    @pytest.mark.parametrize("kind", ["psd", "sep", "blockpos"])
+    def test_float_limit_asymmetry_is_printed(self, tmp_path, capsys, kind):
+        # Every entry 1e308 + 1e308j: the asymmetry figure is 8e308, past
+        # the float range, and is printed rather than read as inf.
+        path = write_matrix(tmp_path / "limit.json", 2, 2, np.full((4, 4), 1e308 + 1e308j))
+        assert main(["check", kind, path, "--seed", "0"]) == 13
+        assert capsys.readouterr().err == "error: matrix is not Hermitian (asymmetry 8.000e+308)\n"
+
     def test_ppt_bell_exits_out(self, bell_file, capsys):
         assert main(["check", "ppt", bell_file]) == 1
         out = json.loads(capsys.readouterr().out)
@@ -611,6 +619,15 @@ class TestCliConstruct:
         assert main(
             ["construct", "embed_k", "--v", bell_vec_file, "--k", "1", "--out", prefix]
         ) == 13
+
+    @pytest.mark.parametrize("k", ["0", "-1", "3", "5"])
+    def test_embed_k_outside_one_to_d_exits_13(self, bell_vec_file, tmp_path, capsys, k):
+        prefix = str(tmp_path / "emb")
+        assert main(
+            ["construct", "embed_k", "--v", bell_vec_file, "--k", k, "--out", prefix]
+        ) == 13
+        assert capsys.readouterr().err == f"error: k must be an integer in [1, 2], got {k}\n"
+        assert not any(p.name.startswith("emb_") for p in tmp_path.iterdir())
 
     def test_witness_break_swap(self, tmp_path, capsys):
         d = BipartiteDims(2, 2)

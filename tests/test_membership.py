@@ -154,6 +154,18 @@ class TestHermitianPartAtEveryScale:
         with pytest.raises(HermiticityError):
             _VERDICT_CALLS[name](x, d)
 
+    @pytest.mark.parametrize(
+        "scale,figure", [(1.0, "8.000e+00"), (1e160, "8.000e+160"), (1e308, "8.000e+308")]
+    )
+    def test_asymmetry_figure_is_finite(self, scale, figure):
+        # On the rescaled path the figure is c |y - y*| with y = x / c; at
+        # 1e308 that product overflows a float, yet the message prints it.
+        d = BipartiteDims(2, 2)
+        x = np.full((d.total, d.total), scale * (1.0 + 1.0j))
+        with pytest.raises(HermiticityError) as err:
+            hermitian_part(x, d)
+        assert str(err.value) == f"matrix is not Hermitian (asymmetry {figure})"
+
     @pytest.mark.parametrize("name", list(_VERDICT_CALLS))
     def test_norm_past_the_float_limit_refused(self, name):
         # Hermitian, finite entries, but a Frobenius norm of 4e308.
