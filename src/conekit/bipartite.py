@@ -8,8 +8,10 @@ realignment) is derived from that single convention.
 The numerical rules behind every rank and verdict are decided here once:
 the rank rule (`_rank_from_singulars`), the zero refusal of `sr`, `osr`
 and the decompositions (`_nonzero_rank`), the stacked rank passes
-(`_schmidt_ranks`, `_op_ranks`), the row rule that lets the Kraus passes
-skip each large operator's zero rows (`_nonzero_rows`), the rescaling of an
+(`_schmidt_ranks`, and `_op_ranks`, which ranks a one-row operator e_i w*
+by SR(w) and every other nonzero one by its whole realignment), the row
+rule that lets the Kraus passes skip each large operator's zero rows
+(`_nonzero_rows`), the rescaling of an
 array whose norm overflows or underflows (`_largest_part`) and the range of
 a rank bound k (`_check_k`).
 """
@@ -22,13 +24,10 @@ import numpy as np
 from .errors import DimError, NormError, PreconditionError, ZeroInputError
 
 DEFAULT_TOL = 1e-9
-# Bytes of operators per stacked realignment SVD in _op_ranks: four 64 x 64
-# complex operators at 8x8, so the stack, and the peak memory of a large
-# family, stay bounded, while a whole family at 4x4 or below is one stack.
-OSR_STACK_BYTES = 4 * 64 * 64 * 16
-# Side mn from which the Kraus passes (the normalization and conjugation
-# sums in `kraus`, and `_op_ranks`) take each operator over its nonzero rows
-# only (`_nonzero_rows`).  Finding the rows costs 3-8 us per operator.  Per
+# Side mn from which the Kraus passes read each operator's nonzero rows
+# (`_nonzero_rows`): the normalization and conjugation sums in `kraus` take
+# those rows only, and `_op_ranks` ranks a zero or one-row operator from
+# them.  Finding the rows costs 3-8 us per operator.  Per
 # operator with one nonzero row, the dense product against the row-only one
 # (Intel Xeon, one BLAS thread, numpy 2.4.6, scipy-openblas 0.3.31):
 #   side 16: A*A 5.2 against 5.9 us, A*XA 9.8 against 14.3 us;
@@ -170,37 +169,6 @@ def _realign(a: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return a.reshape(m, n, m, n).swapaxes(1, 2).reshape(m * m, n * n)
 
 
-def _realign_singulars(ops, dims: BipartiteDims) -> np.ndarray:
-    # The singular values of each realignment of k coerced (mn, mn)
-    # operators (a list or a stack), shape (k, r), from a values-only SVD.
-    # Each operator is reshuffled straight into the stacked copy.
-    m, n = dims.m, dims.n
-    realigned = np.stack([a.reshape(m, n, m, n).swapaxes(1, 2) for a in ops])
-    return _stack_singulars(realigned.reshape(len(realigned), m * m, n * n))
-
-
-def _stack_singulars(stack: np.ndarray) -> np.ndarray:
-    # The singular values of each matrix of a (k, r, c) stack of realigned
-    # blocks, shape (k, min(r, c)), from a values-only SVD.  A stack with an
-    # exact zero is first cut down to the rows and columns that are nonzero
-    # somewhere in it: that adds or drops only zero singular values, which
-    # the rank rule never counts, so every rank is unchanged.  A rank-one
-    # operator e_i v* realigns to an m x n block of its m^2 x n^2 matrix.  An
-    # all-zero stack gives one zero singular value per matrix.  The zero
-    # tests read the real and imaginary parts as one float array, several
-    # times faster than comparing complex entries.
-    parts = stack.view(np.float64) != 0.0  # (k, r, 2 c)
-    if np.count_nonzero(parts) != parts.size:
-        rows = np.flatnonzero(parts.any(axis=(0, 2)))
-        pairs = parts.any(axis=(0, 1))
-        cols = np.flatnonzero(pairs[0::2] | pairs[1::2])
-        if rows.size == 0:
-            return np.zeros((len(stack), 1))
-        if rows.size < stack.shape[1] or cols.size < stack.shape[2]:
-            stack = stack[:, rows[:, None], cols]
-    return np.linalg.svd(stack, compute_uv=False)
-
-
 def _rank_from_singulars(s: np.ndarray, tol: float):
     # The rank rule: values at or above tol times the largest count, and a
     # spectrum whose largest value is not positive has rank 0.  s is one
@@ -258,37 +226,27 @@ def _nonzero_rows(dims: BipartiteDims, ops: list) -> list:
 def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int]:
     # The OSR of each coerced operator, zero ones included (rank 0), by the
     # row rule (`_nonzero_rows`, found here unless the caller passes them).
-    # An operator whose nonzero rows are the pairs (p, q) realigns to a
-    # matrix that is zero outside rows (p, .) and columns (q, .), so it is
-    # cut to that block; a one-row operator's block is its row reshaped to
-    # (m, n), and a zero one takes no SVD.  An operator with every row
-    # (below ROW_PATH_SIDE, every operator) keeps its whole realignment.
-    # Blocks of one shape share one `_stack_singulars` SVD per stack of
-    # OSR_STACK_BYTES, in family order.
+    # An operator with no nonzero row has rank 0 and takes no SVD.  One that
+    # is nonzero in row i only is e_i w*, whose OSR is SR(w): those rows
+    # share one `_schmidt_ranks` SVD.  Every other operator (below
+    # ROW_PATH_SIDE, every operator) is ranked from its whole realignment,
+    # all of them in one stacked values-only SVD.
     m, n = dims.m, dims.n
     if rows is None:
         rows = _nonzero_rows(dims, ops)
-    full = (slice(None), slice(None))
-    shapes = {}  # (len(p), len(q)) -> [(operator index, index of its block), ...]
-    for i, r in enumerate(rows):
-        if isinstance(r, slice):
-            shapes.setdefault((m, n), []).append((i, full))
-        elif r.size == 1:
-            p, q = divmod(int(r[0]), n)
-            shapes.setdefault((1, 1), []).append((i, (slice(p, p + 1), slice(q, q + 1))))
-        elif r.size:
-            p, q = np.unique(r // n), np.unique(r % n)
-            shapes.setdefault((p.size, q.size), []).append((i, np.ix_(p, q)))
+    one = [i for i, r in enumerate(rows) if not isinstance(r, slice) and r.size == 1]
+    whole = [i for i, r in enumerate(rows) if isinstance(r, slice) or r.size > 1]
     ranks = [0] * len(ops)
-    for (rp, rq), members in shapes.items():
-        per_stack = max(1, OSR_STACK_BYTES // (16 * rp * m * rq * n))
-        for start in range(0, len(members), per_stack):
-            chunk = members[start:start + per_stack]
-            blocks = np.stack([ops[i].reshape(m, n, m, n)[pq] for i, pq in chunk])
-            blocks = blocks.swapaxes(2, 3).reshape(len(chunk), rp * m, rq * n)
-            found = _rank_from_singulars(_stack_singulars(blocks), tol).tolist()
-            for (i, _), rank in zip(chunk, found):
-                ranks[i] = rank
+    if one:
+        found = _schmidt_ranks(np.stack([ops[i][rows[i][0]] for i in one]), dims, tol)
+        for i, rank in zip(one, found):
+            ranks[i] = rank
+    if whole:
+        # Each operator is reshuffled straight into the stacked copy.
+        stack = np.stack([ops[i].reshape(m, n, m, n).swapaxes(1, 2) for i in whole])
+        singulars = np.linalg.svd(stack.reshape(len(whole), m * m, n * n), compute_uv=False)
+        for i, rank in zip(whole, _rank_from_singulars(singulars, tol).tolist()):
+            ranks[i] = rank
     return ranks
 
 
@@ -402,14 +360,13 @@ def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
     """Operator Schmidt rank of an operator: singular values of its
     realignment at or above tol times the largest.
 
-    Only the singular values are computed, and only of the realignment's
-    rows and columns that are not identically zero (`_stack_singulars`,
-    shared with `_op_ranks`); `op_schmidt_decompose` applies the same
-    rule to the full SVD and also returns the factors.  A zero operator,
-    read off the largest singular value, raises `ZeroInputError`.
+    Only the singular values are computed; `op_schmidt_decompose` applies
+    the same rule and also returns the factors.  A zero operator, read off
+    the largest singular value, raises `ZeroInputError`.
     """
     _check_tol(tol)
-    return _nonzero_rank(_realign_singulars([as_matrix(dims, a)], dims)[0], tol, "operator")
+    s = np.linalg.svd(_realign(as_matrix(dims, a), dims), compute_uv=False)
+    return _nonzero_rank(s, tol, "operator")
 
 
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:

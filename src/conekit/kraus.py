@@ -9,9 +9,10 @@ rank-one contractive embeddings of low-Schmidt-rank vectors, identity
 completions, and the rank-one collapse scheme that reaches any pure state
 from PPT inputs.
 
-The passes over a family's operators (the normalization sum, the
-conjugation sum and the OSR ranks) take each operator over its nonzero rows
-from side mn = 32 on; `bipartite._nonzero_rows` owns that row rule.
+From side mn = 32 the normalization and conjugation sums take each
+operator over its nonzero rows only, and the OSR pass takes no SVD of a
+zero operator and ranks a one-row operator e_i w* by SR(w);
+`bipartite._nonzero_rows` owns that row rule.
 """
 
 import enum
@@ -331,8 +332,8 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     Every coefficient is nonzero in one row only, so from side mn = 32 the
     row rule (`bipartite._nonzero_rows`) has the completion's normalization
     sum, `validate` and `apply` work on that row: each A*A and A* X A is a
-    product of one row, and each realignment is that row reshaped to
-    (m, n), all 2mn of them in one stacked SVD.
+    product of one row, and `validate` ranks each e_i w* by SR(w), all 2mn
+    rows in one stacked SVD.
     """
     _check_tol(tol)
     v = as_vector(dims, v)

@@ -29,6 +29,7 @@ lists or scalars of `tolist()`.
 """
 
 import enum
+import itertools
 import json
 import math
 import os
@@ -171,12 +172,37 @@ def save_json(path: str, obj):
     atomic_write_text(path, canonical_dumps(obj) + "\n")
 
 
+# JSON's names for the parsed leaves that are not numbers.
+_JSON_NAMES = {str: "string", bool: "true/false", type(None): "null", dict: "object"}
+
+
+def _non_numbers(part) -> set:
+    # The types of the leaves of parsed JSON that are not numbers (int or
+    # float; a bool is an int to Python but not a JSON number), walked one
+    # nesting level at a time by map, so no Python code runs per entry.  A
+    # level that mixes lists and scalars is ragged, which numpy refuses.
+    level = [part]
+    while True:
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            return kinds - {int, float, list}
+        level = list(itertools.chain.from_iterable(level))
+
+
 def _nested_to_array(re_part, im_part, what: str) -> np.ndarray:
+    # float64 would cast "2.5", true and false to numbers, so every leaf is
+    # checked to be a JSON number first.
+    bad = _non_numbers(re_part) | _non_numbers(im_part)
+    if bad:
+        names = ", ".join(sorted(_JSON_NAMES.get(t, t.__name__) for t in bad))
+        raise MatrixFileError(f"{what}: re/im entries must be numbers, found {names}")
     try:
         re_arr = np.asarray(re_part, dtype=np.float64)
         im_arr = np.asarray(im_part, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise MatrixFileError(f"{what}: re/im are not numeric arrays") from exc
+    except OverflowError as exc:  # an integer past the float range
+        raise MatrixFileError(f"{what}: entries must be finite") from exc
     if re_arr.shape != im_arr.shape:
         raise MatrixFileError(f"{what}: re and im have different shapes")
     if not (np.all(np.isfinite(re_arr)) and np.all(np.isfinite(im_arr))):

@@ -218,55 +218,44 @@ def _osr_loop(dims, ops, tol=1e-9):
     return [op_schmidt_decompose(a, dims, tol).rank if np.any(a) else 0 for a in ops]
 
 
-def _stacks_of(monkeypatch, dims, per_stack=None, shapes=None):
-    # Returns the list that records the operator count of each stack
-    # _op_ranks decomposes, and appends each stack's (rows, columns) to
-    # shapes when given; per_stack shrinks its byte budget to that many
-    # whole operators at dims.
-    if per_stack is not None:
-        monkeypatch.setattr(bipartite, "OSR_STACK_BYTES", per_stack * 16 * dims.total**2)
-    sizes = []
-    helper = bipartite._stack_singulars
+def _values_only_svds(monkeypatch):
+    # Returns the list that records the input shape of each
+    # np.linalg.svd(..., compute_uv=False) call.
+    shapes = []
+    svd = np.linalg.svd
 
-    def counted(stack):
-        sizes.append(len(stack))
-        if shapes is not None:
-            shapes.append(stack.shape[1:])
-        return helper(stack)
+    def recorded(a, *args, **kw):
+        if not kw.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
 
-    monkeypatch.setattr(bipartite, "_stack_singulars", counted)
-    return sizes
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
 
 
 class TestOpRanks:
     @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 3), (3, 3), (4, 5), (8, 8)])
-    def test_matches_osr_loop(self, m, n, monkeypatch):
+    def test_matches_osr_loop(self, m, n):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n])
-        # Every planted k and zero operators among them, under a budget of
-        # 4 operators, so the ranks cross at least one stack boundary.
-        sizes = _stacks_of(monkeypatch, d, 4)
+        # Every planted k, with zero operators among them.
         ops = [random_operator_with_osr(rng, d, k) for k in range(1, d.d + 1)]
         ops += [np.zeros((d.total, d.total), dtype=np.complex128)]
         ops += [haar_unitary(rng, d.total) for _ in range(5)]
         ops.insert(1, np.zeros((d.total, d.total), dtype=np.complex128))
         ranks = _op_ranks(d, ops, 1e-9)
-        # From ROW_PATH_SIDE on, the two zero operators take no SVD.
-        stacked = len(ops) - 2 * (d.total >= bipartite.ROW_PATH_SIDE)
-        assert len(sizes) >= 2 and sizes[0] == 4 and sum(sizes) == stacked
         assert ranks == _osr_loop(d, ops)
         assert ranks[: d.d + 1] == [1, 0] + list(range(2, d.d + 1))
-
-    def test_default_budget_is_four_operators_at_8x8(self):
-        assert bipartite.OSR_STACK_BYTES // (16 * 64 * 64) == 4
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (8, 8)])
     def test_small_collapse_family_is_one_stack(self, m, n, monkeypatch):
         d = BipartiteDims(m, n)
         fam, _ = collapse_construction(random_unit_vector(np.random.default_rng(0), d.total), d)
-        sizes = _stacks_of(monkeypatch, d)
+        shapes = _values_only_svds(monkeypatch)
         _op_ranks(d, fam.ops, 1e-9)
-        assert sizes == [len(fam.ops)]
+        # Whole realignments below ROW_PATH_SIDE, one row each from it on.
+        side = (m * m, n * n) if d.total < bipartite.ROW_PATH_SIDE else (m, n)
+        assert shapes == [(len(fam.ops), *side)]
 
     def test_tiny_nonzero_operator_is_not_rank_zero(self):
         # Its Frobenius norm underflows to 0; its singular values do not.
@@ -314,26 +303,12 @@ class TestRankPath:
 
     The references are `op_schmidt_decompose(...).rank` and
     `schmidt_decompose(...).rank`, which keep the full SVD of the whole
-    realignment or reshape.  Each stacked case runs under the default byte
-    budget and under one of 3 operators, so stacks of every size are cut
-    down to their nonzero rows and columns.
+    realignment or reshape.
     """
 
-    def assert_paths_agree(self, dims, ops, monkeypatch):
+    def assert_paths_agree(self, dims, ops):
         reference = _osr_loop(dims, ops)
         assert _op_ranks(dims, ops, 1e-9) == reference
-        with monkeypatch.context() as patch:
-            shapes = []
-            sizes = _stacks_of(patch, dims, 3, shapes)
-            assert _op_ranks(dims, ops, 1e-9) == reference
-            if dims.total < bipartite.ROW_PATH_SIDE:
-                assert len(sizes) == -(-len(ops) // 3)
-            else:
-                # Each nonzero operator's block sits in one stack of at
-                # most 3 whole operators' entries.
-                assert sum(sizes) == sum(1 for a in ops if a.any())
-                for k, (r, c) in zip(sizes, shapes):
-                    assert k * r * c <= 3 * dims.total**2
         for a, rank in zip(ops, reference):
             if rank:
                 assert osr(a, dims) == rank
@@ -351,7 +326,7 @@ class TestRankPath:
     @pytest.mark.parametrize(
         "m,n", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (4, 5), (8, 8)]
     )
-    def test_collapse_families(self, m, n, monkeypatch):
+    def test_collapse_families(self, m, n):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, 1])
         targets = [
@@ -361,7 +336,7 @@ class TestRankPath:
         ]
         for v in targets:
             fam, _ = collapse_construction(v, d)
-            ranks = self.assert_paths_agree(d, fam.ops, monkeypatch)
+            ranks = self.assert_paths_agree(d, fam.ops)
             assert max(ranks) == fam.osr_bound
             # Each operator is e_i w*, whose OSR is SR(w).
             rows = _rank_one_rows(fam.ops)
@@ -369,7 +344,7 @@ class TestRankPath:
             assert [sr(w, d) for w in rows] == ranks
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 5), (8, 8)])
-    def test_dense_rank_one_and_zero_mixed(self, m, n, monkeypatch):
+    def test_dense_rank_one_and_zero_mixed(self, m, n):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, 2])
         zero = np.zeros((d.total, d.total), dtype=np.complex128)
@@ -382,40 +357,40 @@ class TestRankPath:
         ops += [zero, zero.copy()]
         order = rng.permutation(len(ops))
         ops = [ops[i] for i in order]
-        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        ranks = self.assert_paths_agree(d, ops)
         assert ranks.count(0) == 3
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 5), (8, 8)])
-    def test_block_sparse_sums_of_products(self, m, n, monkeypatch):
+    def test_block_sparse_sums_of_products(self, m, n):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, 3])
         ops = [_block_sparse(rng, d, terms) for terms in (1, 2, 2, 3, d.d)]
-        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        ranks = self.assert_paths_agree(d, ops)
         assert ranks[0] == 1 and max(ranks) > 1
         parts = np.stack([bipartite.realign(a, d) for a in ops]) != 0
-        # The stack is cut: half its realigned rows and columns are zero.
+        # Half of the realigned rows and columns are zero across the family.
         assert parts.any(axis=(0, 2)).sum() == (m * m + 1) // 2
         assert parts.any(axis=(0, 1)).sum() == (n * n + 1) // 2
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (8, 8)])
-    def test_all_zero_stack(self, m, n, monkeypatch):
+    def test_all_zero_stack(self, m, n):
         d = BipartiteDims(m, n)
         ops = [np.zeros((d.total, d.total), dtype=np.complex128) for _ in range(5)]
-        assert self.assert_paths_agree(d, ops, monkeypatch) == [0] * 5
+        assert self.assert_paths_agree(d, ops) == [0] * 5
         with pytest.raises(ZeroInputError):
             sr(np.zeros(d.total), d)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (8, 8)])
-    def test_tiny_operator_in_a_sparse_stack(self, m, n, monkeypatch):
+    def test_tiny_operator_in_a_sparse_stack(self, m, n):
         # 1e-170 U has a Frobenius norm that underflows to 0 but is a full
-        # operator; the sparse operators around it are cut down, it is not.
+        # operator among sparse, one-row and zero ones.
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, 4])
         tiny = 1e-170 * haar_unitary(rng, d.total)
         zero = np.zeros((d.total, d.total), dtype=np.complex128)
         fam, _ = collapse_construction(random_unit_vector(rng, d.total), d)
         ops = [fam.ops[0], zero, tiny, _block_sparse(rng, d, 2), fam.ops[-1]]
-        ranks = self.assert_paths_agree(d, ops, monkeypatch)
+        ranks = self.assert_paths_agree(d, ops)
         assert ranks[1:3] == [0, d.total]
         v = 1e-170 * random_vector_with_sr(rng, d, d.d)
         self.assert_sr_agrees(d, [v, random_product_vector(rng, d)])
@@ -478,8 +453,9 @@ class TestRowPath:
     """The Kraus passes over each operator's nonzero rows (the row rule).
 
     From side mn = ROW_PATH_SIDE the sums take A[R]* A[R] and
-    A[R]* X[R, R] A[R] over A's nonzero rows R, and `_op_ranks` takes each
-    operator's nonzero realignment block.  Ranks must equal the full-SVD
+    A[R]* X[R, R] A[R] over A's nonzero rows R, and `_op_ranks` takes no SVD
+    of a zero operator and ranks a one-row operator e_i w* by SR(w), every
+    other one by its whole realignment.  Ranks must equal the full-SVD
     loop exactly.  A row-only product may round differently from the dense
     one, so the sums are held to 8 eps sum_i |A_i|^2 |X_i| (Frobenius
     norms, X_i = I for the normalization sum) from the dense loop.
@@ -507,24 +483,37 @@ class TestRowPath:
         assert bipartite._nonzero_rows(d, [negative_zero])[0].size == 0
 
     @pytest.mark.parametrize("m,n", [(5, 6), (4, 8)])
-    def test_gate_is_the_side(self, m, n, monkeypatch):
+    def test_gate_is_the_side(self, m, n):
         # Side 30 keeps every dense pass and whole realignment; side 32
         # takes the row path.
         d = BipartiteDims(m, n)
         ops = _row_path_ops(np.random.default_rng([m, n, 6]), d)
-        shapes = []
-        sizes = _stacks_of(monkeypatch, d, None, shapes)
         rows = bipartite._nonzero_rows(d, ops)
         assert _op_ranks(d, ops, 1e-9) == _osr_loop(d, ops)
         if d.total < bipartite.ROW_PATH_SIDE:
             assert rows == [slice(None)] * len(ops)
-            assert sizes == [len(ops)] and shapes == [(m * m, n * n)]
         else:
             assert sum(isinstance(r, slice) for r in rows) == 2  # the unitaries
-            assert sum(sizes) == len(ops) - 2  # the zero operators take no SVD
+
+    @pytest.mark.parametrize("m,n", [(5, 6), *DIMS])
+    def test_rank_pass_takes_at_most_two_svds(self, m, n, monkeypatch):
+        # Below the gate every operator is one whole realignment of one
+        # stack.  From it the one-row operators share one SVD of their rows,
+        # the multi-row and dense ones one of their whole realignments, and
+        # the two zero operators (all +0.0 and all -0.0) take none.
+        d = BipartiteDims(m, n)
+        ops = _row_path_ops(np.random.default_rng([m, n, 11]), d)
+        with monkeypatch.context() as patch:
+            shapes = _values_only_svds(patch)
+            ranks = _op_ranks(d, ops, 1e-9)
+        assert ranks == _osr_loop(d, ops)
+        if d.total < bipartite.ROW_PATH_SIDE:
+            assert shapes == [(len(ops), m * m, n * n)]
+        else:
+            assert shapes == [(2, m, n), (len(ops) - 4, m * m, n * n)]
 
     @pytest.mark.parametrize("m,n", DIMS)
-    def test_ranks_match_osr_loop(self, m, n, monkeypatch):
+    def test_ranks_match_osr_loop(self, m, n):
         d = BipartiteDims(m, n)
         rng = np.random.default_rng([m, n, 7])
         ops = _row_path_ops(rng, d)
@@ -532,11 +521,9 @@ class TestRowPath:
         reference = _osr_loop(d, ops)
         assert _op_ranks(d, ops, 1e-9) == reference
         assert reference.count(0) == 2
-        with monkeypatch.context() as patch:
-            # One whole operator's bytes a stack: every block shape splits.
-            sizes = _stacks_of(patch, d, 1)
-            assert _op_ranks(d, ops, 1e-9) == reference
-            assert sum(sizes) == len(ops) - 2
+        for a, rank in zip(ops, reference):
+            if rank:
+                assert osr(a, d) == rank
 
     @pytest.mark.parametrize("m,n", DIMS)
     def test_normalization_sum_matches_dense_loop(self, m, n):

@@ -33,6 +33,10 @@ def write_matrix(path, m, n, arr, meta=None):
     return str(path)
 
 
+# JSON leaves that are not numbers, though a float64 cast reads most as one.
+NON_NUMBERS = ['"1"', '"2.5"', "true", "false", "null"]
+
+
 class TestMatrixFiles:
     def test_round_trip_is_byte_identical(self, tmp_path, rng):
         path = tmp_path / "x.json"
@@ -72,6 +76,35 @@ class TestMatrixFiles:
             '{"m": 1, "n": 1, "re": [[null]], "im": [[0]]}'
         )
         with pytest.raises(MatrixFileError):
+            matio.load_array(str(path))
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("leaf", NON_NUMBERS)
+    def test_non_number_entry_refused(self, tmp_path, capsys, leaf, part):
+        # Among numbers, where a float64 cast would read it as one.
+        entries = {"re": "[[1.5, 0], [0, 1]]", "im": "[[0, 0], [0, 0]]"}
+        entries[part] = entries[part].replace(", 0]", f", {leaf}]", 1)
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"m": 1, "n": 2, "re": {entries["re"]}, "im": {entries["im"]}}}')
+        with pytest.raises(MatrixFileError, match="re/im entries must be numbers"):
+            matio.load_array(str(path))
+        assert main(["check", "psd", str(path)]) == 11
+        assert capsys.readouterr().err.startswith(f"error: {path}: re/im entries must be numbers")
+
+    @pytest.mark.parametrize("leaf", NON_NUMBERS)
+    def test_non_number_op_entry_refused(self, tmp_path, leaf):
+        path = tmp_path / "fam.json"
+        matio.save_kraus_family(str(path), random_family(BipartiteDims(2, 2), 2, 1, Mode.EXACT, seed=4))
+        obj = json.loads(path.read_text())
+        obj["ops"][1]["im"][2][3] = json.loads(leaf)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(MatrixFileError, match="op 1: re/im entries must be numbers"):
+            matio.load_kraus_family(str(path))
+
+    def test_integer_past_the_float_range_refused(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"m": 1, "n": 1, "re": [[1' + "0" * 400 + ']], "im": [[0]]}')
+        with pytest.raises(MatrixFileError, match="entries must be finite"):
             matio.load_array(str(path))
 
     def test_shape_mismatch(self, tmp_path):
