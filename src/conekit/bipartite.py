@@ -11,9 +11,10 @@ and the decompositions (`_nonzero_rank`), the stacked rank passes
 (`_schmidt_ranks`, and `_op_ranks`, which ranks a one-row operator e_i w*
 by SR(w) and every other nonzero one by its whole realignment), the row
 rule that lets the Kraus passes skip each large operator's zero rows
-(`_nonzero_rows`), the rescaling of an
-array whose norm overflows or underflows (`_largest_part`) and the range of
-a rank bound k (`_check_k`).
+(`_nonzero_rows`), the rescaling of an array whose norm overflows or
+underflows (`_largest_part`), the range of a rank bound k (`_check_k`) and
+the Schmidt-aligned basis that the exact rank-one families complete with
+(`_schmidt_aligned_basis`).
 """
 
 import numbers
@@ -383,6 +384,21 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     h = x / phi
     h[0] += 1.0
     return -phi * (np.eye(x.shape[0]) - np.outer(h, h.conj() / (1.0 + a)))
+
+
+def _schmidt_aligned_basis(coeffs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    # The (mn, mn) unitary of columns sum_{i<r} H_is a_i (x) b_i, r =
+    # len(coeffs) <= d and H = complete_orthonormal_basis of the unit coeffs
+    # (column 0 is sum_i coeffs_i a_i (x) b_i), then the products a_i (x) b_j
+    # off the block i = j < r, row-major; a_i, b_j are the columns of the
+    # unitaries left and right.  Summed over i in order: a matmul moves bits.
+    products = kron(left, right)  # column i*n + j is a_i (x) b_j
+    diagonal = np.arange(len(coeffs)) * (right.shape[0] + 1)  # columns i*n + i
+    rotation = complete_orthonormal_basis(coeffs)
+    rotated = np.zeros((products.shape[0], len(coeffs)), dtype=np.complex128)
+    for i, col in enumerate(diagonal):
+        rotated += products[:, col, None] * rotation[i]
+    return np.hstack([rotated, np.delete(products, diagonal, axis=1)])
 
 
 def lift_product_to_target(

@@ -31,6 +31,7 @@ from .bipartite import (
     _largest_part,
     _nonzero_rows,
     _op_ranks,
+    _schmidt_aligned_basis,
     _schmidt_ranks,
     as_matrix,
     as_vector,
@@ -236,7 +237,9 @@ def random_family(
     Exact mode depends on k: product families (k = 1) normalize factor-wise,
     the unconstrained case (k = d) polar-normalizes Ginibre draws and leaves
     the bound open, and intermediate k completes a contracted draw with
-    rank-one operators and certifies whatever per-operator bound results.
+    rank-one `eigh` modes (`complete_to_identity`), whose certified bound is
+    usually d, not k: 3 at 3x3 with k = 2, 4 at 4x4 with k = 2 and 3, and 8
+    at 8x8 with k = 2 to 7.
     """
     _check_tol(tol)
     if not (_is_int(count) and count >= 1):
@@ -287,16 +290,8 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
     """
     _check_tol(tol)
     dims = partial.dims
-    ops = [as_matrix(dims, a) for a in partial.ops]
-    return _completed(dims, ops, _op_ranks(dims, ops, tol), partial.seed, tol)
-
-
-def _completed(dims: BipartiteDims, ops: list, ranks: list, seed, tol: float) -> KrausFamily:
-    # The completion of coerced operators whose OSRs the caller has already
-    # certified (ranks, one per operator).  An appended sqrt(mu) e_j u* has
-    # OSR = SR(e_j) SR(u) = SR(u), so its rank comes from one stacked SVD of
-    # the kept eigenvectors' (m, n) reshapes instead of a realignment SVD.
     total = dims.total
+    ops = [as_matrix(dims, a) for a in partial.ops]
     remainder = np.eye(total) - _normalization_sum(dims, ops)
     evals, evecs = np.linalg.eigh((remainder + remainder.conj().T) / 2.0)
     if evals[0] < -CONTRACTIVE_EXCESS_BOUND:
@@ -311,43 +306,44 @@ def _completed(dims: BipartiteDims, ops: list, ranks: list, seed, tol: float) ->
         np.sqrt(mu) * np.outer(basis_vec(total, j), u.conj()) for j, (mu, u) in enumerate(modes)
     ]
     kept = np.array([u for _, u in modes]).reshape(len(modes), total)
-    bound = max([1, *ranks, *_schmidt_ranks(kept, dims, tol)])
-    return KrausFamily(dims, ops + appended, Mode.EXACT, osr_bound=bound, seed=seed)
+    bound = max([1, *_op_ranks(dims, ops, tol), *_schmidt_ranks(kept, dims, tol)])
+    return KrausFamily(dims, ops + appended, Mode.EXACT, osr_bound=bound, seed=partial.seed)
 
 
 def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     """Rank-one family mapping PPT inputs onto the pure state vv*.
 
-    Uses the M operators c e_i v* with c = 1/sqrt(2M) against the input
-    I/(c^2 M), completed to an exact family with zero-matrix inputs on the
-    completion operators.  Every coefficient is rank-one, hence of OSR at
-    most d, and apply(family, inputs) reproduces vv*.
+    The M = mn operators c e_i v*, c = 1/(|v| sqrt(2M)), take the input
+    I/(c^2 M) and sum to A*A = b_0 b_0*/2, b_0 = v/|v|.  The next M, with
+    zero inputs, resolve the rest in closed form: operator M + l is
+    w_l e_l b_l*, w_0 = sqrt(1/2) and w_l = 1 for l > 0, on column b_l of
+    v's Schmidt-aligned basis (`bipartite._schmidt_aligned_basis` of the
+    whole normalized spectrum, not cut at the tol rank, so that it holds
+    b_0).  The basis is continuous in v while v's Schmidt coefficients are
+    distinct.
 
-    No realignment SVD runs here: c e_i v* has OSR = SR(v), and each
-    completion operator the Schmidt rank of its eigenvector (see
-    `complete_to_identity`), so the bound comes from Schmidt ranks alone.
-    `validate`, which `apply` runs, takes the one realignment pass over
-    every operator.
-
-    Every coefficient is nonzero in one row only, so from side mn = 32 the
-    row rule (`bipartite._nonzero_rows`) has the completion's normalization
-    sum, `validate` and `apply` work on that row: each A*A and A* X A is a
-    product of one row, and `validate` ranks each e_i w* by SR(w), all 2mn
-    rows in one stacked SVD.
+    OSR(e_i w*) = SR(w), and only b_0, ..., b_{d-1} are not products, so the
+    bound, SR(v), is the largest Schmidt rank at tol of v and of those d
+    columns, from one stacked SVD.  `validate`, which `apply` runs, takes
+    the one realignment pass.
     """
     _check_tol(tol)
     v = as_vector(dims, v)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > tol:
         raise NormError("target vector must be unit")
     total = dims.total
-    c = 1.0 / np.sqrt(2.0 * total)
-    scaled = [c * np.outer(basis_vec(total, i), v.conj()) for i in range(total)]
-    rank = _schmidt_ranks(v[None], dims, tol)[0]
-    family = _completed(dims, scaled, [rank] * total, None, tol)
-    shared_input = np.eye(total, dtype=np.complex128) / (c * c * total)
-    zero = np.zeros((total, total), dtype=np.complex128)
-    inputs = [shared_input] * total + [zero] * (len(family.ops) - total)
-    return family, inputs
+    c = 1.0 / (norm * np.sqrt(2.0 * total))
+    left, s, right = np.linalg.svd(v.reshape(dims.m, dims.n))
+    basis = _schmidt_aligned_basis(s / np.linalg.norm(s), left, right.T)
+    ops = np.zeros((2, total, total, total), dtype=np.complex128)
+    ops[0][np.diag_indices(total)] = c * v.conj() + 0.0  # + 0.0: no -0.0 entries
+    ops[1][np.diag_indices(total)] = basis.T.conj() + 0.0
+    ops[1, 0, 0] *= np.sqrt(0.5)
+    bound = max(_schmidt_ranks(np.vstack([v, basis[:, : dims.d].T]), dims, tol))
+    family = KrausFamily(dims, list(ops.reshape(-1, total, total)), Mode.EXACT, osr_bound=bound)
+    inputs = [np.eye(total, dtype=np.complex128) / (c * c * total)] * total
+    return family, inputs + [np.zeros((total, total), dtype=np.complex128)] * total
 
 
 def embed_schmidt_k(

@@ -27,10 +27,10 @@ from .bipartite import (
     _check_tol,
     _is_int,
     _lift_from,
+    _schmidt_aligned_basis,
     _source_adjoint,
     as_matrix,
     basis_vec,
-    complete_orthonormal_basis,
     kron,
     lift_product_to_target,
     max_entangled_vector,
@@ -381,9 +381,9 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     else:
         v = random_unit_vector(rng, total)
     family, inputs = collapse_construction(v, dims)
-    # Validation checks every operator's OSR, by the one realignment pass
-    # over the family, against the bound collapse_construction certified
-    # from Schmidt ranks.
+    # Validation checks every operator's OSR, by the one realignment pass,
+    # against the bound collapse_construction certified from Schmidt ranks:
+    # the target's own Schmidt rank, at the tol both use.
     out, validation = _validated_image(family, inputs, DEFAULT_TOL)
     norm_residual = validation.certificate["normalization_residual"]
     out_residual = float(np.linalg.norm(out - np.outer(v, v.conj())))
@@ -398,7 +398,7 @@ def _trial_ppt_collapse(rng, t, dims, tol, **_):
     ok = (
         norm_residual <= RESIDUAL_BOUND_TIGHT
         and out_residual <= RESIDUAL_BOUND_TIGHT
-        and max_osr <= dims.d
+        and max_osr <= sr(v, dims, DEFAULT_TOL)
         and inputs_ppt
     )
     info = {"norm_residual": norm_residual, "out_residual": out_residual, "max_osr": max_osr}
@@ -427,25 +427,13 @@ def structured_exact_family(
     rank-one map from a basis vector onto a random product vector, so the
     family resolves the identity with per-operator OSR = SR(basis vector).
     """
-    m, n, total = dims.m, dims.n, dims.total
-    ul = haar_unitary(rng, m)
-    ur = haar_unitary(rng, n)
+    ul = haar_unitary(rng, dims.m)
+    ur = haar_unitary(rng, dims.n)
     coeffs = rng.uniform(0.3, 1.0, size=k).astype(np.complex128)
     coeffs /= np.linalg.norm(coeffs)
-    rotation = complete_orthonormal_basis(coeffs)
-    basis = []
-    for s in range(k):
-        w = np.zeros(total, dtype=np.complex128)
-        for i in range(k):
-            w += rotation[i, s] * product_vec(ul[:, i], ur[:, i])
-        basis.append(w)
-    for i in range(m):
-        for j in range(n):
-            if i == j and i < k:
-                continue
-            basis.append(product_vec(ul[:, i], ur[:, j]))
+    basis = _schmidt_aligned_basis(coeffs, ul, ur)
     ops = [
-        np.outer(random_product_vector(rng, dims), b.conj()) for b in basis
+        np.outer(random_product_vector(rng, dims), b.conj()) for b in basis.T
     ]
     return KrausFamily(dims, ops, Mode.EXACT, osr_bound=k)
 

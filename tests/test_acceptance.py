@@ -122,7 +122,7 @@ def test_criterion_8_collapse_construction():
         report = suite_ppt_collapse(dims, 200, SEED, tol=1e-9)
         assert report.passes == 200, f"failures at {dims}: {report.failures[:3]}"
         assert report.max_residual <= 1e-10
-    print("[PASS] criterion 8: 200 collapse targets per dims at 1e-10 residuals, OSR <= d, PPT inputs")
+    print("[PASS] criterion 8: 200 collapse targets per dims at 1e-10 residuals, OSR <= SR(target), PPT inputs")
 
 
 def test_criterion_9_determinism():

@@ -761,7 +761,7 @@ class TestCollapseConstruction:
             assert np.linalg.norm(s - np.eye(dims.total)) <= 1e-10
             out = apply_family(fam, inputs)
             assert np.linalg.norm(out - np.outer(v, v.conj())) <= 1e-10
-            assert fam.osr_bound <= dims.d
+            assert fam.osr_bound == sr(v, dims)
             for x in inputs:
                 assert (
                     np.linalg.norm(x) == 0.0 or is_ppt(x, dims).verdict is Verdict.IN
@@ -793,28 +793,54 @@ def _collapse_targets(dims):
 
 
 class TestCollapseRankPass:
-    @pytest.mark.parametrize("m,n", COLLAPSE_DIMS)
-    def test_closed_form_ranks_match_realignment(self, m, n, monkeypatch):
+    @pytest.mark.parametrize("m,n", [*COLLAPSE_DIMS, (5, 7)])
+    def test_closed_form_ranks_match_realignment(self, m, n):
+        # The bound read off the Schmidt-aligned basis is SR(v), and so is
+        # the largest OSR of the operators by either rank pass.
         dims = BipartiteDims(m, n)
-        seen = {}
-        real_completed, real_schmidt_ranks = kraus._completed, kraus._schmidt_ranks
-
-        def completed(dims, ops, ranks, seed, tol):
-            seen["given"] = list(ranks)
-            return real_completed(dims, ops, ranks, seed, tol)
-
-        def schmidt_ranks(vecs, dims, tol):
-            # The last call is _completed's, over the kept eigenvectors.
-            seen["appended"] = real_schmidt_ranks(vecs, dims, tol)
-            return seen["appended"]
-
-        monkeypatch.setattr(kraus, "_completed", completed)
-        monkeypatch.setattr(kraus, "_schmidt_ranks", schmidt_ranks)
         for name, v in _collapse_targets(dims).items():
             fam, _ = collapse_construction(v, dims)
             realigned = _op_ranks(dims, fam.ops, 1e-9)
-            assert seen["given"] + seen["appended"] == realigned, name
-            assert fam.osr_bound == max(realigned), name
+            assert realigned == _osr_loop(dims, fam.ops), name
+            assert fam.osr_bound == sr(v, dims) == max(realigned), name
+
+    def test_schmidt_rank_two_target_certifies_two(self):
+        # An eigh completion certified d = 4 here, whatever SR(v) was.
+        dims = BipartiteDims(4, 4)
+        v = random_vector_with_sr(np.random.default_rng(2), dims, 2)
+        fam, _ = collapse_construction(v, dims)
+        assert fam.osr_bound == 2
+        assert validate(fam).verdict is Verdict.IN
+
+    @pytest.mark.parametrize("m,n", [(5, 7), (7, 9)])
+    def test_operators_continuous_in_the_target(self, m, n):
+        # A one-ulp change of one entry of v moves no operator by more than
+        # 1e-12; an eigh basis of the (mn - 1)-fold deficit moved them by ~1.
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 12])
+        v = random_unit_vector(rng, dims.total)
+        w = v.copy()
+        w[3] = np.nextafter(w.real[3], np.inf) + 1j * w.imag[3]
+        fam, _ = collapse_construction(v, dims)
+        moved, _ = collapse_construction(w, dims)
+        assert fam.osr_bound == moved.osr_bound == dims.d
+        assert max(np.abs(a - b).max() for a, b in zip(fam.ops, moved.ops)) <= 1e-12
+
+    def test_coarse_tol_keeps_the_whole_spectrum(self):
+        # At tol = 0.5 the Schmidt coefficients (1, 0.4) have rank 1; a basis
+        # cut at that rank would not hold v nor resolve the identity.
+        dims = BipartiteDims(3, 3)
+        rng = np.random.default_rng(13)
+        u, w = haar_unitary(rng, 3), haar_unitary(rng, 3)
+        v = (u[:, 0, None] * w[:, 0] + 0.4 * u[:, 1, None] * w[:, 1]).reshape(9)
+        v /= np.linalg.norm(v)
+        # A target of norm 1.3 is accepted at this tol, and must resolve too.
+        for target in (v, 1.3 * v):
+            fam, inputs = collapse_construction(target, dims, 0.5)
+            assert fam.osr_bound == sr(target, dims, 0.5) == 1
+            assert validate(fam, 0.5).verdict is Verdict.IN
+            out = apply_family(fam, inputs, 0.5)
+            assert np.linalg.norm(out - np.outer(target, target.conj())) <= 1e-13
 
     def test_collapse_takes_no_realignment_svd(self, dims, rng, monkeypatch):
         shapes = []

@@ -89,6 +89,13 @@ class TestSuitesPass:
         assert report.passes == report.trials
         assert report.max_residual <= 1e-10
 
+    @pytest.mark.parametrize("tol", [1e-3, 0.5])
+    def test_ppt_collapse_at_a_coarse_tol(self, tol):
+        # The family is certified and validated at the default tol, so its
+        # bound is compared with SR(v) at that tol, not at the suite's.
+        report = suite_ppt_collapse(BipartiteDims(3, 3), 20, SEED, tol=tol)
+        assert report.passes == report.trials
+
 
 class TestProbe:
     def test_k1_consistent_with_stability(self, dims):
