@@ -17,18 +17,34 @@ earlier start that ran the same iteration (tests/test_kernels.py pins this
 against a looped reference).  A see-saw level stacks at most 34 starts
 (32 random frames, the ground frame and the warm frame), which bounds the
 (R, k, m*m*n) contraction intermediates.
+
+Meeting keeps one start per basin.  The x-step sees a frame only through
+its span, so two frames that span one subspace have one future; that is
+exact only for coinciding spans.  SEESAW_MEET = 1e-2 also retires a start
+whose span merely lies near an earlier start's, so a start is retired only
+into one whose value is at most its own (to the stopping tolerance): in a
+flat basin, where starts run to the iteration cap, the start furthest down
+runs on.  This rests on a sweep, not on a proof: over 2280 level values no
+level value rose by more than 1e-12 * ||W||_2 over a run in which no start
+can meet (BENCH_seesaw_basin_meet.json); without the value test, six rose
+by up to 1.6e-7 * ||W||_2.  The earlier start always runs on, so row 0
+(the ground frame of a see-saw level) is never retired, and an earlier
+init still wins a tie.
 """
 
 import numpy as np
 
-# Every start runs for at most SEESAW_ITERS iterations, and SEESAW_FTOL is
-# the relative tolerance of both the decrease stop and the floor stop.
-# SEESAW_MEET bounds k - ||Y_a* Y_b||_F^2, the summed squared sines of the
-# principal angles between two k-column frames, below which they span one
-# subspace.
+from .bipartite import _largest_part
+
+# Every start runs for at most SEESAW_ITERS iterations.  SEESAW_FTOL is the
+# tolerance of both the decrease stop and the floor stop, relative to the
+# largest |Re| or |Im| entry of W (`_largest_part`, which unlike a norm
+# cannot overflow).  SEESAW_MEET bounds k - ||Y_a* Y_b||_F^2, the summed
+# squared sines of the principal angles between two k-column frames, below
+# which two starts are taken to lie in one basin.
 SEESAW_ITERS = 200
 SEESAW_FTOL = 1e-13
-SEESAW_MEET = 1e-6
+SEESAW_MEET = 1e-2
 
 
 def _layouts(w: np.ndarray, m: int, n: int):
@@ -58,14 +74,14 @@ def _bottom_block_vectors(layout, frames, k, m, n):
     return evals[:, 0], evecs[:, :, 0].reshape(r, k, m).transpose(0, 2, 1)
 
 
-def at_floor(values, floor):
-    """Whether the least of values lies within SEESAW_FTOL * (1 + |floor|) of floor.
+def at_floor(values, floor, tol):
+    """Whether the least of values lies within tol of floor.
 
     floor is lambda_min of W, a lower bound on every value, so a value that
     reaches it is the constrained minimum to that tolerance.  A floor of
     -inf is never reached.
     """
-    return floor > -np.inf and np.min(values) <= floor + SEESAW_FTOL * (1.0 + abs(floor))
+    return floor > -np.inf and np.min(values) <= floor + tol
 
 
 def seesaw_minimize(m, n, k, w, y0, floor):
@@ -76,28 +92,35 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     for y; each half-step minimizes over a superset of the current iterate, so
     the value is nonincreasing.
 
-    y0 is an (R, n, k) stack of starting frames, run as one stack.  Four
-    rules stop the work:
-      * a start stops at the first iteration whose decrease is below
-        SEESAW_FTOL * (1 + |value|);
-      * a start stops at the first iteration where its y-frame spans the
-        subspace of an earlier start that ran that iteration, to within
-        SEESAW_MEET (see _meets_earlier);
+    y0 is an (R, n, k) stack of starting frames, run as one stack.  Both
+    tolerances below are absolute, tol = SEESAW_FTOL * s with s the largest
+    |Re| or |Im| entry of W, taken once per call, so the stops scale with W.
+    Four rules stop the work:
+      * a start stops at the first iteration whose decrease is at most tol
+        (W = 0 too, where tol = 0);
+      * a start stops at the first iteration where its y-frame comes within
+        SEESAW_MEET of the subspace of an earlier start that ran that
+        iteration with a value at most its own + tol (see _meets_earlier);
       * the stack stops at the first iteration where its least value
         reaches the spectral floor (see at_floor);
       * a start stops after SEESAW_ITERS iterations.
-    The x-step depends on the y-frame only through its span, so two starts
-    that meet have the same future, and the earlier one runs it.
+    The x-step depends on the y-frame only through its span, so a start
+    whose frame spans an earlier start's subspace exactly has that start's
+    future, and the earlier one runs it.  Within SEESAW_MEET the spans only
+    nearly coincide, and the later start is retired as one more start in
+    the earlier start's basin, but only into a start that is no higher in
+    it (the module docstring gives the evidence).  Row 0 has no earlier
+    start, so it is never retired.
     Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
-    reached), so a floor stop proves the least value optimal to within
-    SEESAW_FTOL * (1 + |floor|).  Returns (values, x, y, reached): values,
-    x and y of shapes (R,), (R, m, k) and (R, n, k), with
-    v = sum_t x[r, :, t] (x) y[r, :, t] of unit norm for each start r, and
-    reached, whether the stack stopped at the floor (equal to
-    at_floor(values, floor)).
+    reached), so a floor stop proves the least value optimal to within tol.
+    Returns (values, x, y, reached): values, x and y of shapes (R,),
+    (R, m, k) and (R, n, k), with v = sum_t x[r, :, t] (x) y[r, :, t] of
+    unit norm for each start r, and reached, whether the stack stopped at
+    the floor (equal to at_floor(values, floor, tol)).
     """
     wx, wy = _layouts(w, m, n)
+    tol = SEESAW_FTOL * _largest_part(w)
     # `active` lists the starts still running; the other rows of values,
     # x_out and y_out stay frozen.
     rows = y0.shape[0]
@@ -116,10 +139,10 @@ def seesaw_minimize(m, n, k, w, y0, floor):
         values[active] = val
         x_out[active] = x_pair
         y_out[active] = y_pair
-        if at_floor(val, floor):
+        if at_floor(val, floor, tol):
             return values, x_out, y_out, True
-        running = ~(prev - val < SEESAW_FTOL * (1.0 + np.abs(val)))
-        running &= ~_meets_earlier(y_frame, earlier[: active.size, : active.size])
+        running = ~(prev - val <= tol)
+        running &= ~_meets_earlier(y_frame, val, tol, earlier[: active.size, : active.size])
         if not running.all():
             active = active[running]
             if active.size == 0:
@@ -130,17 +153,21 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     return values, x_out, y_out, False
 
 
-def _meets_earlier(frames, earlier):
+def _meets_earlier(frames, values, tol, earlier):
     """Which of an (R, n, k) stack of orthonormal frames meet an earlier frame.
 
-    Frame b meets frame a when earlier[a, b] (a comes first) and
-    k - ||Y_a* Y_b||_F^2 <= SEESAW_MEET.  That norm is tr(P_a P_b) for the
-    projectors P = Y Y*, so every pair comes from one real Gram matrix of
-    the flattened projectors.
+    Frame b meets frame a when earlier[a, b] (a comes first), a's value is
+    at most b's value + tol, and k - ||Y_a* Y_b||_F^2 <= SEESAW_MEET: that
+    difference is the summed squared sines of their principal angles, 0
+    exactly when the two frames span one subspace.  The value test keeps a
+    start that is further down its basin than every earlier start near it.
+    The norm is tr(P_a P_b) for the projectors P = Y Y*, so every pair
+    comes from one real Gram matrix of the flattened projectors.
     """
     r, n, k = frames.shape
     proj = (frames @ frames.conj().transpose(0, 2, 1)).reshape(r, n * n).view(np.float64)
-    return ((k - proj @ proj.T <= SEESAW_MEET) & earlier).any(axis=0)
+    near = k - proj @ proj.T <= SEESAW_MEET
+    return (near & earlier & (values[:, None] <= values[None, :] + tol)).any(axis=0)
 
 
 def _unit_frames(stack, k):

@@ -281,12 +281,13 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
 
     Each level runs its starts as one stack through
     `_kernels.seesaw_minimize`, which owns the stopping rules and their
-    constants: a start stops once its decrease falls below
-    `_kernels.SEESAW_FTOL` relative or once its frame spans an earlier
-    start's subspace to within `_kernels.SEESAW_MEET`, the level stops once
-    its least value is within `_kernels.SEESAW_FTOL` * (1 + |lambda_min|) of
-    lambda_min(w), and every start stops at `_kernels.SEESAW_ITERS`
-    iterations.  lambda_min bounds every level from below, so a floor stop
+    constants.  With tol = `_kernels.SEESAW_FTOL` times w's largest |Re| or
+    |Im| entry, so that every stop scales with w: a start stops once its
+    decrease is at most tol, or once its frame comes within
+    `_kernels.SEESAW_MEET` of the subspace of an earlier start whose value
+    is at most its own + tol (one start per basin), the level stops once
+    its least value is within tol of lambda_min(w), and every start stops
+    at `_kernels.SEESAW_ITERS` iterations.  lambda_min bounds every level from below, so a floor stop
     proves the value optimal for this and every higher k; the remaining
     levels are then skipped.
     """

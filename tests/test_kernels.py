@@ -11,9 +11,18 @@ from conekit.sampling import ginibre, random_vector_with_sr
 from conftest import DESK_DIMS, hermitian
 
 
-def reaches_floor(val, floor, ftol):
+def reaches_floor(val, floor, tol):
     """The reference's spectral-floor test; a floor of -inf is never reached."""
-    return floor > -np.inf and val <= floor + ftol * (1.0 + abs(floor))
+    return floor > -np.inf and val <= floor + tol
+
+
+def stop_tol(w):
+    """The kernel's absolute stopping tolerance for w.
+
+    SEESAW_FTOL times the largest |Re| or |Im| entry of w, so that both
+    stops scale with w.
+    """
+    return _kernels.SEESAW_FTOL * max(np.abs(w.real).max(), np.abs(w.imag).max())
 
 
 @functools.cache
@@ -37,7 +46,7 @@ def block_entries(k, m):
     return h_at, vec_at
 
 
-def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
+def looped_seesaw(m, n, k, wx, wy, y0, iters, tol, floor):
     """Reference kernel for one (n, k) start, assembling blocks entry by entry.
 
     Returns one (value, x, y, frame) per iteration run, frame being the
@@ -63,7 +72,7 @@ def looped_seesaw(m, n, k, wx, wy, y0, iters, ftol, floor):
         val, y = block_vector(wy, x, n, m)
         y_frame = orthonormal(y)
         history.append((val, x, y, y_frame))
-        if reaches_floor(val, floor, ftol) or prev - val < ftol * (1.0 + abs(val)):
+        if reaches_floor(val, floor, tol) or prev - val <= tol:
             break
         prev = val
     return history
@@ -74,26 +83,28 @@ def frames_meet(a, b, k, meet):
     return k - np.sum(np.abs(a.conj().T @ b) ** 2) <= meet
 
 
-def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor, meet):
+def looped_stack(m, n, k, wx, wy, y0, iters, tol, floor, meet):
     """Reference for a stacked call: every start run alone, then cut.
 
     Iteration by iteration, the starts that run it are those whose own run
     lasts that long and that no earlier cut has stopped.  A start whose
-    frame then meets the frame of an earlier such start is cut at that
-    iteration, and once one of them reaches the floor, all of them are.
+    frame then meets the frame of an earlier such start, with a value at
+    most its own + tol, is cut at that iteration, and once one of them
+    reaches the floor, all of them are.
     Returns one (value, x, y, iterations run) per start.
     """
-    runs = [looped_seesaw(m, n, k, wx, wy, s, iters, ftol, floor) for s in y0]
+    runs = [looped_seesaw(m, n, k, wx, wy, s, iters, tol, floor) for s in y0]
     stops = [len(run) for run in runs]
     for it in range(1, max(stops) + 1):
         ran = [r for r, stop in enumerate(stops) if stop >= it]
-        if any(reaches_floor(runs[r][it - 1][0], floor, ftol) for r in ran):
+        if any(reaches_floor(runs[r][it - 1][0], floor, tol) for r in ran):
             for r in ran:
                 stops[r] = it
             break
         for later, b in enumerate(ran):
             if any(
                 frames_meet(runs[a][it - 1][3], runs[b][it - 1][3], k, meet)
+                and runs[a][it - 1][0] <= runs[b][it - 1][0] + tol
                 for a in ran[:later]
             ):
                 stops[b] = it
@@ -103,7 +114,7 @@ def looped_stack(m, n, k, wx, wy, y0, iters, ftol, floor, meet):
 def run_kernel(m, n, k, w, y0, floor):
     """The kernel's result; its `reached` must say whether the stack got to the floor."""
     values, xs, ys, reached = _kernels.seesaw_minimize(m, n, k, w, y0, floor)
-    assert reached == _kernels.at_floor(values, floor)
+    assert reached == _kernels.at_floor(values, floor, stop_tol(w))
     return values, xs, ys, reached
 
 
@@ -111,7 +122,7 @@ def kernel_reference(m, n, k, w, y0, floor):
     """looped_stack at the kernel's current constants."""
     wx, wy = _kernels._layouts(w, m, n)
     return looped_stack(
-        m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL, floor,
+        m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, stop_tol(w), floor,
         _kernels.SEESAW_MEET,
     )
 
@@ -120,8 +131,8 @@ def assert_rows_match_looped(m, n, k, w, y0, floor):
     """Every row of a stacked run is bit-equal to the reference run alone.
 
     The reference runs at the kernel's current SEESAW_ITERS, SEESAW_FTOL
-    and SEESAW_MEET.  Returns the reference's iteration counts, one per
-    start.
+    (scaled as stop_tol scales it) and SEESAW_MEET.  Returns the reference's
+    iteration counts, one per start.
     """
     values, xs, ys, _ = run_kernel(m, n, k, w, y0, floor)
     runs = kernel_reference(m, n, k, w, y0, floor)
@@ -226,17 +237,17 @@ class TestKernel:
         # are cut at that iteration.
         dims = BipartiteDims(3, 3)
         m, n, k = dims.m, dims.n, 2
-        ftol = _kernels.SEESAW_FTOL
         v = random_vector_with_sr(rng, dims, 3)
         w = partial_transpose(np.outer(v, v.conj()), dims)
         lam_min = np.linalg.eigvalsh(w)[0]
+        tol = stop_tol(w)
         y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
         counts = assert_rows_match_looped(m, n, k, w, y0, lam_min)
         assert len(counts) == len(y0)
         values, _, _, reached = run_kernel(m, n, k, w, y0, lam_min)
         assert reached
-        assert not all(reaches_floor(val, lam_min, ftol) for val in values)
-        cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, ftol))
+        assert not all(reaches_floor(val, lam_min, tol) for val in values)
+        cut = min(c for c, val in zip(counts, values) if reaches_floor(val, lam_min, tol))
         assert max(counts) == cut
         free = kernel_reference(m, n, k, w, y0, -np.inf)
         assert max(counts) < max(run[3] for run in free)
@@ -250,7 +261,7 @@ class TestMeeting:
         # One start's own run: its per-iteration history, with no floor.
         wx, wy = _kernels._layouts(w, m, n)
         iters = _kernels.SEESAW_ITERS if iters is None else iters
-        return looped_seesaw(m, n, k, wx, wy, start, iters, _kernels.SEESAW_FTOL, -np.inf)
+        return looped_seesaw(m, n, k, wx, wy, start, iters, stop_tol(w), -np.inf)
 
     @staticmethod
     def assert_row_is(result, row, state):
@@ -276,6 +287,22 @@ class TestMeeting:
         self.assert_row_is(result, 0, first[-1])
         self.assert_row_is(result, 1, self.alone(m, n, k, w, twin, iters=1)[0])
 
+    def test_start_ahead_runs_on(self, rng):
+        # A later start whose frame lies near an earlier start's, but further
+        # down the basin, is not retired into the start behind it.
+        m, n, k = 3, 3, 1
+        w = hermitian(rng, m * n)
+        settled = self.alone(m, n, k, w, ginibre(rng, n, k))[-1][3]
+        behind = settled + 0.1 * ginibre(rng, n, k)
+        counts = assert_rows_match_looped(m, n, k, w, np.stack([behind, settled]), -np.inf)
+        first = self.alone(m, n, k, w, behind, iters=1)[0]
+        second = self.alone(m, n, k, w, settled, iters=1)[0]
+        # At iteration 1 the frames meet, and only the value test keeps the
+        # later start running.
+        assert frames_meet(first[3], second[3], k, _kernels.SEESAW_MEET)
+        assert first[0] > second[0] + stop_tol(w)
+        assert counts[1] > 1
+
     def test_first_row_never_retired(self, dims, rng):
         # Row 0 of a see-saw level is the ground frame: random frames that
         # land in its basin stop, and it runs as if no start could meet.
@@ -292,8 +319,8 @@ class TestMeeting:
                 )
                 result = run_kernel(m, n, k, w, y0, -np.inf)
                 free = looped_stack(
-                    m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, _kernels.SEESAW_FTOL,
-                    -np.inf, -1.0,
+                    m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, stop_tol(w), -np.inf,
+                    -1.0,
                 )
                 self.assert_row_is(result, 0, free[0])
                 cut = kernel_reference(m, n, k, w, y0, -np.inf)

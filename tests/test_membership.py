@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from conekit.sampling import (
 )
 
 from conftest import hermitian
-from test_kernels import kernel_reference, reaches_floor
+from test_kernels import kernel_reference, reaches_floor, stop_tol
 
 FAST_CFG = SeesawConfig(seed=11)
 
@@ -688,7 +689,7 @@ def looped_ladder(state, dims, k, cfg):
                 best_x, best_y = x, y
         warm_v = (best_x @ best_y.T).reshape(dims.total)
         warm_v = warm_v / np.linalg.norm(warm_v)
-        if reaches_floor(best_val, floor, _kernels.SEESAW_FTOL):
+        if reaches_floor(best_val, floor, stop_tol(h)):
             break
     value = float(np.real(np.vdot(warm_v, h @ warm_v)))
     return value, warm_v, best_x, best_y
@@ -790,6 +791,32 @@ def pt_of_full_rank_state(rng, dims):
     return partial_transpose(np.outer(v, v.conj()), dims)
 
 
+def planted_violator(rng, dims):
+    """A planted block-positivity violator.
+
+    A random Hermitian H shifted so that a random product vector p has
+    <p|W|p> = -0.05 ||H||_2.
+    """
+    h = hermitian(rng, dims.total)
+    p = random_product_vector(rng, dims)
+    shift = np.real(np.vdot(p, h @ p)) + 0.05 * np.linalg.norm(h, 2)
+    return h - shift * np.eye(dims.total)
+
+
+def seesaw_inputs(rng, dims):
+    """One random Hermitian, one planted violator and one partial transpose."""
+    return [
+        hermitian(rng, dims.total),
+        planted_violator(rng, dims),
+        pt_of_full_rank_state(rng, dims),
+    ]
+
+
+def shapes(*pairs):
+    """(m, n) parameters with ids such as 2x3."""
+    return [pytest.param(m, n, id=f"{m}x{n}") for m, n in pairs]
+
+
 def record_calls(monkeypatch, module, name, keep):
     """Wrap module.name so every call appends keep(*args) to the returned list."""
     calls = []
@@ -873,11 +900,16 @@ class TestSeesawStoppingRules:
         assert len(starts) == 5
         assert np.array_equal(starts[3], starts[0]) and np.array_equal(starts[4], starts[1])
 
-    def test_meeting_keeps_best_values(self, dims, rng, monkeypatch):
-        # Retiring starts that meet an earlier start moves no level's best
-        # value by more than 1e-12 * ||W|| from a run where no start can meet.
-        for _ in range(4):
-            w = hermitian(rng, dims.total)
+    @pytest.mark.parametrize("m,n", shapes((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)))
+    def test_meeting_keeps_best_values(self, m, n, monkeypatch):
+        # Retiring a start once its frame comes within SEESAW_MEET of an
+        # earlier start that is no higher moves no level's best value by
+        # more than 1e-12 * ||W||_2 from a run where no start can meet.
+        # This is a committed slice of the sweep behind SEESAW_MEET
+        # (BENCH_seesaw_basin_meet.json).
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 27])
+        for w in seesaw_inputs(rng, dims) + seesaw_inputs(rng, dims):
             scale = np.linalg.norm(w, 2)
             got = [min_sr_k_expectation(w, dims, k, FAST_CFG)[0] for k in range(1, dims.d)]
             with monkeypatch.context() as patch:
@@ -885,6 +917,56 @@ class TestSeesawStoppingRules:
                 patch.setattr(membership, "_last_ladder", None)
                 free = [min_sr_k_expectation(w, dims, k, FAST_CFG)[0] for k in range(1, dims.d)]
             assert np.allclose(got, free, rtol=0, atol=1e-12 * scale)
+
+
+def seesaw_answers(w, dims, cfg):
+    """The see-saw's values and vectors on w.
+
+    min_sr_k_expectation at every k < d (k = 1 only at 8x8), then the
+    product value of is_block_positive_heuristic, and its factors when it
+    answers `out`.
+    """
+    values, vectors = [], []
+    for k in range(1, 2 if dims.d == 8 else dims.d):
+        value, v = min_sr_k_expectation(w, dims, k, cfg)
+        values.append(value)
+        vectors.append(v)
+    cert = is_block_positive_heuristic(w, dims, cfg).certificate
+    if cert["kind"] == "product_pair":
+        values.append(cert["expectation"])
+        vectors += [cert["z"], cert["y"]]
+    else:
+        values.append(cert["heuristic_min"])
+    return np.array(values), vectors
+
+
+class TestScaleCovariance:
+    """The see-saw's stops scale with W, so c * W gets c times W's answers."""
+
+    # A tol below every scaled input's spectrum, so that the PSD gate of
+    # is_block_positive_heuristic never answers in the see-saw's place.
+    CFG = SeesawConfig(seed=11, tol=1e-300)
+
+    @pytest.mark.parametrize("m,n", shapes((2, 2), (3, 3), (2, 4), (4, 4), (8, 8)))
+    def test_answers_scale_with_w(self, m, n):
+        dims = BipartiteDims(m, n)
+        for w in seesaw_inputs(np.random.default_rng([m, n, 40]), dims):
+            # Exactly Hermitian, as tol = 1e-300 admits no asymmetry.
+            w = hermitian_part(w, dims)
+            want, want_vectors = seesaw_answers(w, dims, self.CFG)
+            # A power of two scales every step exactly.
+            for c in (2.0**40, 2.0**-40):
+                got, vectors = seesaw_answers(c * w, dims, self.CFG)
+                assert np.array_equal(got, c * want)
+                assert len(vectors) == len(want_vectors)
+                assert all(np.array_equal(a, b) for a, b in zip(vectors, want_vectors))
+            # Past the range where LAPACK rescales internally, to roundoff.
+            scale = np.linalg.norm(w, 2)
+            for c in (2.0**600, 2.0**-600, 1e200, 1e-200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got, _ = seesaw_answers(c * w, dims, self.CFG)
+                assert np.all(np.abs(got / c - want) <= 1e-14 * scale)
 
 
 class TestLadderMemo:
