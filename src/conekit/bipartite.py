@@ -28,9 +28,10 @@ DEFAULT_TOL = 1e-9
 # Side mn from which the Kraus passes read each operator's nonzero rows
 # (`_nonzero_rows`): the normalization and conjugation sums in `kraus` take
 # those rows only, and `_op_ranks` ranks a zero or one-row operator from
-# them.  Finding the rows costs 3-8 us per operator.  Per
-# operator with one nonzero row, the dense product against the row-only one
-# (Intel Xeon, one BLAS thread, numpy 2.4.6, scipy-openblas 0.3.31):
+# them.  Finding the rows costs 3-10 us per operator at sides 32 to 64
+# (C-ordered, F-ordered or strided).  Per operator with one nonzero row,
+# the dense product against the row-only one (Intel Xeon, one BLAS thread,
+# numpy 2.4.6, scipy-openblas 0.3.31):
 #   side 16: A*A 5.2 against 5.9 us, A*XA 9.8 against 14.3 us;
 #   side 36: A*A 16.3 against 11.0 us, A*XA 30.4 against 19.6 us;
 #   side 64: A*A 66.6 against 24.2 us, A*XA 125 against 33.6 us.
@@ -205,21 +206,13 @@ def _nonzero_rows(dims: BipartiteDims, ops: list) -> list:
     # a nonzero entry (a -0.0 is zero) when the side mn is at least
     # ROW_PATH_SIDE and some row is zero; otherwise it is slice(None), a
     # view of every row, so the pass keeps the dense product and its bits.
-    # The rows are read from a float view in the array's own memory order:
-    # a transposed (F-ordered) operator is read through its C-ordered
-    # transpose.
+    # One `a.any(axis=1)` finds the rows in every memory layout: C- or
+    # F-ordered, or strided.
     if dims.total < ROW_PATH_SIDE:
         return [slice(None)] * len(ops)
     rows = []
     for a in ops:
-        if a.flags.c_contiguous:
-            nonzero = a.view(np.float64).any(axis=1)
-        elif a.flags.f_contiguous:
-            parts = a.T.view(np.float64).any(axis=0)
-            nonzero = parts[0::2] | parts[1::2]
-        else:
-            nonzero = (a != 0).any(axis=1)
-        index = nonzero.nonzero()[0]
+        index = a.any(axis=1).nonzero()[0]
         rows.append(slice(None) if index.size == len(a) else index)
     return rows
 

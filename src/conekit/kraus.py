@@ -12,7 +12,10 @@ from PPT inputs.
 From side mn = 32 the normalization and conjugation sums take each
 operator over its nonzero rows only, and the OSR pass takes no SVD of a
 zero operator and ranks a one-row operator e_i w* by SR(w);
-`bipartite._nonzero_rows` owns that row rule.
+`bipartite._nonzero_rows` owns that row rule.  With scipy-openblas a
+row-only product has the dense one's bits when the side is a multiple of 4
+or the rows are real; at other sides from 32, such as 5x7, complex rows can
+round differently in the last bit.
 """
 
 import enum
@@ -35,7 +38,6 @@ from .bipartite import (
     _schmidt_ranks,
     as_matrix,
     as_vector,
-    basis_vec,
     kron,
     lift_product_to_target,
     product_vec,
@@ -249,32 +251,27 @@ def random_family(
         raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
     mode = _as_mode(mode)
     rng = np.random.default_rng(seed)
-    if mode is Mode.CONTRACTIVE:
-        ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
-        s = _normalization_sum(dims, ops)
-        scale = 1.0 / np.sqrt(np.linalg.eigvalsh(s)[-1])
-        ops = [a * scale for a in ops]
-        return KrausFamily(dims, ops, mode, osr_bound=k, seed=seed)
-
-    if k == 1:
+    if mode is Mode.EXACT and k == 1:
         cb, cc = _factor_counts(count)
         left = random_exact_kraus_ops(rng, dims.m, cb)
         right = random_exact_kraus_ops(rng, dims.n, cc)
         ops = [kron(b, c) for b in left for c in right]
         return KrausFamily(dims, ops, Mode.EXACT, osr_bound=1, seed=seed)
-    if k == dims.d:
+    if mode is Mode.EXACT and k == dims.d:
         ops = random_exact_kraus_ops(rng, dims.total, count)
         return KrausFamily(dims, ops, Mode.EXACT, osr_bound=None, seed=seed)
 
-    # Renormalizing by S^{-1/2} would mix product terms and inflate the OSR,
-    # so contract the draw and complete with rank-one operators instead.
+    # The draw is scaled to lambda_max(sum A*A) = 1 (contractive) or 1/2
+    # (exact).  Renormalizing by S^{-1/2} would mix product terms and inflate
+    # the OSR, so an exact family completes its contracted draw with rank-one
+    # operators instead.
     ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
-    s = _normalization_sum(dims, ops)
-    scale = 1.0 / np.sqrt(2.0 * np.linalg.eigvalsh(s)[-1])
-    partial = KrausFamily(
-        dims, [a * scale for a in ops], Mode.EXACT, osr_bound=None, seed=seed
-    )
-    return complete_to_identity(partial, tol=tol)
+    c = 1.0 if mode is Mode.CONTRACTIVE else 2.0
+    scale = 1.0 / np.sqrt(c * np.linalg.eigvalsh(_normalization_sum(dims, ops))[-1])
+    ops = [a * scale for a in ops]
+    if mode is Mode.CONTRACTIVE:
+        return KrausFamily(dims, ops, mode, osr_bound=k, seed=seed)
+    return complete_to_identity(KrausFamily(dims, ops, mode, seed=seed), tol=tol)
 
 
 def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> KrausFamily:
@@ -298,16 +295,15 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
         raise PreconditionError(
             f"partial family is not contractive (largest eigenvalue {1.0 - evals[0]:.12f})"
         )
-    modes = [
-        (float(evals[j]), evecs[:, j]) for j in range(total) if evals[j] > COMPLETION_MODE_CUTOFF
-    ]
-    modes.reverse()  # largest deficit first
-    appended = [
-        np.sqrt(mu) * np.outer(basis_vec(total, j), u.conj()) for j, (mu, u) in enumerate(modes)
-    ]
-    kept = np.array([u for _, u in modes]).reshape(len(modes), total)
+    keep = evals > COMPLETION_MODE_CUTOFF
+    mu = evals[keep][::-1]  # largest deficit first
+    kept = evecs[:, keep][:, ::-1].T
+    # sqrt(mu_j) e_j u_j*, with np.outer's products e_j[a] u_j*[b], so the
+    # zero rows keep their -0.0 entries.
+    e = np.eye(mu.size, total, dtype=np.complex128)
+    appended = np.sqrt(mu)[:, None, None] * (e[:, :, None] * kept.conj()[:, None, :])
     bound = max([1, *_op_ranks(dims, ops, tol), *_schmidt_ranks(kept, dims, tol)])
-    return KrausFamily(dims, ops + appended, Mode.EXACT, osr_bound=bound, seed=partial.seed)
+    return KrausFamily(dims, ops + list(appended), Mode.EXACT, osr_bound=bound, seed=partial.seed)
 
 
 def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):

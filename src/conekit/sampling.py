@@ -6,8 +6,8 @@ owned by the caller; suites derive one generator per trial.
 
 import numpy as np
 
-from .bipartite import BipartiteDims, kron, partial_transpose, product_vec
-from .errors import DegenerateSampleError, PreconditionError
+from .bipartite import BipartiteDims, _check_k, kron, partial_transpose, product_vec
+from .errors import DegenerateSampleError
 
 PPT_REJECTION_CAP = 1000
 # Fresh Ginibre draws random_exact_kraus_ops tries before giving up.
@@ -43,8 +43,7 @@ def random_vector_with_sr(
     rng: np.random.Generator, dims: BipartiteDims, r: int
 ) -> np.ndarray:
     """Unit vector with Schmidt rank exactly r (planted orthonormal frames)."""
-    if not (1 <= r <= dims.d):
-        raise PreconditionError(f"rank must lie in [1, {dims.d}], got {r}")
+    _check_k(r, dims)
     left = haar_unitary(rng, dims.m)[:, :r]
     right = haar_unitary(rng, dims.n)[:, :r]
     # Coefficients bounded away from zero keep the planted rank unambiguous.
@@ -57,8 +56,7 @@ def random_operator_with_osr(
     rng: np.random.Generator, dims: BipartiteDims, k: int
 ) -> np.ndarray:
     """Sum of k Gaussian product terms; operator Schmidt rank at most k."""
-    if not (1 <= k <= dims.d):
-        raise PreconditionError(f"k must lie in [1, {dims.d}], got {k}")
+    _check_k(k, dims)
     out = np.zeros((dims.total, dims.total), dtype=np.complex128)
     for _ in range(k):
         out += kron(ginibre(rng, dims.m, dims.m), ginibre(rng, dims.n, dims.n))

@@ -6,8 +6,9 @@ declares, its precondition, whether it is exploratory, and whether it
 samples PPT inputs (its report then records the sampler's environment).
 `run_suite` is the only loop over trials; `rerun_trial` re-executes one
 trial through the same lookup and precondition, so it refuses exactly what
-the suite refuses.  The `suite_*` functions and `probe_intermediate` are
-named entry points into `run_suite`.
+the suite refuses.  Every suite refuses dims with m*n > 64, outside the
+toolkit's envelope, before it draws anything.  The `suite_*` functions and
+`probe_intermediate` are named entry points into `run_suite`.
 
 Every trial draws from one generator derived from (seed, trial index), and
 failure payloads carry that pair, so they re-run deterministically.  Reports
@@ -533,6 +534,8 @@ def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs) -> _Suite:
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
+    if dims.total > 64:
+        raise PreconditionError(f"m*n = {dims.total} lies outside the m*n <= 64 envelope")
     if not _is_int(seed):
         raise PreconditionError(f"seed must be an integer, got {seed!r}")
     if seed < 0:

@@ -477,10 +477,10 @@ class TestToleranceRefused:
         with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
             call(BipartiteDims(2, 2), tol)
 
-    @pytest.mark.parametrize("rank", [0, 3])
+    @pytest.mark.parametrize("rank", [0, 3, 1.5, True])
     @pytest.mark.parametrize("sampler", [random_vector_with_sr, random_operator_with_osr])
     def test_samplers_refuse_ranks_outside_range(self, rng, sampler, rank):
-        with pytest.raises(PreconditionError, match=r"must lie in \[1, 2\]"):
+        with pytest.raises(PreconditionError, match=r"must be an integer in \[1, 2\]"):
             sampler(rng, BipartiteDims(2, 2), rank)
 
 

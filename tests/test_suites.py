@@ -436,9 +436,10 @@ class TestValidateOnce:
 
 class TestEnvelope:
     # Every suite either runs across the whole m*n <= 64 envelope or refuses
-    # up front.  At 4x5 and 8x8 a PPT sampler whose environment sits below
-    # the ~4mn threshold exhausts its rejection cap.  At min(m, n) = 1 every
-    # vector is a product, so there is no entangled target and no witness.
+    # up front, and refuses every dims outside it.  At 4x5 and 8x8 a PPT
+    # sampler whose environment sits below the ~4mn threshold exhausts its
+    # rejection cap.  At min(m, n) = 1 every vector is a product, so there is
+    # no entangled target and no witness.
     REFUSED = {
         (4, 5): {"local-stability"},
         (8, 8): {"local-stability"},
@@ -446,6 +447,8 @@ class TestEnvelope:
         (1, 3): {"strict-enlargement", "witness-not-cstar"},
         (3, 1): {"strict-enlargement", "witness-not-cstar"},
         (1, 8): {"local-stability", "strict-enlargement", "witness-not-cstar"},
+        (9, 8): set(SUITE_IDS),
+        (1, 65): set(SUITE_IDS),
     }
 
     @pytest.mark.parametrize("m,n", list(REFUSED))
