@@ -5,31 +5,19 @@ of v = sum_t x_t (x) y_t.  It runs a whole stack of R starts at once:
 starting frames come in as an (R, n, k) array, every half-step is one
 matmul pair, one batched `np.linalg.eigh` and, when k > 1, one batched
 `np.linalg.qr` over the starts still running (numpy's linalg broadcasts
-over leading axes), and a start leaves the running set at the iteration
-where it converges or meets an earlier start.  At k = 1 the bottom
-eigenvector is already a unit frame: QR would only multiply it by a unit
-phase, which the next contraction F* W F cancels.  numpy and LAPACK solve
-each matrix of a stack exactly as they would solve it alone, so every
-start's result is bit-identical to a run of that start by itself, cut at
-the earlier of two iterations: the one where the stack reached the
-spectral floor, and the one where the start's frame met the frame of an
-earlier start that ran the same iteration (tests/test_kernels.py pins this
-against a looped reference).  A see-saw level stacks at most 34 starts
-(32 random frames, the ground frame and the warm frame), which bounds the
-(R, k, m*m*n) contraction intermediates.
-
-Meeting keeps one start per basin.  The x-step sees a frame only through
-its span, so two frames that span one subspace have one future; that is
-exact only for coinciding spans.  SEESAW_MEET = 1e-2 also retires a start
-whose span merely lies near an earlier start's, so a start is retired only
-into one whose value is at most its own (to the stopping tolerance): in a
-flat basin, where starts run to the iteration cap, the start furthest down
-runs on.  This rests on a sweep, not on a proof: over 2280 level values no
-level value rose by more than 1e-12 * ||W||_2 over a run in which no start
-can meet (BENCH_seesaw_basin_meet.json); without the value test, six rose
-by up to 1.6e-7 * ||W||_2.  The earlier start always runs on, so row 0
-(the ground frame of a see-saw level) is never retired, and an earlier
-init still wins a tie.
+over leading axes), and a start leaves the running set when it stops.  At
+k = 1 the bottom eigenvector is already a unit frame: QR would only
+multiply it by a unit phase, which the next contraction F* W F cancels.
+numpy and LAPACK solve each matrix of a stack exactly as they would solve
+it alone, so every start's result is bit-identical to a run of that start
+by itself, cut at the earlier of two iterations: the one where the stack
+reached the spectral floor, and the one where the start's frame met the
+frame of an earlier start that ran the same iteration (tests/test_kernels.py
+pins this against a looped reference).  A see-saw level stacks at most 34
+starts (32 random frames, the ground frame and the warm frame), which
+bounds the (R, k, m*m*n) contraction intermediates.  The stopping rules
+(decrease, one start per basin, spectral floor, iteration cap) and their
+evidence are stated once, in `seesaw_minimize`'s docstring.
 """
 
 import numpy as np
@@ -94,8 +82,9 @@ def seesaw_minimize(m, n, k, w, y0, floor):
 
     y0 is an (R, n, k) stack of starting frames, run as one stack.  Both
     tolerances below are absolute, tol = SEESAW_FTOL * s with s the largest
-    |Re| or |Im| entry of W, taken once per call, so the stops scale with W.
-    Four rules stop the work:
+    |Re| or |Im| entry of W, taken once per call, so the stops scale with W:
+    c W gets c times W's values, bit for bit and with the same vectors at
+    c = 2^+-40, and to 1e-14 * ||W||_2 at 1e+-200.  Four rules stop the work:
       * a start stops at the first iteration whose decrease is at most tol
         (W = 0 too, where tol = 0);
       * a start stops at the first iteration where its y-frame comes within
@@ -106,11 +95,17 @@ def seesaw_minimize(m, n, k, w, y0, floor):
       * a start stops after SEESAW_ITERS iterations.
     The x-step depends on the y-frame only through its span, so a start
     whose frame spans an earlier start's subspace exactly has that start's
-    future, and the earlier one runs it.  Within SEESAW_MEET the spans only
-    nearly coincide, and the later start is retired as one more start in
-    the earlier start's basin, but only into a start that is no higher in
-    it (the module docstring gives the evidence).  Row 0 has no earlier
-    start, so it is never retired.
+    future, and the earlier one runs it.  Within SEESAW_MEET = 1e-2 the
+    spans only nearly coincide, and the later start is retired as one more
+    start in the earlier start's basin, but only into a start that is no
+    higher in it: in a flat basin, where starts run to the iteration cap,
+    the start furthest down runs on.  That tolerance rests on a sweep, not
+    on a proof: over 2280 level values (2x2 to 8x8, four input classes) no
+    level value rose by more than 1e-12 * ||W||_2 over a run in which no
+    start can meet (BENCH_seesaw_basin_meet.json); without the value test,
+    six rose by up to 1.6e-7 * ||W||_2.  Row 0 (the ground frame of a
+    see-saw level) has no earlier start, so it is never retired, and an
+    earlier init still wins a tie.
     Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
     reached), so a floor stop proves the least value optimal to within tol.

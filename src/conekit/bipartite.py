@@ -12,9 +12,10 @@ and the decompositions (`_nonzero_rank`), the stacked rank passes
 by SR(w) and every other nonzero one by its whole realignment), the row
 rule that lets the Kraus passes skip each large operator's zero rows
 (`_nonzero_rows`), the rescaling of an array whose norm overflows or
-underflows (`_largest_part`), the range of a rank bound k (`_check_k`) and
-the Schmidt-aligned basis that the exact rank-one families complete with
-(`_schmidt_aligned_basis`).
+underflows (`_largest_part`), the Schmidt-aligned basis of the exact
+rank-one families (`_schmidt_aligned_basis`), and every module's argument
+rules: `_check_tol`, `_check_k`, `_check_seed`, `_check_count` and the
+unit-vector test `_unit_norm`.
 """
 
 import numbers
@@ -261,6 +262,27 @@ def _check_tol(tol: float):
         raise PreconditionError(f"tol must lie in (0, 1), got {tol}")
 
 
+def _check_seed(seed):
+    # The seed rule: an integer in [0, 2**64), one unsigned 64-bit word.
+    if not _is_int(seed):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"seed must be nonnegative and below 2**64, got {seed}")
+
+
+def _check_count(name: str, value):
+    if not (_is_int(value) and value >= 1):
+        raise PreconditionError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _unit_norm(name: str, vec: np.ndarray, tol: float):
+    # The unit-vector rule on a coerced vector; returns its norm to divide by.
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > tol:
+        raise NormError(f"{name} must be a unit vector")
+    return norm
+
+
 def _is_int(value) -> bool:
     # Python and numpy integers; a bool is an int to Python but never a count.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -406,41 +428,33 @@ def lift_product_to_target(
     exact up to rounding.  norm_tol must lie in (0, 1).
 
     The two factors of U are built apart: `_source_adjoint` checks u and v
-    and returns B_{u(x)v}*, and `_lift_from` checks w and multiplies.  A
-    caller that lifts one product vector onto many targets builds the
-    source factor once; every U it gets has the bits this function returns.
+    and returns B_{u(x)v}*, and `_lift_from` multiplies by B_w.  A caller
+    that lifts one product vector onto many targets builds the source
+    factor once; every U it gets has the bits this function returns.
     Refusals come in this order: norm_tol, w's shape and finiteness, u and
     v's shapes, their finiteness, then the unit norms of u, v and w.
     """
     _check_tol(norm_tol)
     w = as_vector(dims, w)
-    return _lift_from(_source_adjoint(u, v, dims, norm_tol), w, dims, norm_tol)
+    return _lift_from(_source_adjoint(u, v, dims, norm_tol), w, norm_tol)
 
 
 def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
     # B_{u(x)v}*, the right factor of every lift of u (x) v, after the
-    # checks on u, v and norm_tol.
-    _check_tol(norm_tol)
+    # checks on u and v; norm_tol is a checked tolerance.
     u = _as_complex(u)
     v = _as_complex(v)
     if u.shape != (dims.m,) or v.shape != (dims.n,):
         raise DimError("u must live in C^m and v in C^n")
     u, v = _finite(u), _finite(v)
-    for name, vec in (("u", u), ("v", v)):
-        if abs(np.linalg.norm(vec) - 1.0) > norm_tol:
-            raise NormError(f"{name} must be a unit vector")
+    _unit_norm("u", u, norm_tol)
+    _unit_norm("v", v, norm_tol)
     source = product_vec(u, v)
     return complete_orthonormal_basis(source / np.linalg.norm(source)).conj().T
 
 
-def _lift_from(
-    b_source_adjoint: np.ndarray, w, dims: BipartiteDims, norm_tol: float
-) -> np.ndarray:
-    # The lift onto w from a source factor built by `_source_adjoint`.
-    # Each w is normalized by the norm of the 1-d vector itself: row norms
-    # of a stack sum in another order and move the last bits.
-    w = as_vector(dims, w)
-    norm = np.linalg.norm(w)
-    if abs(norm - 1.0) > norm_tol:
-        raise NormError("w must be a unit vector")
-    return complete_orthonormal_basis(w / norm) @ b_source_adjoint
+def _lift_from(b_source_adjoint: np.ndarray, w: np.ndarray, norm_tol: float) -> np.ndarray:
+    # The lift onto a coerced w from a `_source_adjoint` factor.  Each w is
+    # normalized by the norm of the 1-d vector itself: row norms of a stack
+    # sum in another order and move the last bits.
+    return complete_orthonormal_basis(w / _unit_norm("w", w, norm_tol)) @ b_source_adjoint

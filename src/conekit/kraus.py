@@ -27,7 +27,9 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _as_complex,
+    _check_count,
     _check_k,
+    _check_seed,
     _check_tol,
     _finite,
     _is_int,
@@ -36,6 +38,7 @@ from .bipartite import (
     _op_ranks,
     _schmidt_aligned_basis,
     _schmidt_ranks,
+    _unit_norm,
     as_matrix,
     as_vector,
     kron,
@@ -43,7 +46,7 @@ from .bipartite import (
     product_vec,
     sr,
 )
-from .errors import DimError, NormError, PreconditionError
+from .errors import DimError, PreconditionError
 from .membership import MembershipReport, Verdict, hermitian_part
 from .sampling import random_exact_kraus_ops, random_operator_with_osr
 
@@ -67,8 +70,8 @@ class KrausFamily:
     """Ordered coefficient operators with normalization metadata.
 
     The mode is coerced through `Mode`, so "exact" and "contractive" are
-    accepted as strings; any other value is refused.  osr_bound and seed
-    must each be None or an integer.
+    accepted as strings; any other value is refused.  osr_bound must be
+    None or an integer, and seed None or a seed (`bipartite._check_seed`).
     """
 
     dims: BipartiteDims
@@ -79,10 +82,10 @@ class KrausFamily:
 
     def __post_init__(self):
         self.mode = _as_mode(self.mode)
-        for name in ("osr_bound", "seed"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise PreconditionError(f"{name} must be an integer or None, got {value!r}")
+        if self.osr_bound is not None and not _is_int(self.osr_bound):
+            raise PreconditionError(f"osr_bound must be an integer or None, got {self.osr_bound!r}")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
     @property
     def locality(self) -> Locality:
@@ -244,11 +247,9 @@ def random_family(
     at 8x8 with k = 2 to 7.
     """
     _check_tol(tol)
-    if not (_is_int(count) and count >= 1):
-        raise PreconditionError(f"count must be an integer >= 1, got {count!r}")
+    _check_count("count", count)
     _check_k(k, dims)
-    if not (_is_int(seed) and seed >= 0):
-        raise PreconditionError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_seed(seed)
     mode = _as_mode(mode)
     rng = np.random.default_rng(seed)
     if mode is Mode.EXACT and k == 1:
@@ -325,9 +326,7 @@ def collapse_construction(v, dims: BipartiteDims, tol: float = DEFAULT_TOL):
     """
     _check_tol(tol)
     v = as_vector(dims, v)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise NormError("target vector must be unit")
+    norm = _unit_norm("v", v, tol)
     total = dims.total
     c = 1.0 / (norm * np.sqrt(2.0 * total))
     left, s, right = np.linalg.svd(v.reshape(dims.m, dims.n))
@@ -353,9 +352,8 @@ def embed_schmidt_k(
     _check_k(k, dims)
     v = as_vector(dims, v)
     u = as_vector(dims, u_product)
-    for name, vec in (("v", v), ("u_product", u)):
-        if abs(np.linalg.norm(vec) - 1.0) > tol:
-            raise NormError(f"{name} must be a unit vector")
+    _unit_norm("v", v, tol)
+    _unit_norm("u_product", u, tol)
     if sr(u, dims, tol) != 1:
         raise PreconditionError("u_product must be a simple tensor")
     rank = sr(v, dims, tol)

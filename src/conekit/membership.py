@@ -18,8 +18,8 @@ from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
     _check_k,
+    _check_seed,
     _check_tol,
-    _is_int,
     _largest_part,
     _rank_from_singulars,
     as_matrix,
@@ -65,10 +65,7 @@ class SeesawConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not _is_int(self.seed):
-            raise PreconditionError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= self.seed < 2**64):
-            raise PreconditionError("seed must be a nonnegative 64-bit integer")
+        _check_seed(self.seed)
         _check_tol(self.tol)
 
 
@@ -280,16 +277,10 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
     upper bound on the true constrained minimum.
 
     Each level runs its starts as one stack through
-    `_kernels.seesaw_minimize`, which owns the stopping rules and their
-    constants.  With tol = `_kernels.SEESAW_FTOL` times w's largest |Re| or
-    |Im| entry, so that every stop scales with w: a start stops once its
-    decrease is at most tol, or once its frame comes within
-    `_kernels.SEESAW_MEET` of the subspace of an earlier start whose value
-    is at most its own + tol (one start per basin), the level stops once
-    its least value is within tol of lambda_min(w), and every start stops
-    at `_kernels.SEESAW_ITERS` iterations.  lambda_min bounds every level from below, so a floor stop
-    proves the value optimal for this and every higher k; the remaining
-    levels are then skipped.
+    `_kernels.seesaw_minimize`, whose docstring states its stopping rules
+    (decrease, one start per basin, spectral floor, iteration cap) once.
+    A floor stop proves the value optimal for this and every higher k, so
+    the remaining levels are then skipped.
     """
     _check_k(k, dims)
     state = _seesaw_state(w, dims, cfg)

@@ -24,7 +24,9 @@ import numpy as np
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
+    _check_count,
     _check_k,
+    _check_seed,
     _check_tol,
     _is_int,
     _lift_from,
@@ -108,7 +110,8 @@ class SuiteReport:
 # Every trial function is called as trial(rng, t, dims, tol, k=..., extra_inputs=...)
 # and returns (ok, residual, info); every precondition check is called as
 # check(dims=..., tol=..., k=..., extra_inputs=...) and raises PreconditionError.
-# Each takes what it needs and ignores the rest.
+# Each takes what it needs and ignores the rest; extra_inputs is the list
+# `_checked_suite` coerced, or None for a suite that takes none.
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -216,15 +219,15 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
     # Every term lifts the same p = u (x) v, so its basis is built and
     # checked once; each U has the bits of lift_product_to_target(u, v, ...).
-    # The term U (pp*) U* is rank one, so it is built as qq* with q = U p:
-    # one matrix-vector product and one outer product, no D x D products.
+    # Each `_lift_from` multiplies two D x D bases, one D x D product per
+    # term; the rank-one term U (pp*) U* is then built as qq*, q = U p.
     b_source_adjoint = _source_adjoint(u, v, dims, DEFAULT_TOL)
     weights = []
     terms = []
     for j in range(total):
         if evals[j] <= 1e-12:
             continue
-        q = _lift_from(b_source_adjoint, evecs[:, j], dims, DEFAULT_TOL) @ p
+        q = _lift_from(b_source_adjoint, evecs[:, j], DEFAULT_TOL) @ p
         weights.append(float(evals[j]))
         terms.append(np.outer(q, q.conj()))
     rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))
@@ -326,7 +329,7 @@ def suite_witness_not_cstar(
 
 
 def _extra_inputs_ppt(dims, tol, extra_inputs, **_):
-    for x in extra_inputs or ():
+    for x in extra_inputs:
         if is_ppt(x, dims, tol).verdict is not Verdict.IN:
             raise PreconditionError("extra inputs must be PPT")
 
@@ -340,11 +343,8 @@ def _trial_ppt_stability(rng, t, dims, tol, extra_inputs, **_):
         count = int(rng.integers(1, 5))
         family = random_family(dims, count, 1, Mode.EXACT, _derived_seed(rng))
     inputs = [random_ppt(rng, dims) for _ in family.ops]
-    used_extras = 0
-    if extra_inputs:
-        used_extras = min(len(extra_inputs), len(inputs))
-        for i in range(used_extras):
-            inputs[i] = as_matrix(dims, extra_inputs[i])
+    used_extras = min(len(extra_inputs), len(inputs))
+    inputs[:used_extras] = extra_inputs[:used_extras]
     out = apply(family, inputs)
     report = is_ppt(out, dims, tol)
     residual = float(max(0.0, -report.min_eig))
@@ -354,17 +354,14 @@ def _trial_ppt_stability(rng, t, dims, tol, extra_inputs, **_):
 
 
 def suite_ppt_stability(
-    dims: BipartiteDims,
-    trials: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
+    dims: BipartiteDims, trials: int, seed: int, tol: float = DEFAULT_TOL,
     extra_inputs: list | None = None,
 ) -> SuiteReport:
     """Product-coefficient exact families keep PPT inputs PPT.
 
-    Optional extra inputs (e.g. bound-entangled states loaded from files)
-    are checked for PPT membership and then substituted into the sampled
-    input slots of every trial.
+    Optional extra inputs (e.g. bound-entangled states loaded from files),
+    any sequence or (k, mn, mn) stack of matrices, are checked for PPT
+    membership and substituted into the sampled input slots of every trial.
     """
     return run_suite("ppt-stability", dims, seed, trials, tol, extra_inputs=extra_inputs)
 
@@ -503,6 +500,7 @@ class _Suite:
     check: Callable | None = None
     exploratory: bool = False
     samples_ppt: bool = False  # draws inputs from random_ppt
+    takes_extras: bool = False  # substitutes extra_inputs into its trials
 
 
 _SUITES = {
@@ -518,7 +516,7 @@ _SUITES = {
         residual_bound=RESIDUAL_BOUND_TIGHT, check=_entangled_vector_exists,
     ),
     "ppt-stability": _Suite(
-        _trial_ppt_stability, 500, check=_extra_inputs_ppt, samples_ppt=True
+        _trial_ppt_stability, 500, check=_extra_inputs_ppt, samples_ppt=True, takes_extras=True
     ),
     "ppt-collapse": _Suite(_trial_ppt_collapse, 200, residual_bound=RESIDUAL_BOUND_TIGHT),
     "probe-intermediate": _Suite(
@@ -529,21 +527,22 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
-def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs) -> _Suite:
-    """Look a suite up and refuse what it cannot run."""
+def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs):
+    """Look a suite up and refuse what it cannot run; returns (suite, extras),
+    extras being the extra inputs the suite takes, each coerced once, or None."""
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise PreconditionError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     if dims.total > 64:
         raise PreconditionError(f"m*n = {dims.total} lies outside the m*n <= 64 envelope")
-    if not _is_int(seed):
-        raise PreconditionError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise PreconditionError("seed must be nonnegative")
+    _check_seed(seed)
     _check_tol(tol)
+    extras = None
+    if suite.takes_extras:
+        extras = [as_matrix(dims, x) for x in ([] if extra_inputs is None else extra_inputs)]
     if suite.check is not None:
-        suite.check(dims=dims, tol=tol, k=k, extra_inputs=extra_inputs)
-    return suite
+        suite.check(dims=dims, tol=tol, k=k, extra_inputs=extras)
+    return suite, extras
 
 
 def rerun_trial(
@@ -560,12 +559,12 @@ def rerun_trial(
     Raises PreconditionError wherever `run_suite` would, and for a trial
     index that no report of the suite contains.
     """
-    suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
+    suite, extras = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
     if not _is_int(trial):
         raise PreconditionError(f"trial must be an integer, got {trial!r}")
     if trial < 0 or (suite.fixed and trial >= suite.trials):
         raise PreconditionError(f"{suite_id} has no trial {trial}")
-    return suite.trial(_trial_rng(seed, trial), trial, dims, tol, k=k, extra_inputs=extra_inputs)
+    return suite.trial(_trial_rng(seed, trial), trial, dims, tol, k=k, extra_inputs=extras)
 
 
 def run_suite(
@@ -582,14 +581,14 @@ def run_suite(
     `trials=None` runs the suite's default count; a fixed-case suite always
     runs all of its cases.  A count below 1 is refused.
     """
-    suite = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
-    if trials is not None and not (_is_int(trials) and trials >= 1):
-        raise PreconditionError(f"trials must be an integer >= 1, got {trials!r}")
+    suite, extras = _checked_suite(suite_id, dims, seed, tol, k, extra_inputs)
+    if trials is not None:
+        _check_count("trials", trials)
     if trials is None or suite.fixed:
         trials = suite.trials
     start = time.perf_counter()
     results = [
-        suite.trial(_trial_rng(seed, t), t, dims, tol, k=k, extra_inputs=extra_inputs)
+        suite.trial(_trial_rng(seed, t), t, dims, tol, k=k, extra_inputs=extras)
         for t in range(trials)
     ]
     failures = []

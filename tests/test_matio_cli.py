@@ -11,6 +11,8 @@ from conekit import (
     KrausFamily,
     Locality,
     Mode,
+    PreconditionError,
+    SeesawConfig,
     Verdict,
     basis_vec,
     collapse_construction,
@@ -19,6 +21,8 @@ from conekit import (
     max_entangled_vector,
     product_vec,
     random_family,
+    rerun_trial,
+    run_suite,
     swap_operator,
 )
 from conekit import cli, kraus, matio
@@ -392,6 +396,45 @@ class TestKrausFamilyHeader:
     def test_missing_locality_is_derived(self, tmp_path, bound, locality):
         path = self._write(tmp_path, drop=["locality"], osr_bound=bound)
         assert matio.load_kraus_family(path).locality is locality
+
+
+D22 = BipartiteDims(2, 2)
+
+
+def _load_with_seed(tmp_path, seed):
+    path = tmp_path / "fam.json"
+    matio.save_kraus_family(str(path), KrausFamily(D22, [np.eye(4)], Mode.EXACT))
+    obj = json.loads(path.read_text())
+    obj["seed"] = int(seed) if isinstance(seed, np.integer) else seed
+    path.write_text(json.dumps(obj))
+    return matio.load_kraus_family(str(path))
+
+
+# Each entry takes a seed through one entry point, called as f(tmp_path, seed).
+SEED_ENTRY_POINTS = {
+    "run_suite": lambda tmp_path, s: run_suite("srank", D22, s, trials=1),
+    "rerun_trial": lambda tmp_path, s: rerun_trial("srank", D22, s, 0),
+    "SeesawConfig": lambda tmp_path, s: SeesawConfig(seed=s),
+    "random_family": lambda tmp_path, s: random_family(D22, 2, 1, Mode.EXACT, seed=s),
+    "KrausFamily": lambda tmp_path, s: KrausFamily(D22, [np.eye(4)], Mode.EXACT, seed=s),
+    "load_kraus_family": _load_with_seed,
+}
+
+
+class TestSeedRule:
+    """Every entry point takes a seed by one rule: an integer in [0, 2**64)."""
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**63), 2**64 - 1], ids=repr)
+    @pytest.mark.parametrize("call", list(SEED_ENTRY_POINTS))
+    def test_seed_accepted(self, tmp_path, call, seed):
+        SEED_ENTRY_POINTS[call](tmp_path, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", list(SEED_ENTRY_POINTS))
+    def test_seed_refused(self, tmp_path, call, seed):
+        error = MatrixFileError if call == "load_kraus_family" else PreconditionError
+        with pytest.raises(error, match="seed must be"):
+            SEED_ENTRY_POINTS[call](tmp_path, seed)
 
 
 D33 = BipartiteDims(3, 3)

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conekit import (
     BipartiteDims,
+    DimError,
     Locality,
     SUITE_IDS,
     PreconditionError,
@@ -478,3 +481,42 @@ class TestExtraInputsFlow:
         assert is_ppt(extras[0], d).verdict is Verdict.IN
         report = suite_ppt_stability(d, 10, SEED, extra_inputs=extras)
         assert report.passes == report.trials
+
+    def test_stack_runs_like_its_list(self, rng, monkeypatch):
+        # Extra inputs are coerced once, element by element, so a (k, D, D)
+        # stack runs as the list of its matrices.
+        d = BipartiteDims(2, 2)
+        stack = np.stack([random_ppt(rng, d) for _ in range(3)])
+        seen = []
+        apply = suites.apply
+
+        def recording_apply(family, inputs):
+            seen.append([x.tobytes() for x in inputs])
+            return apply(family, inputs)
+
+        monkeypatch.setattr(suites, "apply", recording_apply)
+        runs = {}
+        for form, extras in (("list", list(stack)), ("stack", stack)):
+            seen.clear()
+            report = suite_ppt_stability(d, 6, SEED, extra_inputs=extras)
+            reruns = [rerun_trial("ppt-stability", d, SEED, t, extra_inputs=extras) for t in range(6)]
+            digests = [
+                hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+                for obj in (report.to_obj(include_wall_time=False), reruns)
+            ]
+            runs[form] = (digests, list(seen))
+        assert runs["stack"] == runs["list"]
+        # Every trial, run or re-run, took the extras into its first slots.
+        assert len(runs["stack"][1]) == 12
+        for inputs in runs["stack"][1]:
+            used = min(len(stack), len(inputs))
+            assert inputs[:used] == [x.tobytes() for x in stack[:used]]
+
+    def test_one_matrix_refused(self):
+        # One (D, D) matrix is a sequence of D rows, none of them a matrix.
+        d = BipartiteDims(2, 2)
+        x = np.eye(4) / 4.0
+        with pytest.raises(DimError):
+            suite_ppt_stability(d, 2, SEED, extra_inputs=x)
+        with pytest.raises(DimError):
+            rerun_trial("ppt-stability", d, SEED, 0, extra_inputs=x)
