@@ -10,14 +10,16 @@ k = 1 the bottom eigenvector is already a unit frame: QR would only
 multiply it by a unit phase, which the next contraction F* W F cancels.
 numpy and LAPACK solve each matrix of a stack exactly as they would solve
 it alone, so every start's result is bit-identical to a run of that start
-by itself, cut at the earlier of two iterations: the one where the stack
-reached the spectral floor, and the one where the start's frame met the
-frame of an earlier start that ran the same iteration (tests/test_kernels.py
+by itself, cut at the earliest of three iterations: the one where the stack
+reached the spectral floor, the one where the start's frame met the frame
+of an earlier start that ran the same iteration, and the one where the
+start could no longer catch up, in the iterations left, with the least
+value at which a start of the stack has stalled (tests/test_kernels.py
 pins this against a looped reference).  A see-saw level stacks at most 34
 starts (32 random frames, the ground frame and the warm frame), which
-bounds the (R, k, m*m*n) contraction intermediates.  The stopping rules
-(decrease, one start per basin, spectral floor, iteration cap) and their
-evidence are stated once, in `seesaw_minimize`'s docstring.
+bounds the (R, k, m*m*n) contraction intermediates.  The five stopping
+rules (decrease, one start per basin, catch-up, spectral floor, iteration
+cap) and their evidence are stated once, in `seesaw_minimize`'s docstring.
 """
 
 import numpy as np
@@ -84,12 +86,17 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     tolerances below are absolute, tol = SEESAW_FTOL * s with s the largest
     |Re| or |Im| entry of W, taken once per call, so the stops scale with W:
     c W gets c times W's values, bit for bit and with the same vectors at
-    c = 2^+-40, and to 1e-14 * ||W||_2 at 1e+-200.  Four rules stop the work:
+    c = 2^+-40, and to 1e-14 * ||W||_2 at 1e+-200.  Five rules stop the work:
       * a start stops at the first iteration whose decrease is at most tol
         (W = 0 too, where tol = 0);
       * a start stops at the first iteration where its y-frame comes within
         SEESAW_MEET of the subspace of an earlier start that ran that
         iteration with a value at most its own + tol (see _meets_earlier);
+      * catch-up: a start stops at the first iteration, before the last,
+        where it could not get within tol of `settled`, the least value at
+        which a start has stalled (stopped on its decrease), even if it kept
+        its latest decrease for every iteration left:
+        val - (prev - val) * left > settled + tol;
       * the stack stops at the first iteration where its least value
         reaches the spectral floor (see at_floor);
       * a start stops after SEESAW_ITERS iterations.
@@ -104,8 +111,23 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     level value rose by more than 1e-12 * ||W||_2 over a run in which no
     start can meet (BENCH_seesaw_basin_meet.json); without the value test,
     six rose by up to 1.6e-7 * ||W||_2.  Row 0 (the ground frame of a
-    see-saw level) has no earlier start, so it is never retired, and an
-    earlier init still wins a tie.
+    see-saw level) has no earlier start, so it is never retired by meeting,
+    and an earlier init still wins a tie.
+    Catch-up assumes that a start's decrease per iteration never grows; a
+    start it retires then could not have ended within tol of a minimum
+    some start has found, so the level's answer stays the same.  A start
+    slowly descending a shallow slope far above the best start would
+    otherwise set the stack's length.  The assumption fails near a saddle,
+    where a start can crawl a plateau for tens of iterations and then fall
+    below every other start: measured against the least value of every
+    start, running ones included, the rule cut such starts, and three of
+    the sweep's level values rose, by up to 3.7e-3 * ||W||_2 (8x8 shifted
+    Wishart inputs at k = 2).  Measured against `settled` it cuts only once
+    a start has found a minimum.  That, too, rests on a sweep, not on a
+    proof: over the same 2280 level values no level value rose by more than
+    1e-12 * ||W||_2 (the worst by 9.8e-15 * ||W||_2; 73 differ in their
+    bits), and the eigh matrices solved fell from 2.14 to 1.48 million
+    (BENCH_seesaw_catch_up.json).
     Each start's value and frames are those of the iteration where it
     stopped.  floor must be lambda_min of W (or -inf, which is never
     reached), so a floor stop proves the least value optimal to within tol.
@@ -126,7 +148,8 @@ def seesaw_minimize(m, n, k, w, y0, floor):
     earlier = ~np.tri(rows, dtype=bool)
     y_frame, _ = np.linalg.qr(y0)
     prev = np.full(rows, np.inf)
-    for _ in range(SEESAW_ITERS):
+    settled = np.inf
+    for it in range(SEESAW_ITERS):
         _, x_stack = _bottom_block_vectors(wx, y_frame, k, m, n)
         x_pair = _unit_frames(x_stack, k)
         val, y_pair = _bottom_block_vectors(wy, x_pair, k, n, m)
@@ -136,8 +159,17 @@ def seesaw_minimize(m, n, k, w, y0, floor):
         y_out[active] = y_pair
         if at_floor(val, floor, tol):
             return values, x_out, y_out, True
-        running = ~(prev - val <= tol)
+        stalled = prev - val <= tol
+        settled = np.min(val, where=stalled, initial=settled)
+        running = ~stalled
         running &= ~_meets_earlier(y_frame, val, tol, earlier[: active.size, : active.size])
+        left = SEESAW_ITERS - 1 - it
+        if left:
+            # Catch-up.  Until a start has stalled, and on the first
+            # iteration, where prev is inf, nothing is cut; skipping the last
+            # iteration, which cuts nothing either, keeps inf * 0 out at
+            # SEESAW_ITERS = 1.
+            running &= ~(val - (prev - val) * left > settled + tol)
         if not running.all():
             active = active[running]
             if active.size == 0:

@@ -278,7 +278,8 @@ def min_sr_k_expectation(w, dims: BipartiteDims, k: int, cfg: SeesawConfig):
 
     Each level runs its starts as one stack through
     `_kernels.seesaw_minimize`, whose docstring states its stopping rules
-    (decrease, one start per basin, spectral floor, iteration cap) once.
+    (decrease, one start per basin, catch-up, spectral floor, iteration
+    cap) once.
     A floor stop proves the value optimal for this and every higher k, so
     the remaining levels are then skipped.
     """

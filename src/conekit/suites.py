@@ -500,6 +500,7 @@ class _Suite:
     check: Callable | None = None
     exploratory: bool = False
     samples_ppt: bool = False  # draws inputs from random_ppt
+    takes_k: bool = False  # builds its trials at the OSR bound k
     takes_extras: bool = False  # substitutes extra_inputs into its trials
 
 
@@ -520,7 +521,8 @@ _SUITES = {
     ),
     "ppt-collapse": _Suite(_trial_ppt_collapse, 200, residual_bound=RESIDUAL_BOUND_TIGHT),
     "probe-intermediate": _Suite(
-        _trial_probe, 200, check=_probe_k_in_range, exploratory=True, samples_ppt=True
+        _trial_probe, 200, check=_probe_k_in_range, exploratory=True, samples_ppt=True,
+        takes_k=True,
     ),
 }
 
@@ -537,6 +539,10 @@ def _checked_suite(suite_id, dims, seed, tol, k, extra_inputs):
         raise PreconditionError(f"m*n = {dims.total} lies outside the m*n <= 64 envelope")
     _check_seed(seed)
     _check_tol(tol)
+    if k is not None and not suite.takes_k:
+        raise PreconditionError(f"{suite_id} takes no k")
+    if extra_inputs is not None and not suite.takes_extras:
+        raise PreconditionError(f"{suite_id} takes no extra inputs")
     extras = None
     if suite.takes_extras:
         extras = [as_matrix(dims, x) for x in ([] if extra_inputs is None else extra_inputs)]

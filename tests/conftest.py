@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conekit import BipartiteDims, membership
+from conekit.sampling import random_product_vector
 
 DESK_DIMS = [(2, 2), (2, 3), (3, 3)]
 
@@ -27,3 +28,15 @@ def rng():
 def hermitian(rng, dim):
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     return (g + g.conj().T) / 2
+
+
+def planted_violator(rng, dims):
+    """A planted block-positivity violator.
+
+    A random Hermitian H shifted so that a random product vector p has
+    <p|W|p> = -0.05 ||H||_2.
+    """
+    h = hermitian(rng, dims.total)
+    p = random_product_vector(rng, dims)
+    shift = np.real(np.vdot(p, h @ p)) + 0.05 * np.linalg.norm(h, 2)
+    return h - shift * np.eye(dims.total)

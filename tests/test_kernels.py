@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conekit.bipartite import BipartiteDims, partial_transpose
 from conekit.membership import _frame_from_vector
 from conekit.sampling import ginibre, random_vector_with_sr
 
-from conftest import DESK_DIMS, hermitian
+from conftest import DESK_DIMS, hermitian, planted_violator
 
 
 def reaches_floor(val, floor, tol):
@@ -83,31 +84,53 @@ def frames_meet(a, b, k, meet):
     return k - np.sum(np.abs(a.conj().T @ b) ** 2) <= meet
 
 
-def looped_stack(m, n, k, wx, wy, y0, iters, tol, floor, meet):
+def looped_stack(m, n, k, wx, wy, y0, iters, tol, floor, meet, catch_up=True, cut_by=None):
     """Reference for a stacked call: every start run alone, then cut.
 
     Iteration by iteration, the starts that run it are those whose own run
-    lasts that long and that no earlier cut has stopped.  A start whose
-    frame then meets the frame of an earlier such start, with a value at
-    most its own + tol, is cut at that iteration, and once one of them
-    reaches the floor, all of them are.
-    Returns one (value, x, y, iterations run) per start.
+    lasts that long and that no earlier cut has stopped.  Once one of them
+    reaches the floor, all of them are cut at that iteration.  Otherwise a
+    start is cut there when its frame meets the frame of an earlier such
+    start with a value at most its own + tol, or, with catch_up and before
+    the last iteration, when its value minus its latest decrease times the
+    iterations left still lies above tol plus the least value at which a
+    start that ran has so far decreased by at most tol.
+    Returns one (value, x, y, iterations run) per start.  A cut_by list gets
+    the rule that cut each start, "floor", "meet" or "catch-up", or None
+    where its own run ended first.
     """
     runs = [looped_seesaw(m, n, k, wx, wy, s, iters, tol, floor) for s in y0]
     stops = [len(run) for run in runs]
+    rules = [None] * len(runs)
+    settled = np.inf
     for it in range(1, max(stops) + 1):
         ran = [r for r, stop in enumerate(stops) if stop >= it]
         if any(reaches_floor(runs[r][it - 1][0], floor, tol) for r in ran):
             for r in ran:
                 stops[r] = it
+                rules[r] = "floor"
             break
+        for r in ran:
+            if it > 1 and runs[r][it - 2][0] - runs[r][it - 1][0] <= tol:
+                settled = min(settled, runs[r][it - 1][0])
         for later, b in enumerate(ran):
+            val = runs[b][it - 1][0]
             if any(
                 frames_meet(runs[a][it - 1][3], runs[b][it - 1][3], k, meet)
-                and runs[a][it - 1][0] <= runs[b][it - 1][0] + tol
+                and runs[a][it - 1][0] <= val + tol
                 for a in ran[:later]
             ):
-                stops[b] = it
+                rule = "meet"
+            elif catch_up and 1 < it < iters and (
+                val - (runs[b][it - 2][0] - val) * (iters - it) > settled + tol
+            ):
+                rule = "catch-up"
+            else:
+                continue
+            if it < stops[b]:
+                stops[b], rules[b] = it, rule
+    if cut_by is not None:
+        cut_by[:] = rules
     return [run[stop - 1][:3] + (stop,) for run, stop in zip(runs, stops)]
 
 
@@ -118,12 +141,12 @@ def run_kernel(m, n, k, w, y0, floor):
     return values, xs, ys, reached
 
 
-def kernel_reference(m, n, k, w, y0, floor):
+def kernel_reference(m, n, k, w, y0, floor, catch_up=True):
     """looped_stack at the kernel's current constants."""
     wx, wy = _kernels._layouts(w, m, n)
     return looped_stack(
         m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, stop_tol(w), floor,
-        _kernels.SEESAW_MEET,
+        _kernels.SEESAW_MEET, catch_up,
     )
 
 
@@ -131,8 +154,8 @@ def assert_rows_match_looped(m, n, k, w, y0, floor):
     """Every row of a stacked run is bit-equal to the reference run alone.
 
     The reference runs at the kernel's current SEESAW_ITERS, SEESAW_FTOL
-    (scaled as stop_tol scales it) and SEESAW_MEET.  Returns the reference's
-    iteration counts, one per start.
+    (scaled as stop_tol scales it) and SEESAW_MEET, with all five stopping
+    rules.  Returns the reference's iteration counts, one per start.
     """
     values, xs, ys, _ = run_kernel(m, n, k, w, y0, floor)
     runs = kernel_reference(m, n, k, w, y0, floor)
@@ -304,8 +327,10 @@ class TestMeeting:
         assert counts[1] > 1
 
     def test_first_row_never_retired(self, dims, rng):
-        # Row 0 of a see-saw level is the ground frame: random frames that
-        # land in its basin stop, and it runs as if no start could meet.
+        # Row 0 of a see-saw level is the ground frame.  It has no earlier
+        # start, so it is never retired by meeting: random frames that land
+        # in its basin stop, and row 0 stops where its own run ends or where
+        # it cannot catch up, at its own run's state of that iteration.
         m, n = dims.m, dims.n
         retired = 0
         for _ in range(3):
@@ -318,20 +343,30 @@ class TestMeeting:
                     + [ginibre(rng, n, k)[None] for _ in range(33)]
                 )
                 result = run_kernel(m, n, k, w, y0, -np.inf)
-                free = looped_stack(
+                cut_by = []
+                cut = looped_stack(
                     m, n, k, wx, wy, y0, _kernels.SEESAW_ITERS, stop_tol(w), -np.inf,
-                    -1.0,
+                    _kernels.SEESAW_MEET, cut_by=cut_by,
                 )
-                self.assert_row_is(result, 0, free[0])
-                cut = kernel_reference(m, n, k, w, y0, -np.inf)
-                retired += sum(c[3] < f[3] for c, f in zip(cut, free))
+                assert cut_by[0] in (None, "catch-up")
+                self.assert_row_is(result, 0, self.alone(m, n, k, w, y0[0])[cut[0][3] - 1])
+                retired += cut_by.count("meet")
         assert retired > 0
 
-    def test_values_nonincreasing_per_row(self, rng, monkeypatch):
+    def test_values_nonincreasing_per_row(self, monkeypatch):
         # Capping the stack at one more iteration never raises a row's value:
-        # a row that met an earlier one stays frozen where it stopped.
-        m, n, k = 3, 3, 2
-        w = hermitian(rng, m * n)
+        # a row that met an earlier one stays frozen where it stopped, and a
+        # row that catch-up cuts is cut no earlier, as more iterations are
+        # left.  That is not a theorem: rows that run further can stall lower
+        # and so lower the value a row must catch up with.  Measured against
+        # the least value of every start instead of a stalled one, catch-up
+        # raised a row in 36 of 2478 such steps (caps 1 to 60, 2x3 to 4x4);
+        # against a stalled one, in none.
+        # On this 4x4 planted violator catch-up cuts 10 rows from cap 20 on.
+        dims = BipartiteDims(4, 4)
+        m, n, k = dims.m, dims.n, 1
+        rng = np.random.default_rng([4, 4, 1, 5])
+        w = planted_violator(rng, dims)
         y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
         prev = None
         for cap in range(1, 31):
@@ -340,3 +375,70 @@ class TestMeeting:
             if prev is not None:
                 assert np.all(values <= prev + _kernels.SEESAW_FTOL * (1.0 + np.abs(prev)))
             prev = values
+
+
+class TestCatchUp:
+    """A start that cannot catch up with a stalled start's value stops early."""
+
+    def test_slow_start_far_above_is_cut(self):
+        # Four random starts behind the ground frame of a 4x4 Hermitian at
+        # k = 2: without the cut, the slowest runs to the cap far above the
+        # ground frame's value; with it, it stops as soon as the ground
+        # frame has stalled, and the least value and the start that holds
+        # it stay the same.
+        dims = BipartiteDims(4, 4)
+        m, n, k = dims.m, dims.n, 2
+        rng = np.random.default_rng([4, 4, 2, 0])
+        w = hermitian(rng, dims.total)
+        ground = _frame_from_vector(np.linalg.eigh(w)[1][:, 0], dims, k)
+        y0 = np.stack([ground] + [ginibre(rng, n, k) for _ in range(4)])
+        counts = assert_rows_match_looped(m, n, k, w, y0, -np.inf)
+        values = run_kernel(m, n, k, w, y0, -np.inf)[0]
+        free = kernel_reference(m, n, k, w, y0, -np.inf, catch_up=False)
+        free_values = np.array([run[0] for run in free])
+        assert values.min() == free_values.min()
+        assert values.argmin() == free_values.argmin()
+        slow = [r for r, run in enumerate(free) if run[3] == _kernels.SEESAW_ITERS]
+        assert slow
+        for r in slow:
+            assert counts[r] < 20
+            assert values[r] > values.min() + 1e-2 * np.linalg.norm(w, 2)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_nothing_cut_at_one_or_two_iterations(self, rng, monkeypatch, cap):
+        # Iteration 1 has no previous value and the last has no iteration
+        # left: the rule cuts at neither, and inf * 0 never warns.  At cap 2
+        # a start that stalls at iteration 2 cannot cut any other.
+        monkeypatch.setattr(_kernels, "SEESAW_ITERS", cap)
+        dims = BipartiteDims(3, 3)
+        m, n, k = dims.m, dims.n, 1
+        w = planted_violator(rng, dims)
+        y0 = np.stack([ginibre(rng, n, k) for _ in range(34)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, xs, ys, _ = run_kernel(m, n, k, w, y0, -np.inf)
+        free = kernel_reference(m, n, k, w, y0, -np.inf, catch_up=False)
+        for row, (val, x, y, _) in enumerate(free):
+            assert values[row] == val
+            assert np.array_equal(xs[row], x) and np.array_equal(ys[row], y)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4), (8, 8)])
+    def test_least_values_hold(self, m, n):
+        # A committed slice of the sweep behind the rule
+        # (BENCH_seesaw_catch_up.json): on see-saw level stacks (the ground
+        # frame and 33 random frames) of a random Hermitian and a planted
+        # violator, at every k < d (k = 1 at 8x8), no least value rises by
+        # more than 1e-12 * ||W||_2 over the reference without the cut.
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 30])
+        for w in (hermitian(rng, dims.total), planted_violator(rng, dims)):
+            floor, vectors = np.linalg.eigh(w)
+            for k in range(1, 2 if dims.d == 8 else dims.d):
+                y0 = np.concatenate(
+                    [_frame_from_vector(vectors[:, 0], dims, k)[None]]
+                    + [ginibre(rng, n, k)[None] for _ in range(33)]
+                )
+                values = run_kernel(m, n, k, w, y0, floor[0])[0]
+                free = kernel_reference(m, n, k, w, y0, floor[0], catch_up=False)
+                rise = values.min() - min(run[0] for run in free)
+                assert rise <= 1e-12 * np.linalg.norm(w, 2)

@@ -897,6 +897,22 @@ class TestCliRefusals:
         assert "trials must be an integer >= 1" in capsys.readouterr().err
         assert self.written(tmp_path) == []
 
+    @pytest.mark.parametrize("option", ["k", "extras"])
+    def test_option_the_suite_does_not_take_exits_13(self, tmp_path, capsys, option):
+        # srank takes neither --k nor --extra-inputs; both were ignored.
+        out = str(tmp_path / "r.json")
+        argv = ["verify", "srank", "--m", "2", "--n", "2", "--trials", "1", "--out", out,
+                "--csv", str(tmp_path / "s.csv")]
+        if option == "k":
+            argv += ["--k", "99"]
+            message = "srank takes no k"
+        else:
+            argv += ["--extra-inputs", write_matrix(tmp_path / "I.json", 2, 2, np.eye(4) / 4.0)]
+            message = "srank takes no extra inputs"
+        assert main(argv) == 13
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert self.written(tmp_path) == ([] if option == "k" else ["I.json"])
+
     def test_product_only_dims_exit_13(self, tmp_path, capsys):
         # At min(m, n) = 1 there is no entangled target to lift to.
         out = str(tmp_path / "r.json")

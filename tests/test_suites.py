@@ -353,6 +353,25 @@ INTEGER_ENTRY_POINTS = {
 
 
 class TestRefusals:
+    # A suite refuses an option it does not take, instead of ignoring it.
+    @pytest.mark.parametrize("suite_id", [s for s in SUITE_IDS if s != "probe-intermediate"])
+    def test_k_refused_where_not_taken(self, suite_id):
+        d = BipartiteDims(2, 2)
+        with pytest.raises(PreconditionError, match=f"^{suite_id} takes no k$"):
+            run_suite(suite_id, d, SEED, trials=1, k=1)
+        with pytest.raises(PreconditionError, match=f"^{suite_id} takes no k$"):
+            rerun_trial(suite_id, d, SEED, 0, k=1)
+
+    @pytest.mark.parametrize("extras", [[], [np.eye(4) / 4.0]], ids=["empty", "one"])
+    @pytest.mark.parametrize("suite_id", [s for s in SUITE_IDS if s != "ppt-stability"])
+    def test_extras_refused_where_not_taken(self, suite_id, extras):
+        d = BipartiteDims(2, 2)
+        k = 1 if suite_id == "probe-intermediate" else None
+        with pytest.raises(PreconditionError, match=f"^{suite_id} takes no extra inputs$"):
+            run_suite(suite_id, d, SEED, trials=1, k=k, extra_inputs=extras)
+        with pytest.raises(PreconditionError, match=f"^{suite_id} takes no extra inputs$"):
+            rerun_trial(suite_id, d, SEED, 0, k=k, extra_inputs=extras)
+
     @pytest.mark.parametrize("case", list(SHARED_REFUSALS))
     def test_suite_and_rerun_refuse_alike(self, case):
         suite_id, (m, n), seed, kwargs = SHARED_REFUSALS[case]
