@@ -105,6 +105,8 @@ _CHECKS = {"psd": is_psd, "ppt": is_ppt, "sep": is_separable_decidable}
 
 
 def _cmd_check(args) -> int:
+    if args.kind != "blockpos" and args.seed is not None:
+        raise ConekitError(f"check {args.kind} takes no seed")
     dims, mat = _load(args.file, 2)
     seed = None
     if args.kind == "blockpos":
@@ -225,7 +227,7 @@ def _cmd_verify(args) -> int:
     dims = BipartiteDims(args.m, args.n)
     seed = _resolve_seed(args.seed)
     extra_inputs = None
-    if args.extra_inputs:
+    if args.extra_inputs is not None:
         extra_inputs = []
         for path in args.extra_inputs:
             in_dims, mat = _load(path, 2)

@@ -238,19 +238,23 @@ def random_family(
 ) -> KrausFamily:
     """Seeded random family whose coefficients respect the requested OSR bound.
 
-    Contractive mode rescales globally, which preserves the planted bound k.
-    Exact mode depends on k: product families (k = 1) normalize factor-wise,
-    the unconstrained case (k = d) polar-normalizes Ginibre draws and leaves
-    the bound open, and intermediate k completes a contracted draw with
-    rank-one `eigh` modes (`complete_to_identity`), whose certified bound is
-    usually d, not k: 3 at 3x3 with k = 2, 4 at 4x4 with k = 2 and 3, and 8
-    at 8x8 with k = 2 to 7.
+    Contractive mode rescales a draw of planted OSR k globally, keeping k.
+    Exact mode normalizes product families (k = 1) factor-wise and
+    polar-normalizes Ginibre draws at k = d, leaving the bound open.  At
+    1 < k < d it raises `PreconditionError`, as no known completion
+    certifies k (rank-one `eigh` modes certify d): draw `Mode.CONTRACTIVE`
+    at k, or use `collapse_construction`.  `tol` is only checked.
     """
     _check_tol(tol)
     _check_count("count", count)
     _check_k(k, dims)
     _check_seed(seed)
     mode = _as_mode(mode)
+    if mode is Mode.EXACT and 1 < k < dims.d:
+        raise PreconditionError(
+            f"random_family cannot certify an exact family at 1 < k < d (k = {k}, "
+            f"d = {dims.d}): draw Mode.CONTRACTIVE at k, or use collapse_construction"
+        )
     rng = np.random.default_rng(seed)
     if mode is Mode.EXACT and k == 1:
         cb, cc = _factor_counts(count)
@@ -258,21 +262,14 @@ def random_family(
         right = random_exact_kraus_ops(rng, dims.n, cc)
         ops = [kron(b, c) for b in left for c in right]
         return KrausFamily(dims, ops, Mode.EXACT, osr_bound=1, seed=seed)
-    if mode is Mode.EXACT and k == dims.d:
+    if mode is Mode.EXACT:  # k == d
         ops = random_exact_kraus_ops(rng, dims.total, count)
         return KrausFamily(dims, ops, Mode.EXACT, osr_bound=None, seed=seed)
 
-    # The draw is scaled to lambda_max(sum A*A) = 1 (contractive) or 1/2
-    # (exact).  Renormalizing by S^{-1/2} would mix product terms and inflate
-    # the OSR, so an exact family completes its contracted draw with rank-one
-    # operators instead.
+    # Scaled to lambda_max(sum A*A) = 1.
     ops = [random_operator_with_osr(rng, dims, k) for _ in range(count)]
-    c = 1.0 if mode is Mode.CONTRACTIVE else 2.0
-    scale = 1.0 / np.sqrt(c * np.linalg.eigvalsh(_normalization_sum(dims, ops))[-1])
-    ops = [a * scale for a in ops]
-    if mode is Mode.CONTRACTIVE:
-        return KrausFamily(dims, ops, mode, osr_bound=k, seed=seed)
-    return complete_to_identity(KrausFamily(dims, ops, mode, seed=seed), tol=tol)
+    scale = 1.0 / np.sqrt(np.linalg.eigvalsh(_normalization_sum(dims, ops))[-1])
+    return KrausFamily(dims, [a * scale for a in ops], mode, osr_bound=k, seed=seed)
 
 
 def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> KrausFamily:

@@ -56,6 +56,13 @@ def family_of(dims, ops, mode=Mode.EXACT, **kw):
     return KrausFamily(dims, ops, mode, **kw)
 
 
+def completed_draw(dims, k, seed):
+    # An exact family from a contracted draw of planted OSR k: its sum A*A
+    # scaled to norm 1/2, then completed with rank-one `eigh` modes.
+    draw = random_family(dims, 3, k, Mode.CONTRACTIVE, seed=seed)
+    return complete_to_identity(family_of(dims, [a / np.sqrt(2.0) for a in draw.ops]))
+
+
 class TestValidate:
     def test_identity_singleton(self, dims):
         report = validate(family_of(dims, [np.eye(dims.total)]))
@@ -269,7 +276,10 @@ class TestOpRanks:
     def test_matches_osr_loop_on_seeded_families(self, dims):
         for seed in range(6):
             for k in range(1, dims.d + 1):
-                fam = random_family(dims, 3, k, Mode.EXACT, seed=seed)
+                if k in (1, dims.d):
+                    fam = random_family(dims, 3, k, Mode.EXACT, seed=seed)
+                else:
+                    fam = completed_draw(dims, k, seed)
                 assert _op_ranks(dims, fam.ops, 1e-9) == _osr_loop(dims, fam.ops)
             v = random_unit_vector(np.random.default_rng(seed), dims.total)
             fam, _ = collapse_construction(v, dims)
@@ -617,14 +627,15 @@ class TestRandomFamily:
         assert fam.osr_bound is None
         assert validate(fam).verdict is Verdict.IN
 
-    def test_intermediate_k_certifies_bound(self):
-        d = BipartiteDims(3, 3)
-        fam = random_family(d, 2, 2, Mode.EXACT, seed=7)
-        assert validate(fam).verdict is Verdict.IN
-        assert fam.osr_bound is not None
-        assert all(
-            np.linalg.norm(a) == 0.0 or osr(a, d) <= fam.osr_bound for a in fam.ops
-        )
+    def test_intermediate_k_exact_refused(self):
+        # A completion with rank-one `eigh` modes would certify d, not k.
+        for m, n, k in [(3, 3, 2), (4, 4, 3), (8, 8, 5)]:
+            with pytest.raises(PreconditionError) as info:
+                random_family(BipartiteDims(m, n), 2, k, Mode.EXACT, seed=7)
+            assert str(info.value) == (
+                f"random_family cannot certify an exact family at 1 < k < d (k = {k}, "
+                f"d = {min(m, n)}): draw Mode.CONTRACTIVE at k, or use collapse_construction"
+            )
 
     def test_contractive_keeps_planted_bound(self, dims):
         for k in range(1, dims.d + 1):
@@ -858,7 +869,7 @@ class TestCollapseRankPass:
     def test_public_completion_bound_is_max_realigned_rank(self, m, n, k):
         dims = BipartiteDims(m, n)
         for seed in range(3):
-            fam = random_family(dims, 3, k, Mode.EXACT, seed=seed)
+            fam = completed_draw(dims, k, seed)
             assert fam.osr_bound == max(_op_ranks(dims, fam.ops, 1e-9))
 
     def test_public_completion_ignores_a_declared_bound(self, dims, rng):
@@ -1141,7 +1152,9 @@ def _tol_calls():
             lambda tol: random_family(d2, 2, 1, Mode.CONTRACTIVE, 1, tol)
         ),
         "random_family_kd": lambda tol: random_family(d2, 2, 2, Mode.EXACT, 1, tol),
-        "random_family_k2_of_3": lambda tol: random_family(d3, 2, 2, Mode.EXACT, 1, tol),
+        "random_family_k2_of_3": (
+            lambda tol: random_family(d3, 2, 2, Mode.CONTRACTIVE, 1, tol)
+        ),
         "collapse_construction": lambda tol: collapse_construction(bell, d2, tol),
         "embed_schmidt_k": lambda tol: embed_schmidt_k(bell, e00, d2, 2, tol),
         "witness_conjugation": (

@@ -444,7 +444,6 @@ FAMILIES = {
     "random_contractive": lambda rng: random_family(D33, 3, 2, Mode.CONTRACTIVE, seed=3),
     "random_exact_k1": lambda rng: random_family(D33, 4, 1, Mode.EXACT, seed=3),
     "random_exact_kd": lambda rng: random_family(D33, 3, 3, Mode.EXACT, seed=3),
-    "random_exact_k2": lambda rng: random_family(D33, 2, 2, Mode.EXACT, seed=3),
     "complete_to_identity": lambda rng: complete_to_identity(
         KrausFamily(D33, [0.5 * np.eye(9)], Mode.EXACT, seed=11)
     ),
@@ -537,7 +536,8 @@ class TestCliCheck:
         # Every entry 1e308 + 1e308j: the asymmetry figure is 8e308, past
         # the float range, and is printed rather than read as inf.
         path = write_matrix(tmp_path / "limit.json", 2, 2, np.full((4, 4), 1e308 + 1e308j))
-        assert main(["check", kind, path, "--seed", "0"]) == 13
+        seed = ["--seed", "0"] if kind == "blockpos" else []
+        assert main(["check", kind, path, *seed]) == 13
         assert capsys.readouterr().err == "error: matrix is not Hermitian (asymmetry 8.000e+308)\n"
 
     def test_ppt_bell_exits_out(self, bell_file, capsys):
@@ -567,6 +567,13 @@ class TestCliCheck:
         assert main(["check", "blockpos", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 123
+
+    @pytest.mark.parametrize("seed", ["0", "-1", str(2**64)])
+    @pytest.mark.parametrize("kind", ["psd", "ppt", "sep"])
+    def test_seed_on_a_kind_that_draws_nothing_exits_13(self, tmp_path, capsys, kind, seed):
+        path = write_matrix(tmp_path / "i.json", 2, 2, np.eye(4))
+        assert main(["check", kind, path, "--seed", seed]) == 13
+        assert capsys.readouterr() == ("", f"error: check {kind} takes no seed\n")
 
     def test_removed_effort_flag_is_a_usage_error(self, tmp_path, capsys):
         # The see-saw's effort is fixed, so a stale --restarts or --iters
@@ -897,9 +904,9 @@ class TestCliRefusals:
         assert "trials must be an integer >= 1" in capsys.readouterr().err
         assert self.written(tmp_path) == []
 
-    @pytest.mark.parametrize("option", ["k", "extras"])
+    @pytest.mark.parametrize("option", ["k", "extras", "no extras"])
     def test_option_the_suite_does_not_take_exits_13(self, tmp_path, capsys, option):
-        # srank takes neither --k nor --extra-inputs; both were ignored.
+        # srank takes neither --k nor --extra-inputs, even with no files.
         out = str(tmp_path / "r.json")
         argv = ["verify", "srank", "--m", "2", "--n", "2", "--trials", "1", "--out", out,
                 "--csv", str(tmp_path / "s.csv")]
@@ -907,11 +914,13 @@ class TestCliRefusals:
             argv += ["--k", "99"]
             message = "srank takes no k"
         else:
-            argv += ["--extra-inputs", write_matrix(tmp_path / "I.json", 2, 2, np.eye(4) / 4.0)]
+            argv += ["--extra-inputs"]
+            if option == "extras":
+                argv.append(write_matrix(tmp_path / "I.json", 2, 2, np.eye(4) / 4.0))
             message = "srank takes no extra inputs"
         assert main(argv) == 13
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert self.written(tmp_path) == ([] if option == "k" else ["I.json"])
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert self.written(tmp_path) == (["I.json"] if option == "extras" else [])
 
     def test_product_only_dims_exit_13(self, tmp_path, capsys):
         # At min(m, n) = 1 there is no entangled target to lift to.
@@ -973,6 +982,15 @@ class TestCliVerify:
              "--seed", "5", "--out", out, "--extra-inputs", path]
         )
         assert code == 0
+
+    def test_no_extra_inputs_keep_the_report(self, tmp_path):
+        argv = ["verify", "ppt-stability", "--m", "2", "--n", "2", "--trials", "3", "--out"]
+        reports = []
+        for name, extras in [("a.json", []), ("b.json", ["--extra-inputs"])]:
+            assert main([*argv, str(tmp_path / name), *extras]) == 0
+            reports.append(json.loads((tmp_path / name).read_text()))
+            reports[-1].pop("wall_time")
+        assert reports[0] == reports[1]
 
     def test_extra_inputs_dim_mismatch_exit_12(self, tmp_path):
         path = write_matrix(tmp_path / "mixed.json", 2, 2, np.eye(4) / 4.0)
