@@ -18,6 +18,7 @@ rules: `_check_tol`, `_check_k`, `_check_seed`, `_check_count` and the
 unit-vector test `_unit_norm`.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -258,7 +259,10 @@ def _check_k(k, dims: BipartiteDims):
 
 
 def _check_tol(tol: float):
-    if not (0.0 < tol < 1.0):
+    # A real number in (0, 1): a string, complex, None or array is refused
+    # before Python or numpy compares it, and an int or bool by the range.
+    # The float test first skips the slower ABC test for the usual tol.
+    if not ((isinstance(tol, float) or isinstance(tol, numbers.Real)) and 0.0 < tol < 1.0):
         raise PreconditionError(f"tol must lie in (0, 1), got {tol}")
 
 
@@ -275,12 +279,23 @@ def _check_count(name: str, value):
         raise PreconditionError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _unit_norm(name: str, vec: np.ndarray, tol: float):
-    # The unit-vector rule on a coerced vector; returns its norm to divide by.
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > tol:
+@np.errstate(over="ignore")
+def _unit_norm(name: str, vecs: np.ndarray, tol: float):
+    # The unit-vector rule on a coerced vector, or on each row of a coerced
+    # (K, D) stack; returns the norm, or the (K, 1) row norms, to divide by.
+    # Each row is normed as the 1-d vector it is: norms of a stack sum in
+    # another order and move the last bits.  A norm past the float range is
+    # inf and refused, without numpy's overflow warning: the errstate is
+    # entered once a call, not once a row.
+    if vecs.ndim == 1:
+        norms = np.linalg.norm(vecs)
+        far = abs(norms - 1.0) > tol
+    else:
+        norms = np.array([np.linalg.norm(vec) for vec in vecs]).reshape(-1, 1)
+        far = np.count_nonzero(abs(norms - 1.0) > tol)
+    if far:
         raise NormError(f"{name} must be a unit vector")
-    return norm
+    return norms
 
 
 def _is_int(value) -> bool:
@@ -393,12 +408,43 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     reflection (Golub & Van Loan, Matrix Computations, sec. 5.1) times a
     phase.  B e_0 = x, and since y[0] = |x[0]| >= 0 the denominator is at
     least 1, so no cancellation occurs for any unit x.
+
+    x is one vector (D,), giving B (D, D), or a stack (..., D) of unit
+    rows, giving (..., D, D), one basis per row, built in one array; an
+    empty stack (0, D) gives (0, D, D).  The phase of one vector is taken
+    on numpy scalars, which cost less than 1-element arrays, and that of a
+    stack on arrays; the reflection is one code for both.  Each basis of a
+    stack has the bits of the 1-d call on its row, signed zeros included:
+    hypot rounds |x[0]| as the scalar abs does (numpy's array abs rounds
+    some values differently), -phi is the real -1 where x[0] = 0, so its
+    imaginary zero is +0, and -phi multiplies from the left, as complex
+    products do not commute in their last bits.
     """
-    a = abs(x[0])
-    phi = x[0] / a if a > 0.0 else 1.0
+    if x.ndim == 1:
+        a = abs(x[0])
+        phi = x[0] / a if a > 0.0 else 1.0
+        minus_phi = -phi
+    else:
+        first = x[..., :1]
+        a = np.hypot(first.real, first.imag)
+        nonzero = a > 0.0
+        phi = np.divide(first, a, out=np.ones_like(first), where=nonzero)
+        minus_phi = np.where(nonzero, -phi, -1.0)[..., None]
     h = x / phi
-    h[0] += 1.0
-    return -phi * (np.eye(x.shape[0]) - np.outer(h, h.conj() / (1.0 + a)))
+    head = h[..., :1]
+    head += 1.0
+    b = h[..., :, None] * (h.conj() / (1.0 + a))[..., None, :]
+    np.subtract(_identity(x.shape[-1]), b, out=b)
+    return np.multiply(minus_phi, b, out=b)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(side: int) -> np.ndarray:
+    # The read-only identity of a recent side, built once: np.eye costs
+    # about 1.5 us a call, a fifth of a 1-d basis at side 4.
+    eye = np.eye(side)
+    eye.flags.writeable = False
+    return eye
 
 
 def _schmidt_aligned_basis(coeffs, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -428,15 +474,17 @@ def lift_product_to_target(
     exact up to rounding.  norm_tol must lie in (0, 1).
 
     The two factors of U are built apart: `_source_adjoint` checks u and v
-    and returns B_{u(x)v}*, and `_lift_from` multiplies by B_w.  A caller
-    that lifts one product vector onto many targets builds the source
-    factor once; every U it gets has the bits this function returns.
+    and returns B_{u(x)v}*, and `_target_bases` checks w and returns B_w.
+    A caller that lifts one product vector onto many targets builds the
+    source factor once and the target bases as one stack, and multiplies
+    per target; every U it gets has the bits this function returns.
     Refusals come in this order: norm_tol, w's shape and finiteness, u and
     v's shapes, their finiteness, then the unit norms of u, v and w.
     """
     _check_tol(norm_tol)
     w = as_vector(dims, w)
-    return _lift_from(_source_adjoint(u, v, dims, norm_tol), w, norm_tol)
+    b_source_adjoint = _source_adjoint(u, v, dims, norm_tol)
+    return _target_bases(w, norm_tol) @ b_source_adjoint
 
 
 def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
@@ -453,8 +501,8 @@ def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
     return complete_orthonormal_basis(source / np.linalg.norm(source)).conj().T
 
 
-def _lift_from(b_source_adjoint: np.ndarray, w: np.ndarray, norm_tol: float) -> np.ndarray:
-    # The lift onto a coerced w from a `_source_adjoint` factor.  Each w is
-    # normalized by the norm of the 1-d vector itself: row norms of a stack
-    # sum in another order and move the last bits.
-    return complete_orthonormal_basis(w / _unit_norm("w", w, norm_tol)) @ b_source_adjoint
+def _target_bases(ws: np.ndarray, norm_tol: float) -> np.ndarray:
+    # B_w, the left factor of a lift onto a coerced target w (D,), after its
+    # unit-norm check; or one B_w per row of a coerced (K, D) stack, built
+    # as one (K, D, D) array.  Each w is divided by its own 1-d norm.
+    return complete_orthonormal_basis(ws / _unit_norm("w", ws, norm_tol))

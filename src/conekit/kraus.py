@@ -103,7 +103,7 @@ def _as_mode(mode) -> Mode:
 
 @dataclass
 class ConicCombination:
-    """Nonnegative weights paired with same-shape matrices."""
+    """Nonnegative weights paired with a sequence or (K, D, D) stack of matrices."""
 
     dims: BipartiteDims
     weights: np.ndarray
@@ -199,7 +199,7 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
         raise PreconditionError(
             f"family fails validation: {report.certificate['violations']}"
         )
-    if len(inputs) != len(family.ops):
+    if _length("inputs", inputs) != len(family.ops):
         raise DimError(
             f"need one input per operator, got {len(inputs)} for {len(family.ops)}"
         )
@@ -397,10 +397,12 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
 def conic_scale(combo: ConicCombination) -> np.ndarray:
     """Evaluate the nonnegative combination sum_j lambda_j X_j.
 
-    The weights must be integers or real floats; a complex, boolean, string
-    or object weight is refused, not cast, and so is a list that numpy
-    cannot make into one array.  A bool inside a list of numbers is refused
-    too, although numpy would promote it to 0 or 1.
+    The terms are a sequence or (K, D, D) stack of matrices.  They are
+    coerced and checked as one stack, then summed one at a time in their
+    order.  The weights must be integers or real floats; a complex,
+    boolean, string or object weight is refused, not cast, and so is a list
+    that numpy cannot make into one array.  A bool inside a list of numbers
+    is refused too, although numpy would promote it to 0 or 1.
     """
     try:
         weights = np.asarray(combo.weights)
@@ -418,13 +420,37 @@ def conic_scale(combo: ConicCombination) -> np.ndarray:
     ):
         raise PreconditionError("conic weights must be real numbers, got a bool")
     weights = weights.astype(np.float64, copy=False)
-    if weights.ndim != 1 or weights.shape[0] != len(combo.terms):
+    if weights.ndim != 1 or weights.shape[0] != _length("conic terms", combo.terms):
         raise DimError("need exactly one weight per term")
     _finite(weights)
     if weights.size and weights.min() < 0.0:
         raise PreconditionError("conic weights must be nonnegative")
     total = combo.dims.total
     out = np.zeros((total, total), dtype=np.complex128)
-    for lam, term in zip(weights, combo.terms):
-        out += lam * as_matrix(combo.dims, term)
+    for lam, term in zip(weights, _term_stack(combo.dims, combo.terms)):
+        out += lam * term
     return out
+
+
+def _length(name: str, matrices) -> int:
+    # len() of a sequence or stack of matrices, refusing an object that has
+    # none (None, an int, a 0-d array) instead of leaking its TypeError.
+    try:
+        return len(matrices)
+    except TypeError as exc:
+        raise PreconditionError(
+            f"{name} must be a sequence or stack of matrices, got {type(matrices).__name__}"
+        ) from exc
+
+
+def _term_stack(dims: BipartiteDims, terms):
+    # The terms coerced and checked once, as one finite (K, D, D) array.
+    # Terms that numpy cannot stack to that shape are coerced one at a time
+    # (`as_matrix`), so the first bad one is refused as it always was.
+    try:
+        stack = np.asarray(terms, dtype=np.complex128)
+    except (ValueError, TypeError):
+        stack = None
+    if stack is None or stack.shape != (len(terms), dims.total, dims.total):
+        return [as_matrix(dims, term) for term in terms]
+    return _finite(stack)

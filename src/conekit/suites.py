@@ -29,9 +29,9 @@ from .bipartite import (
     _check_seed,
     _check_tol,
     _is_int,
-    _lift_from,
     _schmidt_aligned_basis,
     _source_adjoint,
+    _target_bases,
     as_matrix,
     basis_vec,
     kron,
@@ -217,20 +217,20 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
     v = random_unit_vector(rng, dims.n)
     p = product_vec(u, v)
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
-    # Every term lifts the same p = u (x) v, so its basis is built and
-    # checked once; each U has the bits of lift_product_to_target(u, v, ...).
-    # Each `_lift_from` multiplies two D x D bases, one D x D product per
-    # term; the rank-one term U (pp*) U* is then built as qq*, q = U p.
+    keep = evals > 1e-12
+    # Every term lifts the same p = u (x) v onto one kept eigenvector w: the
+    # source factor is built and checked once, and the K target bases B_w
+    # in one stack.  Per term, U = B_w B_{u(x)v}* is one D x D product, with
+    # the bits of lift_product_to_target, and q = U p one matrix-vector
+    # product; the stack of bases is dropped before the K rank-one terms
+    # U (pp*) U* = qq* are formed as one (K, D, D) stack.
     b_source_adjoint = _source_adjoint(u, v, dims, DEFAULT_TOL)
-    weights = []
-    terms = []
-    for j in range(total):
-        if evals[j] <= 1e-12:
-            continue
-        q = _lift_from(b_source_adjoint, evecs[:, j], DEFAULT_TOL) @ p
-        weights.append(float(evals[j]))
-        terms.append(np.outer(q, q.conj()))
-    rebuilt = conic_scale(ConicCombination(dims, np.asarray(weights), terms))
+    q = np.array(
+        [basis @ b_source_adjoint @ p for basis in _target_bases(evecs[:, keep].T, DEFAULT_TOL)],
+        dtype=np.complex128,
+    ).reshape(-1, total)
+    terms = q[:, :, None] * q.conj()[:, None, :]
+    rebuilt = conic_scale(ConicCombination(dims, evals[keep], terms))
     residual = float(np.linalg.norm(rebuilt - y))
     ok = residual <= RESIDUAL_BOUND
     return ok, residual, None if ok else {"terms": len(terms)}

@@ -6,8 +6,12 @@ from conekit import (
     DimError,
     NormError,
     PreconditionError,
+    SeesawConfig,
     ZeroInputError,
     basis_vec,
+    collapse_construction,
+    is_ppt,
+    is_psd,
     is_separable_decidable,
     kron,
     lift_product_to_target,
@@ -16,6 +20,7 @@ from conekit import (
     osr,
     partial_transpose,
     product_vec,
+    run_suite,
     schmidt_decompose,
     sr,
     swap_operator,
@@ -359,6 +364,42 @@ class TestCompleteOrthonormalBasis:
         before = x.copy()
         complete_orthonormal_basis(x)
         assert np.array_equal(x, before)
+        stack = np.array([x, -x])
+        complete_orthonormal_basis(stack)
+        assert np.array_equal(stack, np.array([before, -before]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 64])
+    def test_stack_slices_match_one_dimensional_calls_bytewise(self, dim):
+        # Under tobytes() signed zeros count: the standard vectors give
+        # exact zeros, and e_last (dim > 1) the x[0] = 0 case, phase 1.
+        e = basis_vec(dim, 0)
+        rows = [e, -e, 1j * e, e[::-1].copy()]
+        rows += [random_unit_vector(np.random.default_rng(dim), dim) for _ in range(6)]
+        stack = np.array(rows)
+        bases = complete_orthonormal_basis(stack)
+        assert bases.shape == (len(rows), dim, dim)
+        for row, basis in zip(rows, bases):
+            one = complete_orthonormal_basis(row)
+            assert basis.tobytes() == one.tobytes()
+            assert one.tobytes() == _scalar_phase_basis(row).tobytes()
+        # A stack with more leading axes is the same bases, reshaped.
+        assert complete_orthonormal_basis(stack.reshape(2, 5, dim)).tobytes() == bases.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 4, 7])
+    def test_empty_stack(self, dim):
+        # The empty combination: no target, no basis.
+        bases = complete_orthonormal_basis(np.zeros((0, dim), dtype=np.complex128))
+        assert bases.shape == (0, dim, dim) and bases.dtype == np.complex128
+
+
+def _scalar_phase_basis(x):
+    # The 1-d rule with the phase taken on numpy scalars, an independent
+    # statement of the bits every basis must have.
+    a = abs(x[0])
+    phi = x[0] / a if a > 0.0 else 1.0
+    h = x / phi
+    h[0] += 1.0
+    return -phi * (np.eye(x.shape[0]) - np.outer(h, h.conj() / (1.0 + a)))
 
 
 def _assert_random_lifts(dims, seeds):
@@ -475,6 +516,33 @@ class TestToleranceRefused:
     )
     def test_raises_precondition_error(self, call, tol):
         with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\)"):
+            call(BipartiteDims(2, 2), tol)
+
+    # Each public entry point that takes a tolerance: a value that is not a
+    # real number is refused like one outside (0, 1), before anything
+    # compares it.
+    @pytest.mark.parametrize(
+        "tol", ["x", 0.1 + 0j, None, np.array([0.1, 0.2]), True, False], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d, tol: is_psd(np.eye(d.total), d, tol),
+            lambda d, tol: is_ppt(np.eye(d.total), d, tol),
+            lambda d, tol: osr(np.eye(d.total), d, tol),
+            lambda d, tol: collapse_construction(bell(d), d, tol),
+            lambda d, tol: SeesawConfig(seed=0, tol=tol),
+            lambda d, tol: lift_product_to_target(
+                basis_vec(2, 0), basis_vec(2, 0), bell(d), d, norm_tol=tol
+            ),
+            lambda d, tol: run_suite("srank", d, 0, 2, tol),
+        ],
+        ids=["is_psd", "is_ppt", "osr", "collapse_construction", "SeesawConfig",
+             "lift_product_to_target", "run_suite"],
+    )
+    def test_non_number_refused(self, call, tol):
+        call(BipartiteDims(2, 2), 1e-9)  # the same call runs at the default tolerance
+        with pytest.raises(PreconditionError, match=r"tol must lie in \(0, 1\), got "):
             call(BipartiteDims(2, 2), tol)
 
     @pytest.mark.parametrize("rank", [0, 3, 1.5, True])

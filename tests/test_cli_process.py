@@ -77,6 +77,11 @@ INPUTS = {
     "limit": _matrix(2, 2, lambda: np.full((4, 4), 1e308 + 1e308j)),
     "real_limit": _matrix(2, 2, lambda: np.full((4, 4), 1e308)),
     "huge": _matrix(2, 2, lambda: 1e160 * _gaussian(0, (4, 4))),
+    # Vectors whose norms overflow: [1e308, 1e308] in C^1 (x) C^2, and four
+    # entries of 1e308 in C^2 (x) C^2.
+    "u_limit": _matrix(1, 2, lambda: np.full(2, 1e308)),
+    "e0_12": _matrix(1, 2, lambda: np.eye(2)[0]),
+    "vec_limit": _matrix(2, 2, lambda: np.full(4, 1e308)),
     "tiny": _matrix(2, 2, lambda: 1e-150 * _gaussian(0, (4, 4))),
     "osr3": _matrix(8, 8, _block_sparse),
     "strings": lambda path: Path(path).write_text(
@@ -206,6 +211,24 @@ ROWS = {
     "psd real limit": ("check psd {real_limit}", 13, _no_inf),
     "psd 1e160": ("check psd {huge}", 13, _no_inf),
     "psd 1e-150": ("check psd {tiny}", 13, _no_inf),
+    # A unit-norm check whose norm overflows refuses without numpy's
+    # overflow warning, which would be an error here.
+    "lift limit": (
+        "construct lift --u {u_limit} --v {e0_12} --w {bell} --out {out}", 13,
+        lambda files, out, err: "u must be a unit vector" in err,
+    ),
+    "lift target limit": (
+        "construct lift --u {e0_12} --v {e0_12} --w {vec_limit} --out {out}", 13,
+        lambda files, out, err: "w must be a unit vector" in err,
+    ),
+    "collapse limit": (
+        "construct collapse --target {vec_limit} --out {out}", 13,
+        lambda files, out, err: "v must be a unit vector" in err,
+    ),
+    "embed_k limit": (
+        "construct embed_k --v {vec_limit} --k 2 --out {out}", 13,
+        lambda files, out, err: "v must be a unit vector" in err,
+    ),
     "rank osr block-sparse 8x8": ("rank osr {osr3}", 0, _prints("3\n")),
     # A float cast would read "1" and "2.5" as numbers.
     "psd string entries": (

@@ -186,6 +186,12 @@ class TestApply:
         with pytest.raises(DimError):
             apply_family(fam, [np.eye(dims.total)] * 2)
 
+    @pytest.mark.parametrize("inputs", [None, 5, np.array(1.0), (x for x in [])], ids=repr)
+    def test_inputs_without_length_refused(self, dims, inputs):
+        fam = family_of(dims, [np.eye(dims.total)])
+        with pytest.raises(PreconditionError, match="inputs must be a sequence or stack"):
+            apply_family(fam, inputs)
+
     def test_invalid_family_rejected(self, dims):
         fam = family_of(dims, [0.1 * np.eye(dims.total)])
         with pytest.raises(PreconditionError):
@@ -1172,6 +1178,9 @@ def test_tolerance_outside_unit_interval_refused(name, tol):
         call(tol)
 
 
+_NAN4 = np.full((4, 4), np.nan)
+
+
 class TestConicScale:
     def test_single_term(self, dims, rng):
         x = random_psd(rng, dims.total)
@@ -1240,3 +1249,47 @@ class TestConicScale:
         combo = ConicCombination(dims, np.array([1.0, 2.0]), [np.eye(dims.total)])
         with pytest.raises(DimError):
             conic_scale(combo)
+
+    @pytest.mark.parametrize("terms", [5, None, np.array(1.0)], ids=repr)
+    def test_terms_without_length_refused(self, dims, terms):
+        combo = ConicCombination(dims, [1.0], terms)
+        with pytest.raises(PreconditionError, match="conic terms must be a sequence or stack"):
+            conic_scale(combo)
+
+    def test_weight_shape_refused_before_terms(self, dims):
+        # Two-dimensional weights are the DimError they always were, whatever
+        # the terms are.
+        with pytest.raises(DimError, match="one weight per term"):
+            conic_scale(ConicCombination(dims, [[1.0]], 5))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_stack_matches_list_bytewise(self, dims, rng, count):
+        # The (K, D, D) stack and the list of its K matrices give one sum,
+        # signed zeros included: -0.0 entries in the terms, and no term.
+        terms = [np.outer(q, q.conj()) for q in (random_unit_vector(rng, dims.total)
+                                                 for _ in range(count))]
+        if count:
+            terms[0][0] = -0.0
+        stack = np.array(terms, dtype=np.complex128).reshape(count, dims.total, dims.total)
+        weights = rng.uniform(0.0, 2.0, count)
+        from_list = conic_scale(ConicCombination(dims, weights, terms))
+        from_stack = conic_scale(ConicCombination(dims, weights, stack))
+        assert from_stack.tobytes() == from_list.tobytes()
+
+    @pytest.mark.parametrize(
+        "terms,error,match",
+        [
+            ([_NAN4, np.eye(3)], PreconditionError, "NaN or infinite"),
+            ([np.eye(3), _NAN4], DimError, "expected 4x4 matrix"),
+            ([np.eye(4), "x"], PreconditionError, "not a numeric array"),
+            ([np.eye(4), [[1.0, 2.0]]], DimError, r"got shape \(1, 2\)"),
+            (np.zeros((2, 3, 3)), DimError, r"got shape \(3, 3\)"),
+            (np.stack([np.eye(4), np.full((4, 4), np.inf)]), PreconditionError, "NaN or infinite"),
+        ],
+        ids=["nan-then-shape", "shape-then-nan", "string", "ragged", "stack-side", "stack-inf"],
+    )
+    def test_first_bad_term_refused(self, terms, error, match):
+        # A list that does not stack to (K, D, D) is checked term by term,
+        # so the first bad term decides the refusal.
+        with pytest.raises(error, match=match):
+            conic_scale(ConicCombination(BipartiteDims(2, 2), [1.0, 1.0], terms))

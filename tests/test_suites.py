@@ -207,7 +207,7 @@ _CONE_COLLAPSE_CASES = pytest.mark.parametrize(
     "m,n,seeds",
     [(1, 1, (0, 7, SEED)), (1, 3, (0, 7, SEED)), (2, 2, (0, 7, SEED)),
      (2, 3, (0, 7, SEED)), (3, 3, (0, 7, SEED)), (4, 4, (0, 7)),
-     (4, 5, (0, 7)), (8, 8, (0,))],
+     (4, 5, (0, 7)), (8, 8, (0,)), (5, 7, (0, 7))],
 )
 
 
