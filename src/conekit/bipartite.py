@@ -84,12 +84,18 @@ def as_vector(dims: BipartiteDims, v) -> np.ndarray:
 
 def as_matrix(dims: BipartiteDims, x) -> np.ndarray:
     """Coerce to a finite complex square matrix of side dims.total."""
+    return _finite(_square(dims, x))
+
+
+def _square(dims: BipartiteDims, x) -> np.ndarray:
+    # The coercion and shape check of `as_matrix`, without its finiteness
+    # pass.
     arr = _as_complex(x)
     if arr.shape != (dims.total, dims.total):
         raise DimError(
             f"expected {dims.total}x{dims.total} matrix, got shape {arr.shape}"
         )
-    return _finite(arr)
+    return arr
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -203,20 +209,39 @@ def _schmidt_ranks(vecs: np.ndarray, dims: BipartiteDims, tol: float) -> list[in
 
 
 def _nonzero_rows(dims: BipartiteDims, ops: list) -> list:
-    # The row rule: one row index per coerced operator, for the Kraus passes
-    # to take a[rows] in place of a.  It is the array of the rows that hold
-    # a nonzero entry (a -0.0 is zero) when the side mn is at least
+    # The row rule: one row index per coerced operator (`_rows_of`).
+    return [_rows_of(dims, a) for a in ops]
+
+
+def _rows_of(dims: BipartiteDims, a: np.ndarray):
+    # The row rule on one operator, for the Kraus passes to take a[rows] in
+    # place of a.  It is the array of the rows that hold a nonzero entry (a
+    # -0.0 is zero; a NaN or inf is nonzero) when the side mn is at least
     # ROW_PATH_SIDE and some row is zero; otherwise it is slice(None), a
     # view of every row, so the pass keeps the dense product and its bits.
     # One `a.any(axis=1)` finds the rows in every memory layout: C- or
     # F-ordered, or strided.
     if dims.total < ROW_PATH_SIDE:
-        return [slice(None)] * len(ops)
-    rows = []
-    for a in ops:
-        index = a.any(axis=1).nonzero()[0]
-        rows.append(slice(None) if index.size == len(a) else index)
-    return rows
+        return slice(None)
+    index = a.any(axis=1).nonzero()[0]
+    return slice(None) if index.size == len(a) else index
+
+
+def _matrix_rows(dims: BipartiteDims, x):
+    # One read of a Kraus operator (the one-read rule of `kraus`): (a, rows),
+    # a coerced and shape-checked as by `as_matrix` and rows its row index
+    # (`_rows_of`), with finiteness checked on those rows only.  A NaN or
+    # inf is nonzero, so it lies in them.
+    a = _square(dims, x)
+    rows = _rows_of(dims, a)
+    _finite(a[rows])
+    return a, rows
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # Whether two arrays hold the same shape and the same bytes, in any
+    # layout: a product of either has the bits of a product of the other.
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int]:
@@ -224,9 +249,11 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int
     # row rule (`_nonzero_rows`, found here unless the caller passes them).
     # An operator with no nonzero row has rank 0 and takes no SVD.  One that
     # is nonzero in row i only is e_i w*, whose OSR is SR(w): those rows
-    # share one `_schmidt_ranks` SVD.  Every other operator (below
-    # ROW_PATH_SIDE, every operator) is ranked from its whole realignment,
-    # all of them in one stacked values-only SVD.
+    # share one `_schmidt_ranks` SVD, which takes a row that equals the row
+    # before it once (`_same_bits`; a collapse family's first mn operators
+    # share one).  Every other operator (below ROW_PATH_SIDE, every
+    # operator) is ranked from its whole realignment, all of them in one
+    # stacked values-only SVD.
     m, n = dims.m, dims.n
     if rows is None:
         rows = _nonzero_rows(dims, ops)
@@ -234,9 +261,15 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int
     whole = [i for i, r in enumerate(rows) if isinstance(r, slice) or r.size > 1]
     ranks = [0] * len(ops)
     if one:
-        found = _schmidt_ranks(np.stack([ops[i][rows[i][0]] for i in one]), dims, tol)
-        for i, rank in zip(one, found):
-            ranks[i] = rank
+        lines, owner = [], []
+        for i in one:
+            line = ops[i][rows[i][0]]
+            if not lines or not _same_bits(line, lines[-1]):
+                lines.append(line)
+            owner.append(len(lines) - 1)
+        found = _schmidt_ranks(np.stack(lines), dims, tol)
+        for i, j in zip(one, owner):
+            ranks[i] = found[j]
     if whole:
         # Each operator is reshuffled straight into the stacked copy.
         stack = np.stack([ops[i].reshape(m, n, m, n).swapaxes(1, 2) for i in whole])
@@ -400,6 +433,12 @@ def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
     return _nonzero_rank(s, tol, "operator")
 
 
+# The least normal |x[0]|, and the exact scale of the phase of a smaller
+# one: it lifts the least subnormal, 2**-1074, to 2**-1020.
+_TINY = np.finfo(np.float64).tiny
+_SUBNORMAL_SCALE = 2.0**54
+
+
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     """Unitary whose first column is x (unit), as a phase-corrected reflection.
 
@@ -419,16 +458,25 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     some values differently), -phi is the real -1 where x[0] = 0, so its
     imaginary zero is +0, and -phi multiplies from the left, as complex
     products do not commute in their last bits.
+
+    The phase is taken from a copy of x[0] scaled by 2**54, exactly, when
+    |x[0]| is below the normal range: numpy's complex division scales by
+    1/|x[0]|, which overflows for a subnormal |x[0]|.  A normal |x[0]| is
+    not scaled, so its basis keeps its bits.
     """
     if x.ndim == 1:
         a = abs(x[0])
-        phi = x[0] / a if a > 0.0 else 1.0
+        first = x[0] * _SUBNORMAL_SCALE if a < _TINY else x[0]
+        phi = first / abs(first) if a > 0.0 else 1.0
         minus_phi = -phi
     else:
         first = x[..., :1]
         a = np.hypot(first.real, first.imag)
         nonzero = a > 0.0
-        phi = np.divide(first, a, out=np.ones_like(first), where=nonzero)
+        first = np.where(a < _TINY, first * _SUBNORMAL_SCALE, first)
+        phi = np.divide(
+            first, np.hypot(first.real, first.imag), out=np.ones_like(first), where=nonzero
+        )
         minus_phi = np.where(nonzero, -phi, -1.0)[..., None]
     h = x / phi
     head = h[..., :1]

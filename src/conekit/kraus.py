@@ -9,24 +9,41 @@ rank-one contractive embeddings of low-Schmidt-rank vectors, identity
 completions, and the rank-one collapse scheme that reaches any pure state
 from PPT inputs.
 
-From side mn = 32 the normalization and conjugation sums take each
-operator over its nonzero rows only, and the OSR pass takes no SVD of a
-zero operator and ranks a one-row operator e_i w* by SR(w);
-`bipartite._nonzero_rows` owns that row rule.  With scipy-openblas a
-row-only product has the dense one's bits when the side is a multiple of 4
-or the rows are real; at other sides from 32, such as 5x7, complex rows can
-round differently in the last bit.
+Validation reads each operator once (the one-read rule): it coerces the
+operator, checks its shape, finds its rows by the row rule and checks
+finiteness on those rows only.  A NaN or inf counts as nonzero, so it
+always lies in them; below side mn = 32 the rows are all rows, and the
+check is the whole-matrix one of `bipartite.as_matrix`.  The image takes
+the operators and rows that validation read.
+
+From side 32 the normalization and conjugation sums take each operator
+over its nonzero rows only, and the OSR pass takes no SVD of a zero
+operator and ranks a one-row operator e_i w* by SR(w);
+`bipartite._rows_of` owns that row rule.  With scipy-openblas a row-only
+product has the dense one's bits when the side is a multiple of 4 or the
+rows are real; at other sides from 32, such as 5x7, complex rows can round
+differently in the last bit.
+
+On those rows the passes multiply a repeated block once (the
+repeated-block rule, `_sum_products`): an operator whose row block has
+the bits of the block multiplied just before it (`bipartite._same_bits`)
+reuses that product, and in the image its input block X[R, R] must repeat
+too; the one-row OSR pass ranks a row that repeats the row before it
+once.  Each product is still added once per operator, in family order, so
+every sum, residual and rank keeps its bits.  A collapse family's first mn
+operators share the row c v* and one input, so at side mn it takes mn + 1
+Gram products, one image product and mn + 1 one-row SVDs.  The dense path
+below side 32 has no row blocks and multiplies every operator.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import (
     DEFAULT_TOL,
     BipartiteDims,
-    _as_complex,
     _check_count,
     _check_k,
     _check_seed,
@@ -34,8 +51,10 @@ from .bipartite import (
     _finite,
     _is_int,
     _largest_part,
+    _matrix_rows,
     _nonzero_rows,
     _op_ranks,
+    _same_bits,
     _schmidt_aligned_basis,
     _schmidt_ranks,
     _unit_norm,
@@ -112,16 +131,26 @@ class ConicCombination:
 
 def _normalization_sum(dims: BipartiteDims, ops: list, rows=None) -> np.ndarray:
     # The operator sum A_i* A_i over already coerced operators, in family
-    # order.  By the row rule (`bipartite._nonzero_rows`, found here unless
-    # the caller passes them), each term is A_i[R]* A_i[R] over the
-    # operator's nonzero rows R.
+    # order, by the row rule and the repeated-block rule (module docstring);
+    # the rows are found here unless the caller passes them.
     if rows is None:
         rows = _nonzero_rows(dims, ops)
-    s = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for a, r in zip(ops, rows):
-        b = a[r]
-        s += b.conj().T @ b
-    return s
+    terms = ((r, (a[r],)) for a, r in zip(ops, rows))
+    return _sum_products(dims.total, terms, lambda b: b.conj().T @ b)
+
+
+def _sum_products(total: int, terms, product) -> np.ndarray:
+    # The sum of product(*blocks) over the (rows, blocks) terms, in order,
+    # by the repeated-block rule (module docstring): a term on the row path
+    # whose blocks have the bits of the blocks multiplied last adds that
+    # product again.
+    out = np.zeros((total, total), dtype=np.complex128)
+    last = value = None
+    for r, blocks in terms:
+        if isinstance(r, slice) or last is None or not all(map(_same_bits, blocks, last)):
+            last, value = blocks, product(*blocks)
+        out += value
+    return out
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -131,11 +160,17 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
     certificate names each violated invariant with its residual.  A local
     family is one whose bound is 1, so the OSR check covers locality too.
     """
+    return _validate(family, tol)[0]
+
+
+def _validate(family: KrausFamily, tol: float):
+    # (validate's report, the coerced operators, their rows), each operator
+    # read once (module docstring), so that `_validated_image` takes the
+    # operators and rows this pass checked.
     _check_tol(tol)
     if not family.ops:
         raise PreconditionError("cannot validate an empty Kraus family")
-    ops = [as_matrix(family.dims, a) for a in family.ops]
-    rows = _nonzero_rows(family.dims, ops)
+    ops, rows = zip(*[_matrix_rows(family.dims, x) for x in family.ops])
     s = _normalization_sum(family.dims, ops, rows)
     evals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
     violations = []
@@ -166,7 +201,7 @@ def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
         "violations": violations,
     }
     verdict = Verdict.IN if not violations else Verdict.OUT
-    return MembershipReport(verdict, float(evals[0]), tol, cert)
+    return MembershipReport(verdict, float(evals[0]), tol, cert), ops, rows
 
 
 def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -181,20 +216,19 @@ def apply(family: KrausFamily, inputs, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _validated_image(family: KrausFamily, inputs, tol: float):
     """(A_i* X_i A_i, validate report), refusing a family that is not In.
 
-    The operators are converted once: `validate` coerces and checks that very
-    list, and the sum conjugates it, so no operator is checked twice.
-    `validate` covers every operator, whatever its input.  Each distinct
-    input object is coerced and checked once, at its first slot, so the
-    first bad input still raises first.  The table keyed by `id` holds each
-    object for the call, so no id is reused, and dies with the call.  An
-    input that is exactly zero is checked like any other, but its term is
-    not multiplied out: it adds nothing, so an entry of the sum that is -0.0
-    stays -0.0 where adding the zero term would have made it +0.0.  The
-    other terms follow the row rule (`bipartite._nonzero_rows`, found for
-    their operators only): A[R]* X[R, R] A[R] over A's nonzero rows R.
+    The operators are read once, by `_validate`, and the sum conjugates the
+    operators and rows that pass checked.  `_validate` covers every
+    operator, whatever its input.  Each distinct input object is coerced
+    and checked once, at its first slot, so the first bad input still
+    raises first.  The table keyed by `id` holds each object for the call,
+    so no id is reused, and dies with the call.  An input that is exactly
+    zero is checked like any other, but its term is not multiplied out: it
+    adds nothing.  The other terms follow the row rule and the
+    repeated-block rule (module docstring): A[R]* X[R, R] A[R] over A's
+    nonzero rows R, one product for a run of terms whose A[R] and X[R, R]
+    repeat.
     """
-    ops = [_as_complex(a) for a in family.ops]
-    report = validate(replace(family, ops=ops), tol)
+    report, ops, rows = _validate(family, tol)
     if report.verdict is not Verdict.IN:
         raise PreconditionError(
             f"family fails validation: {report.certificate['violations']}"
@@ -203,21 +237,17 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
         raise DimError(
             f"need one input per operator, got {len(inputs)} for {len(family.ops)}"
         )
-    total = family.dims.total
-    out = np.zeros((total, total), dtype=np.complex128)
     checked = {}  # id(input) -> (input, coerced, nonzero)
     terms = []
-    for a, x in zip(ops, inputs):
+    for a, r, x in zip(ops, rows, inputs):
         if id(x) not in checked:
             arr = as_matrix(family.dims, x)
             checked[id(x)] = (x, arr, bool(arr.any()))
         _, x, nonzero = checked[id(x)]
         if nonzero:
-            terms.append((a, x))
-    rows = _nonzero_rows(family.dims, [a for a, _ in terms])
-    for (a, x), r in zip(terms, rows):
-        b = a[r]
-        out += b.conj().T @ x[r][:, r] @ b
+            terms.append((a, r, x))
+    blocks = ((r, (a[r], x[r][:, r])) for a, r, x in terms)
+    out = _sum_products(family.dims.total, blocks, lambda b, xb: b.conj().T @ xb @ b)
     return out, report
 
 

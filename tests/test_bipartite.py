@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -384,6 +386,24 @@ class TestCompleteOrthonormalBasis:
             assert one.tobytes() == _scalar_phase_basis(row).tobytes()
         # A stack with more leading axes is the same bases, reshaped.
         assert complete_orthonormal_basis(stack.reshape(2, 5, dim)).tobytes() == bases.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 9, 16, 35, 64])
+    @pytest.mark.parametrize(
+        "first", [1e-320, -1e-320, 1e-320j, -1e-320j, 5e-324], ids=repr
+    )
+    def test_subnormal_first_entry(self, dim, first):
+        # x[0]/|x[0]| would overflow: the phase is taken from x[0] scaled
+        # by 2**54.  The basis is finite, raises no warning, and has the
+        # same bits in the 1-d and the stacked branch.
+        rest = random_unit_vector(np.random.default_rng(dim), dim - 1)
+        x = np.concatenate([[first], rest])
+        stack = np.array([x, random_unit_vector(np.random.default_rng(dim), dim), x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = complete_orthonormal_basis(x)
+            bases = complete_orthonormal_basis(stack)
+        _assert_basis_completion(x)
+        assert bases[0].tobytes() == one.tobytes() == bases[2].tobytes()
 
     @pytest.mark.parametrize("dim", [1, 4, 7])
     def test_empty_stack(self, dim):

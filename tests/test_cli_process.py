@@ -1,9 +1,9 @@
 """CLI checks as rows of one table.
 
 Each row runs `cli.main(argv)` in-process, with every warning an error;
-the rows in PROCESS_ROWS also run as a real `python -m conekit` process.
-An argv names its files as {name}: a name in INPUTS is written to
-tmp_path before the run, and any other name is a path in tmp_path that
+the rows in PROCESS_ROWS also run as a real `python -W error -m conekit`
+process.  An argv names its files as {name}: a name in INPUTS is written
+to tmp_path before the run, and any other name is a path in tmp_path that
 the command may write.  A row that exits 11 or above must print nothing
 to stdout and write nothing; its `check(files, out, err)`, if any, must
 hold as well.
@@ -83,6 +83,8 @@ INPUTS = {
     "e0_12": _matrix(1, 2, lambda: np.eye(2)[0]),
     "vec_limit": _matrix(2, 2, lambda: np.full(4, 1e308)),
     "tiny": _matrix(2, 2, lambda: 1e-150 * _gaussian(0, (4, 4))),
+    # A unit target whose first entry is subnormal.
+    "subnormal_w": _matrix(2, 2, lambda: [1e-320, 1, 0, 0]),
     "osr3": _matrix(8, 8, _block_sparse),
     "strings": lambda path: Path(path).write_text(
         '{"m": 1, "n": 2, "re": [["1", 0], [0, "2.5"]], "im": [[0, 0], [0, 0]]}'
@@ -140,6 +142,13 @@ def _ppt_side(files, out, err):
 
 def _no_inf(files, out, err):
     return "asymmetry inf" not in err
+
+
+def _finite_lift(files, out, err):
+    _, unitary, _ = matio.load_array(files["out"] + "_unitary.json")
+    report = json.loads(out)
+    residuals = (report["mapping_residual"], report["unitarity_residual"])
+    return np.isfinite(unitary).all() and max(residuals) <= 1e-12
 
 
 def _prints(text):
@@ -221,6 +230,11 @@ ROWS = {
         "construct lift --u {e0_12} --v {e0_12} --w {vec_limit} --out {out}", 13,
         lambda files, out, err: "w must be a unit vector" in err,
     ),
+    # The phase of a subnormal first entry is taken without overflow.
+    "lift subnormal": (
+        "construct lift --u {e0_12} --v {e0_12} --w {subnormal_w} --out {out}", 0,
+        _finite_lift,
+    ),
     "collapse limit": (
         "construct collapse --target {vec_limit} --out {out}", 13,
         lambda files, out, err: "v must be a unit vector" in err,
@@ -239,7 +253,7 @@ ROWS = {
 # One row for each exit code 0, 1, 2, 11 and 13, and the envelope's edge.
 PROCESS_ROWS = [
     "entry point", "blockpos violator 2x2", "blockpos pt_phi 3x3", "psd string entries",
-    "seed 2**64 blockpos", "envelope 100000x100000",
+    "seed 2**64 blockpos", "envelope 100000x100000", "lift subnormal",
 ]
 
 
@@ -273,7 +287,8 @@ def test_real_process(row, tmp_path):
     env = {key: value for key, value in os.environ.items() if key != "CONEKIT_SEED"}
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
-        [sys.executable, "-m", "conekit", *argv], capture_output=True, text=True, env=env,
+        [sys.executable, "-W", "error", "-m", "conekit", *argv], capture_output=True, text=True,
+        env=env,
         cwd=tmp_path,
     )
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr

@@ -266,9 +266,12 @@ class TestOpRanks:
         fam, _ = collapse_construction(random_unit_vector(np.random.default_rng(0), d.total), d)
         shapes = _values_only_svds(monkeypatch)
         _op_ranks(d, fam.ops, 1e-9)
-        # Whole realignments below ROW_PATH_SIDE, one row each from it on.
-        side = (m * m, n * n) if d.total < bipartite.ROW_PATH_SIDE else (m, n)
-        assert shapes == [(len(fam.ops), *side)]
+        # Whole realignments below ROW_PATH_SIDE.  From it on, one row
+        # each, and the first mn operators' one shared row c v* once.
+        if d.total < bipartite.ROW_PATH_SIDE:
+            assert shapes == [(len(fam.ops), m * m, n * n)]
+        else:
+            assert shapes == [(d.total + 1, m, n)]
 
     def test_tiny_nonzero_operator_is_not_rank_zero(self):
         # Its Frobenius norm underflows to 0; its singular values do not.
@@ -465,6 +468,47 @@ def _row_path_ops(rng, dims):
     return [ops[i] for i in rng.permutation(len(ops))]
 
 
+def _loop_validate(family, tol=1e-9):
+    # The per-operator reference loops: every operator coerced and checked
+    # whole (`as_matrix`), then one Gram product per operator over its rows
+    # (the row rule).  Returns (sum, least eigenvalue, residual, ranks or
+    # None).
+    d = family.dims
+    ops = [bipartite.as_matrix(d, a) for a in family.ops]
+    s = np.zeros((d.total, d.total), dtype=np.complex128)
+    for a, r in zip(ops, bipartite._nonzero_rows(d, ops)):
+        b = a[r]
+        s += b.conj().T @ b
+    evals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
+    if family.mode is Mode.EXACT:
+        residual = float(np.linalg.norm(s - np.eye(d.total)))
+    else:
+        residual = float(max(0.0, evals[-1] - 1.0))
+    ranks = None if family.osr_bound is None else _osr_loop(d, ops, tol)
+    return s, float(evals[0]), residual, ranks
+
+
+def _loop_image(family, inputs):
+    # One conjugation product per operator with a nonzero input.
+    d = family.dims
+    ops = [bipartite.as_matrix(d, a) for a in family.ops]
+    xs = [bipartite.as_matrix(d, x) for x in inputs]
+    terms = [(a, x) for a, x in zip(ops, xs) if x.any()]
+    out = np.zeros((d.total, d.total), dtype=np.complex128)
+    for (a, x), r in zip(terms, bipartite._nonzero_rows(d, [a for a, _ in terms])):
+        b = a[r]
+        out += b.conj().T @ x[r][:, r] @ b
+    return out
+
+
+def _refusal(call):
+    try:
+        call()
+    except (DimError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestRowPath:
     """The Kraus passes over each operator's nonzero rows (the row rule).
 
@@ -475,6 +519,13 @@ class TestRowPath:
     loop exactly.  A row-only product may round differently from the dense
     one, so the sums are held to 8 eps sum_i |A_i|^2 |X_i| (Frobenius
     norms, X_i = I for the normalization sum) from the dense loop.
+
+    Validation reads each operator once: it is coerced, its rows found and
+    only those rows checked for finiteness (a NaN or inf is nonzero, so it
+    lies in them), and every refusal is the whole read's.  The sums and the
+    one-row rank pass reuse the product or rank of a block that repeats the
+    one before it, and every sum, residual, rank and image has the bits of
+    the per-operator loops of the row rule.
     """
 
     DIMS = [(4, 8), (5, 7), (6, 6), (8, 8)]
@@ -586,6 +637,127 @@ class TestRowPath:
         dense = sum(a.conj().T @ x @ a for a, x in zip(fam.ops, inputs) if x.any())
         assert np.abs(out - dense).max() <= self.bound(fam.ops, inputs)
         assert max(_osr_loop(d, fam.ops)) == fam.osr_bound
+
+    ONE_READ_DIMS = [(4, 8), (5, 7), (8, 8)]
+    CALLS = {
+        "validate": lambda fam, inputs: validate(fam),
+        "apply": lambda fam, inputs: apply_family(fam, inputs),
+        "_validated_image": lambda fam, inputs: _validated_image(fam, inputs, 1e-9),
+    }
+
+    @staticmethod
+    def _bad_families(dims):
+        total = dims.total
+        fam, inputs = collapse_construction(max_entangled_vector(dims), dims)
+        wrong = np.zeros((total + 1, total + 1))
+        for value in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.0)):
+            alone = np.zeros((total, total), dtype=np.complex128)
+            alone[total - 1, 3] = value  # an otherwise-zero operator
+            in_row = np.array(fam.ops[2])
+            in_row[total - 1, 0] = value  # an otherwise-zero row
+            for bad in ([alone], [in_row], [wrong, alone], [alone, wrong]):
+                ops = list(fam.ops)
+                ops[1 : 1 + len(bad)] = bad
+                yield family_of(dims, ops, osr_bound=fam.osr_bound), inputs
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("m,n", ONE_READ_DIMS)
+    def test_refusals_match_a_whole_read(self, m, n, call):
+        dims = BipartiteDims(m, n)
+        for fam, inputs in self._bad_families(dims):
+            want = _refusal(lambda: [bipartite.as_matrix(dims, a) for a in fam.ops])
+            assert want is not None and want[0] in (DimError, PreconditionError)
+            assert _refusal(lambda: self.CALLS[call](fam, inputs)) == want
+
+    @pytest.mark.parametrize("m,n", ONE_READ_DIMS)
+    def test_negative_zero_operator_ranks_zero(self, m, n):
+        dims = BipartiteDims(m, n)
+        fam, _ = collapse_construction(max_entangled_vector(dims), dims)
+        minus = np.full((dims.total, dims.total), complex(-0.0, -0.0))
+        family = family_of(dims, [minus, *fam.ops, minus], osr_bound=fam.osr_bound)
+        report, ops, rows = kraus._validate(family, 1e-9)
+        assert report.verdict is Verdict.IN
+        assert rows[0].size == rows[-1].size == 0
+        ranks = _op_ranks(dims, ops, 1e-9, rows)
+        assert ranks[0] == ranks[-1] == 0 and ranks == _osr_loop(dims, ops)
+
+    def _assert_loop_bits(self, family, inputs):
+        report, ops, rows = kraus._validate(family, 1e-9)
+        s, least, residual, ranks = _loop_validate(family)
+        assert kraus._normalization_sum(family.dims, ops, rows).tobytes() == s.tobytes()
+        assert report.min_eig == least
+        assert report.certificate["normalization_residual"] == residual
+        if ranks is not None:
+            assert _op_ranks(family.dims, ops, 1e-9, rows) == ranks
+        assert report.verdict is Verdict.IN
+        image, _ = _validated_image(family, inputs, 1e-9)
+        assert image.tobytes() == _loop_image(family, inputs).tobytes()
+
+    @pytest.mark.parametrize("target", ["random", "product", "max_entangled"])
+    @pytest.mark.parametrize("m,n", DIMS)
+    def test_collapse_families_match_the_loops(self, m, n, target):
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 12])
+        v = {
+            "random": lambda: random_unit_vector(rng, dims.total),
+            "product": lambda: random_product_vector(rng, dims),
+            "max_entangled": lambda: max_entangled_vector(dims),
+        }[target]()
+        self._assert_loop_bits(*collapse_construction(v, dims))
+
+    @staticmethod
+    def _one_row_family(dims, rng, pattern, rows):
+        # Operator i is e_{rows[i]} w_{pattern[i]}*, scaled to a contraction.
+        lines = [random_unit_vector(rng, dims.total) for _ in range(max(pattern) + 1)]
+        ops = [np.outer(basis_vec(dims.total, r), lines[p].conj()) for p, r in zip(pattern, rows)]
+        scale = 1.0 / np.sqrt(1.01 * np.linalg.eigvalsh(sum(a.conj().T @ a for a in ops))[-1])
+        ops = [scale * a for a in ops]
+        return family_of(dims, ops, Mode.CONTRACTIVE, osr_bound=dims.d)
+
+    @pytest.mark.parametrize("m,n", ONE_READ_DIMS)
+    def test_equal_rows_apart_match_the_loops(self, m, n):
+        # Equal rows that are not consecutive: w0 w1 w0 w1 w0 on rows 0-4,
+        # and w0 on one row between two others.
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 13])
+        fam = self._one_row_family(dims, rng, [0, 1, 0, 1, 0, 2, 0, 2], [0, 1, 2, 3, 4, 4, 4, 5])
+        inputs = [random_psd(rng, dims.total) for _ in fam.ops]
+        self._assert_loop_bits(fam, inputs)
+        shared = np.eye(dims.total)
+        self._assert_loop_bits(fam, [shared] * len(fam.ops))
+
+    @pytest.mark.parametrize("m,n", ONE_READ_DIMS)
+    def test_equal_rows_unequal_inputs_match_the_loops(self, m, n):
+        # One row w on rows 0, 1, 1, 1, 2: a shared input whose diagonal
+        # differs on rows 0 and 1, another input on an equal block, and
+        # equal input blocks on the same row.
+        dims = BipartiteDims(m, n)
+        rng = np.random.default_rng([m, n, 14])
+        fam = self._one_row_family(dims, rng, [0, 0, 0, 0, 0], [0, 1, 1, 1, 2])
+        x, y = random_psd(rng, dims.total), random_psd(rng, dims.total)
+        assert x[0, 0] != x[1, 1] and x[1, 1] != y[1, 1]
+        self._assert_loop_bits(fam, [x, x, y, y.copy(), x])
+
+    def test_collapse_family_multiplies_each_repeated_block_once(self, monkeypatch):
+        # At 8x8 the first 64 operators share the row c v* and one input:
+        # 65 Gram products instead of 128, and one image product instead
+        # of 64.  A Gram reuse is one `_same_bits` call that returns True,
+        # an image reuse two (the operator block and the input block).
+        dims = BipartiteDims(8, 8)
+        fam, inputs = collapse_construction(max_entangled_vector(dims), dims)
+        reused = []
+        same_bits = bipartite._same_bits
+
+        def counting(a, b):
+            reused.append(same_bits(a, b))
+            return reused[-1]
+
+        monkeypatch.setattr(kraus, "_same_bits", counting)
+        kraus._validate(fam, 1e-9)
+        assert sum(reused) == 63
+        reused.clear()
+        _validated_image(fam, inputs, 1e-9)
+        assert sum(reused) == 63 + 2 * 63
 
 
 class TestRandomFamily:

@@ -657,13 +657,13 @@ class TestCliConstruct:
     @pytest.mark.parametrize("kind", ["collapse", "embed_k"])
     def test_family_validated_once(self, bell_vec_file, tmp_path, monkeypatch, kind):
         calls = []
-        validate = kraus.validate
+        validate = kraus._validate
 
-        def counting(family, tol=1e-9):
+        def counting(family, tol):
             calls.append(len(family.ops))
             return validate(family, tol)
 
-        monkeypatch.setattr(kraus, "validate", counting)
+        monkeypatch.setattr(kraus, "_validate", counting)
         flags = ["--target", bell_vec_file] if kind == "collapse" else ["--v", bell_vec_file, "--k", "2"]
         assert main(["construct", kind, *flags, "--out", str(tmp_path / "c")]) == 0
         assert len(calls) == 1
@@ -673,14 +673,14 @@ class TestCliConstruct:
 
         from conekit.membership import Verdict
 
-        validate = kraus.validate
+        validate = kraus._validate
 
-        def failing(family, tol=1e-9):
-            report = validate(family, tol)
+        def failing(family, tol):
+            report, ops, rows = validate(family, tol)
             report.certificate["violations"] = [{"invariant": "exact_normalization"}]
-            return dataclasses.replace(report, verdict=Verdict.OUT)
+            return dataclasses.replace(report, verdict=Verdict.OUT), ops, rows
 
-        monkeypatch.setattr(kraus, "validate", failing)
+        monkeypatch.setattr(kraus, "_validate", failing)
         prefix = str(tmp_path / "col")
         assert main(["construct", "collapse", "--target", bell_vec_file, "--out", prefix]) == 13
         assert capsys.readouterr().err.startswith("error: family fails validation")

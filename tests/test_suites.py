@@ -436,13 +436,13 @@ class TestValidateOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        validate = kraus.validate
+        validate = kraus._validate
 
-        def counting(family, tol=1e-9):
+        def counting(family, tol):
             calls.append(len(family.ops))
             return validate(family, tol)
 
-        monkeypatch.setattr(kraus, "validate", counting)
+        monkeypatch.setattr(kraus, "_validate", counting)
         return calls
 
     def test_strict_enlargement_validates_each_case_once(self, calls):
