@@ -10,7 +10,7 @@ the rank rule (`_rank_from_singulars`), the zero refusal of `sr`, `osr`
 and the decompositions (`_nonzero_rank`), the stacked rank passes
 (`_schmidt_ranks`, and `_op_ranks`, which ranks a one-row operator e_i w*
 by SR(w) and every other nonzero one by its whole realignment), the row
-rule that lets the Kraus passes skip each large operator's zero rows
+rule that lets the Kraus passes skip each operator's zero rows
 (`_nonzero_rows`), the rescaling of an array whose norm overflows or
 underflows (`_largest_part`), the Schmidt-aligned basis of the exact
 rank-one families (`_schmidt_aligned_basis`), and every module's argument
@@ -27,17 +27,6 @@ import numpy as np
 from .errors import DimError, NormError, PreconditionError, ZeroInputError
 
 DEFAULT_TOL = 1e-9
-# Side mn from which the Kraus passes read each operator's nonzero rows
-# (`_nonzero_rows`): the normalization and conjugation sums in `kraus` take
-# those rows only, and `_op_ranks` ranks a zero or one-row operator from
-# them.  Finding the rows costs 3-10 us per operator at sides 32 to 64
-# (C-ordered, F-ordered or strided).  Per operator with one nonzero row,
-# the dense product against the row-only one (Intel Xeon, one BLAS thread,
-# numpy 2.4.6, scipy-openblas 0.3.31):
-#   side 16: A*A 5.2 against 5.9 us, A*XA 9.8 against 14.3 us;
-#   side 36: A*A 16.3 against 11.0 us, A*XA 30.4 against 19.6 us;
-#   side 64: A*A 66.6 against 24.2 us, A*XA 125 against 33.6 us.
-ROW_PATH_SIDE = 32
 
 
 @dataclass(frozen=True)
@@ -208,21 +197,18 @@ def _schmidt_ranks(vecs: np.ndarray, dims: BipartiteDims, tol: float) -> list[in
     return _rank_from_singulars(singulars, tol).tolist()
 
 
-def _nonzero_rows(dims: BipartiteDims, ops: list) -> list:
+def _nonzero_rows(ops: list) -> list:
     # The row rule: one row index per coerced operator (`_rows_of`).
-    return [_rows_of(dims, a) for a in ops]
+    return [_rows_of(a) for a in ops]
 
 
-def _rows_of(dims: BipartiteDims, a: np.ndarray):
+def _rows_of(a: np.ndarray):
     # The row rule on one operator, for the Kraus passes to take a[rows] in
     # place of a.  It is the array of the rows that hold a nonzero entry (a
-    # -0.0 is zero; a NaN or inf is nonzero) when the side mn is at least
-    # ROW_PATH_SIDE and some row is zero; otherwise it is slice(None), a
-    # view of every row, so the pass keeps the dense product and its bits.
-    # One `a.any(axis=1)` finds the rows in every memory layout: C- or
-    # F-ordered, or strided.
-    if dims.total < ROW_PATH_SIDE:
-        return slice(None)
+    # -0.0 is zero; a NaN or inf is nonzero) when some row is zero;
+    # otherwise it is slice(None), a view of every row, so the pass keeps
+    # the dense product and its bits.  One `a.any(axis=1)` finds the rows in
+    # every memory layout: C- or F-ordered, or strided.
     index = a.any(axis=1).nonzero()[0]
     return slice(None) if index.size == len(a) else index
 
@@ -233,7 +219,7 @@ def _matrix_rows(dims: BipartiteDims, x):
     # (`_rows_of`), with finiteness checked on those rows only.  A NaN or
     # inf is nonzero, so it lies in them.
     a = _square(dims, x)
-    rows = _rows_of(dims, a)
+    rows = _rows_of(a)
     _finite(a[rows])
     return a, rows
 
@@ -251,12 +237,11 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int
     # is nonzero in row i only is e_i w*, whose OSR is SR(w): those rows
     # share one `_schmidt_ranks` SVD, which takes a row that equals the row
     # before it once (`_same_bits`; a collapse family's first mn operators
-    # share one).  Every other operator (below ROW_PATH_SIDE, every
-    # operator) is ranked from its whole realignment, all of them in one
-    # stacked values-only SVD.
+    # share one).  Every other operator is ranked from its whole
+    # realignment, all of them in one stacked values-only SVD.
     m, n = dims.m, dims.n
     if rows is None:
-        rows = _nonzero_rows(dims, ops)
+        rows = _nonzero_rows(ops)
     one = [i for i, r in enumerate(rows) if not isinstance(r, slice) and r.size == 1]
     whole = [i for i, r in enumerate(rows) if isinstance(r, slice) or r.size > 1]
     ranks = [0] * len(ops)

@@ -10,18 +10,17 @@ completions, and the rank-one collapse scheme that reaches any pure state
 from PPT inputs.
 
 Validation reads each operator once (the one-read rule): it coerces the
-operator, checks its shape, finds its rows by the row rule and checks
-finiteness on those rows only.  A NaN or inf counts as nonzero, so it
-always lies in them; below side mn = 32 the rows are all rows, and the
-check is the whole-matrix one of `bipartite.as_matrix`.  The image takes
-the operators and rows that validation read.
+operator, checks its shape, finds its nonzero rows by the row rule
+(`bipartite._rows_of`) and checks finiteness on those rows only.  A NaN or
+inf counts as nonzero, so it always lies in them.  The image takes the
+operators and rows that validation read.
 
-From side 32 the normalization and conjugation sums take each operator
-over its nonzero rows only, and the OSR pass takes no SVD of a zero
-operator and ranks a one-row operator e_i w* by SR(w);
-`bipartite._rows_of` owns that row rule.  With scipy-openblas a row-only
-product has the dense one's bits when the side is a multiple of 4 or the
-rows are real; at other sides from 32, such as 5x7, complex rows can round
+The normalization and conjugation sums take each operator over its nonzero
+rows only, and the OSR pass takes no SVD of a zero operator and ranks a
+one-row operator e_i w* by SR(w).  An operator with no zero row keeps its
+dense product and its bits.  With scipy-openblas a row-only product has
+the dense one's bits when the side mn is a multiple of 4 or the rows are
+real; at other sides, such as 3x3 or 5x7, complex rows can round
 differently in the last bit.
 
 On those rows the passes multiply a repeated block once (the
@@ -32,8 +31,7 @@ too; the one-row OSR pass ranks a row that repeats the row before it
 once.  Each product is still added once per operator, in family order, so
 every sum, residual and rank keeps its bits.  A collapse family's first mn
 operators share the row c v* and one input, so at side mn it takes mn + 1
-Gram products, one image product and mn + 1 one-row SVDs.  The dense path
-below side 32 has no row blocks and multiplies every operator.
+Gram products, one image product and mn + 1 one-row SVDs.
 """
 
 import enum
@@ -86,7 +84,8 @@ class Locality(str, enum.Enum):
 
 @dataclass
 class KrausFamily:
-    """Ordered coefficient operators with normalization metadata.
+    """Ordered coefficient operators, a sequence or (K, D, D) stack, with
+    normalization metadata.
 
     The mode is coerced through `Mode`, so "exact" and "contractive" are
     accepted as strings; any other value is refused.  osr_bound must be
@@ -134,7 +133,7 @@ def _normalization_sum(dims: BipartiteDims, ops: list, rows=None) -> np.ndarray:
     # order, by the row rule and the repeated-block rule (module docstring);
     # the rows are found here unless the caller passes them.
     if rows is None:
-        rows = _nonzero_rows(dims, ops)
+        rows = _nonzero_rows(ops)
     terms = ((r, (a[r],)) for a, r in zip(ops, rows))
     return _sum_products(dims.total, terms, lambda b: b.conj().T @ b)
 
@@ -168,7 +167,7 @@ def _validate(family: KrausFamily, tol: float):
     # read once (module docstring), so that `_validated_image` takes the
     # operators and rows this pass checked.
     _check_tol(tol)
-    if not family.ops:
+    if not _length("Kraus operators", family.ops):
         raise PreconditionError("cannot validate an empty Kraus family")
     ops, rows = zip(*[_matrix_rows(family.dims, x) for x in family.ops])
     s = _normalization_sum(family.dims, ops, rows)
@@ -316,8 +315,9 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
     _check_tol(tol)
     dims = partial.dims
     total = dims.total
-    ops = [as_matrix(dims, a) for a in partial.ops]
-    remainder = np.eye(total) - _normalization_sum(dims, ops)
+    read = [_matrix_rows(dims, a) for a in partial.ops]
+    ops, rows = [a for a, _ in read], [r for _, r in read]
+    remainder = np.eye(total) - _normalization_sum(dims, ops, rows)
     evals, evecs = np.linalg.eigh((remainder + remainder.conj().T) / 2.0)
     if evals[0] < -CONTRACTIVE_EXCESS_BOUND:
         raise PreconditionError(
@@ -330,7 +330,7 @@ def complete_to_identity(partial: KrausFamily, *, tol: float = DEFAULT_TOL) -> K
     # zero rows keep their -0.0 entries.
     e = np.eye(mu.size, total, dtype=np.complex128)
     appended = np.sqrt(mu)[:, None, None] * (e[:, :, None] * kept.conj()[:, None, :])
-    bound = max([1, *_op_ranks(dims, ops, tol), *_schmidt_ranks(kept, dims, tol)])
+    bound = max([1, *_op_ranks(dims, ops, tol, rows), *_schmidt_ranks(kept, dims, tol)])
     return KrausFamily(dims, ops + list(appended), Mode.EXACT, osr_bound=bound, seed=partial.seed)
 
 

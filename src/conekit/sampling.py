@@ -102,12 +102,17 @@ def random_separable(rng: np.random.Generator, dims: BipartiteDims) -> np.ndarra
 
 
 def random_exact_kraus_ops(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """Ginibre Kraus operators normalized so that sum A_i* A_i = I exactly."""
+    """Ginibre Kraus operators normalized so that sum A_i* A_i = I exactly.
+
+    A draw whose sum S has condition number 1e6 or more is drawn again: the
+    normalization by S^(-1/2) of a worse one can leave a residual above the
+    1e-9 bound of an exact family.
+    """
     for _ in range(EXACT_KRAUS_ATTEMPTS):
         ops = [ginibre(rng, dim, dim) for _ in range(count)]
         s = sum(a.conj().T @ a for a in ops)
         evals, evecs = np.linalg.eigh(s)
-        if evals[0] <= 1e-12 * evals[-1]:
+        if evals[0] <= 1e-6 * evals[-1]:
             continue
         inv_sqrt = (evecs * (evals ** -0.5)) @ evecs.conj().T
         return [a @ inv_sqrt for a in ops]

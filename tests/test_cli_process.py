@@ -196,6 +196,12 @@ ROWS = {
             ("rand57", _family("global", 5)),
         ]
     },
+    # Trial 31 draws a 3x3 factor with cond(S) 1.1e7, whose normalization
+    # would miss the 1e-9 exact bound; the sampler draws it again.
+    "ppt-stability 3x3 seed 745788484": (
+        "verify ppt-stability --m 3 --n 3 --seed 745788484 --trials 32 --out {r}", 0,
+        _report(trials=32),
+    ),
     "rank sr rand57": ("rank sr {rand57}", 0, _prints("5\n")),
     **{
         f"ppt-collapse {m}x{n}": (

@@ -186,11 +186,19 @@ class TestApply:
         with pytest.raises(DimError):
             apply_family(fam, [np.eye(dims.total)] * 2)
 
-    @pytest.mark.parametrize("inputs", [None, 5, np.array(1.0), (x for x in [])], ids=repr)
-    def test_inputs_without_length_refused(self, dims, inputs):
-        fam = family_of(dims, [np.eye(dims.total)])
-        with pytest.raises(PreconditionError, match="inputs must be a sequence or stack"):
-            apply_family(fam, inputs)
+    @pytest.mark.parametrize(
+        "name,value",
+        [pytest.param("inputs", v, id=repr(v)) for v in (None, 5, np.array(1.0), (x for x in []))]
+        + [pytest.param("Kraus operators", None, id="ops-None")],
+    )
+    def test_inputs_without_length_refused(self, dims, name, value):
+        ops, inputs = [np.eye(dims.total)], [np.eye(dims.total)]
+        if name == "inputs":
+            inputs = value
+        else:
+            ops = value
+        with pytest.raises(PreconditionError, match=f"{name} must be a sequence or stack"):
+            apply_family(family_of(dims, ops), inputs)
 
     def test_invalid_family_rejected(self, dims):
         fam = family_of(dims, [0.1 * np.eye(dims.total)])
@@ -266,12 +274,8 @@ class TestOpRanks:
         fam, _ = collapse_construction(random_unit_vector(np.random.default_rng(0), d.total), d)
         shapes = _values_only_svds(monkeypatch)
         _op_ranks(d, fam.ops, 1e-9)
-        # Whole realignments below ROW_PATH_SIDE.  From it on, one row
-        # each, and the first mn operators' one shared row c v* once.
-        if d.total < bipartite.ROW_PATH_SIDE:
-            assert shapes == [(len(fam.ops), m * m, n * n)]
-        else:
-            assert shapes == [(d.total + 1, m, n)]
+        # One row each, and the first mn operators' one shared row c v* once.
+        assert shapes == [(d.total + 1, m, n)]
 
     def test_tiny_nonzero_operator_is_not_rank_zero(self):
         # Its Frobenius norm underflows to 0; its singular values do not.
@@ -443,13 +447,14 @@ def _row_path_ops(rng, dims):
     total = dims.total
 
     def rows_of(index):
+        # Row indices wrap at the side, so that 2x2 has every kind too.
         a = np.zeros((total, total), dtype=np.complex128)
-        a[index] = ginibre(rng, len(index), total)
+        a[np.mod(index, total)] = ginibre(rng, len(index), total)
         return a
 
     v = random_unit_vector(rng, total)
     imaginary = rows_of([4, 5])
-    imaginary[5] = 1j * imaginary[5].imag  # a row with no real part
+    imaginary[5 % total] = 1j * imaginary[5 % total].imag  # a row with no real part
     strided = np.zeros((total, 2 * total), dtype=np.complex128)
     strided[[1, total - 2], ::2] = ginibre(rng, 2, total)
     ops = [
@@ -476,7 +481,7 @@ def _loop_validate(family, tol=1e-9):
     d = family.dims
     ops = [bipartite.as_matrix(d, a) for a in family.ops]
     s = np.zeros((d.total, d.total), dtype=np.complex128)
-    for a, r in zip(ops, bipartite._nonzero_rows(d, ops)):
+    for a, r in zip(ops, bipartite._nonzero_rows(ops)):
         b = a[r]
         s += b.conj().T @ b
     evals = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
@@ -495,7 +500,7 @@ def _loop_image(family, inputs):
     xs = [bipartite.as_matrix(d, x) for x in inputs]
     terms = [(a, x) for a, x in zip(ops, xs) if x.any()]
     out = np.zeros((d.total, d.total), dtype=np.complex128)
-    for (a, x), r in zip(terms, bipartite._nonzero_rows(d, [a for a, _ in terms])):
+    for (a, x), r in zip(terms, bipartite._nonzero_rows([a for a, _ in terms])):
         b = a[r]
         out += b.conj().T @ x[r][:, r] @ b
     return out
@@ -512,13 +517,13 @@ def _refusal(call):
 class TestRowPath:
     """The Kraus passes over each operator's nonzero rows (the row rule).
 
-    From side mn = ROW_PATH_SIDE the sums take A[R]* A[R] and
-    A[R]* X[R, R] A[R] over A's nonzero rows R, and `_op_ranks` takes no SVD
-    of a zero operator and ranks a one-row operator e_i w* by SR(w), every
-    other one by its whole realignment.  Ranks must equal the full-SVD
-    loop exactly.  A row-only product may round differently from the dense
-    one, so the sums are held to 8 eps sum_i |A_i|^2 |X_i| (Frobenius
-    norms, X_i = I for the normalization sum) from the dense loop.
+    At every side the sums take A[R]* A[R] and A[R]* X[R, R] A[R] over A's
+    nonzero rows R, and `_op_ranks` takes no SVD of a zero operator and
+    ranks a one-row operator e_i w* by SR(w), every other one by its whole
+    realignment.  Ranks must equal the full-SVD loop exactly.  A row-only
+    product may round differently from the dense one, so the sums are held
+    to 8 eps sum_i |A_i|^2 |X_i| (Frobenius norms, X_i = I for the
+    normalization sum) from the dense loop.
 
     Validation reads each operator once: it is coerced, its rows found and
     only those rows checked for finiteness (a NaN or inf is nonzero, so it
@@ -528,7 +533,7 @@ class TestRowPath:
     the per-operator loops of the row rule.
     """
 
-    DIMS = [(4, 8), (5, 7), (6, 6), (8, 8)]
+    DIMS = [(2, 2), (2, 3), (3, 3), (4, 8), (5, 7), (6, 6), (8, 8)]
 
     @staticmethod
     def bound(ops, inputs=None):
@@ -540,44 +545,27 @@ class TestRowPath:
     def test_rows_match_a_dense_scan(self, m, n):
         d = BipartiteDims(m, n)
         ops = _row_path_ops(np.random.default_rng([m, n, 5]), d)
-        for a, rows in zip(ops, bipartite._nonzero_rows(d, ops)):
+        for a, rows in zip(ops, bipartite._nonzero_rows(ops)):
             want = np.flatnonzero((a != 0).any(axis=1))
             if want.size == d.total:
                 assert rows == slice(None)
             else:
                 assert np.array_equal(rows, want)
         negative_zero = np.full((d.total, d.total), complex(-0.0, -0.0))
-        assert bipartite._nonzero_rows(d, [negative_zero])[0].size == 0
-
-    @pytest.mark.parametrize("m,n", [(5, 6), (4, 8)])
-    def test_gate_is_the_side(self, m, n):
-        # Side 30 keeps every dense pass and whole realignment; side 32
-        # takes the row path.
-        d = BipartiteDims(m, n)
-        ops = _row_path_ops(np.random.default_rng([m, n, 6]), d)
-        rows = bipartite._nonzero_rows(d, ops)
-        assert _op_ranks(d, ops, 1e-9) == _osr_loop(d, ops)
-        if d.total < bipartite.ROW_PATH_SIDE:
-            assert rows == [slice(None)] * len(ops)
-        else:
-            assert sum(isinstance(r, slice) for r in rows) == 2  # the unitaries
+        assert bipartite._nonzero_rows([negative_zero])[0].size == 0
 
     @pytest.mark.parametrize("m,n", [(5, 6), *DIMS])
     def test_rank_pass_takes_at_most_two_svds(self, m, n, monkeypatch):
-        # Below the gate every operator is one whole realignment of one
-        # stack.  From it the one-row operators share one SVD of their rows,
-        # the multi-row and dense ones one of their whole realignments, and
-        # the two zero operators (all +0.0 and all -0.0) take none.
+        # The one-row operators share one SVD of their rows, the multi-row
+        # and dense ones one of their whole realignments, and the two zero
+        # operators (all +0.0 and all -0.0) take none.
         d = BipartiteDims(m, n)
         ops = _row_path_ops(np.random.default_rng([m, n, 11]), d)
         with monkeypatch.context() as patch:
             shapes = _values_only_svds(patch)
             ranks = _op_ranks(d, ops, 1e-9)
         assert ranks == _osr_loop(d, ops)
-        if d.total < bipartite.ROW_PATH_SIDE:
-            assert shapes == [(len(ops), m * m, n * n)]
-        else:
-            assert shapes == [(2, m, n), (len(ops) - 4, m * m, n * n)]
+        assert shapes == [(2, m, n), (len(ops) - 4, m * m, n * n)]
 
     @pytest.mark.parametrize("m,n", DIMS)
     def test_ranks_match_osr_loop(self, m, n):
@@ -601,7 +589,7 @@ class TestRowPath:
             dense += a.conj().T @ a
         got = kraus._normalization_sum(d, ops)
         assert np.abs(got - dense).max() <= self.bound(ops)
-        rows = bipartite._nonzero_rows(d, ops)
+        rows = bipartite._nonzero_rows(ops)
         assert np.array_equal(kraus._normalization_sum(d, ops, rows), got)
 
     @pytest.mark.parametrize("m,n", DIMS)
@@ -629,7 +617,7 @@ class TestRowPath:
         d = BipartiteDims(m, n)
         v = random_unit_vector(np.random.default_rng([m, n, 10]), d.total)
         fam, inputs = collapse_construction(v, d)
-        rows = bipartite._nonzero_rows(d, fam.ops)
+        rows = bipartite._nonzero_rows(fam.ops)
         assert all(r.size == 1 for r in rows)
         s = kraus._normalization_sum(d, fam.ops)
         assert np.abs(s - sum(a.conj().T @ a for a in fam.ops)).max() <= self.bound(fam.ops)
@@ -638,7 +626,7 @@ class TestRowPath:
         assert np.abs(out - dense).max() <= self.bound(fam.ops, inputs)
         assert max(_osr_loop(d, fam.ops)) == fam.osr_bound
 
-    ONE_READ_DIMS = [(4, 8), (5, 7), (8, 8)]
+    ONE_READ_DIMS = [(2, 3), (3, 3), (4, 8), (5, 7), (8, 8)]
     CALLS = {
         "validate": lambda fam, inputs: validate(fam),
         "apply": lambda fam, inputs: apply_family(fam, inputs),
@@ -845,6 +833,22 @@ class TestRandomFamily:
 
 
 class TestCompleteToIdentity:
+    def test_each_operator_read_once(self, dims, monkeypatch):
+        # One row scan per partial operator, shared by the normalization
+        # sum and the rank pass.
+        draw = random_family(dims, 3, dims.d, Mode.CONTRACTIVE, seed=1)
+        scans = []
+        rows_of = bipartite._rows_of
+
+        def counting(a):
+            scans.append(a.shape)
+            return rows_of(a)
+
+        monkeypatch.setattr(bipartite, "_rows_of", counting)
+        fam = complete_to_identity(family_of(dims, [a / 2 for a in draw.ops]))
+        assert len(scans) == len(draw.ops)
+        assert fam.osr_bound == dims.d
+
     def test_completion_of_empty(self, dims):
         partial = KrausFamily(dims, [], Mode.EXACT)
         fam = complete_to_identity(partial)
@@ -1068,10 +1072,13 @@ class TestCollapseRankPass:
         families.append((fam, mixed))
         for fam, inputs in families:
             out, report = _validated_image(fam, inputs, 1e-9)
-            ref = np.zeros((dims.total, dims.total), dtype=np.complex128)
+            # Bit for bit the per-term loop of the row rule, and within
+            # rounding of every term multiplied out densely.
+            assert np.array_equal(out, _loop_image(fam, inputs))
+            dense = np.zeros((dims.total, dims.total), dtype=np.complex128)
             for a, x in zip(fam.ops, inputs):
-                ref += a.conj().T @ np.asarray(x, dtype=np.complex128) @ a
-            assert np.array_equal(out, ref)
+                dense += a.conj().T @ np.asarray(x, dtype=np.complex128) @ a
+            assert np.abs(out - dense).max() <= TestRowPath.bound(fam.ops, inputs)
             assert report.verdict is Verdict.IN
 
     @pytest.mark.parametrize("change", ["rotate", "scale"])
@@ -1117,12 +1124,16 @@ class TestCollapseRankPass:
 
     def test_stacked_inputs_match_a_list(self, dims, rng):
         # Rows of a 3-d array are fresh views: none may pass for another.
+        # A stack of operators validates with the list's bits too.
         fam = random_family(dims, 4, dims.d, Mode.EXACT, seed=5)
         inputs = [random_psd(rng, dims.total) for _ in fam.ops]
         inputs[2] = np.zeros((dims.total, dims.total))
+        listed, report = _validated_image(fam, inputs, 1e-9)
         stacked, _ = _validated_image(fam, np.stack(inputs), 1e-9)
-        listed, _ = _validated_image(fam, inputs, 1e-9)
         assert np.array_equal(stacked, listed)
+        stack = family_of(dims, np.stack(fam.ops), osr_bound=fam.osr_bound)
+        stacked, stack_report = _validated_image(stack, np.stack(inputs), 1e-9)
+        assert stacked.tobytes() == listed.tobytes() and stack_report == report
 
     def test_first_bad_input_raises_first(self, dims):
         fam, inputs = collapse_construction(max_entangled_vector(dims), dims)

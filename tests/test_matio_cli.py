@@ -2,6 +2,7 @@ import json
 import os
 import re
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -958,7 +959,7 @@ class TestCliVerify:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "seed=7" in stdout
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["passes"] == 50
         assert "wall_time" in report
 
@@ -970,9 +971,9 @@ class TestCliVerify:
              "--trials", "10", "--seed", "3", "--out", out, "--csv", csv]
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["extra"]["verdict"] == "exploratory"
-        assert open(csv).read().startswith("suite_id,")
+        assert Path(csv).read_text().startswith("suite_id,")
 
     def test_extra_inputs(self, tmp_path):
         path = write_matrix(tmp_path / "mixed.json", 2, 2, np.eye(4) / 4.0)
@@ -1008,7 +1009,7 @@ class TestCliVerify:
              "--out", out]
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["passes"] == report["trials"] == 6
         assert 1 in report["extra"]["not_applicable_trials"]
 
@@ -1052,7 +1053,7 @@ class TestCliVerify:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
-        a = json.loads(open(out1).read())
-        b = json.loads(open(out2).read())
+        a = json.loads(Path(out1).read_text())
+        b = json.loads(Path(out2).read_text())
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
