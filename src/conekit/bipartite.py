@@ -206,9 +206,9 @@ def _rows_of(a: np.ndarray):
     # The row rule on one operator, for the Kraus passes to take a[rows] in
     # place of a.  It is the array of the rows that hold a nonzero entry (a
     # -0.0 is zero; a NaN or inf is nonzero) when some row is zero;
-    # otherwise it is slice(None), a view of every row, so the pass keeps
-    # the dense product and its bits.  One `a.any(axis=1)` finds the rows in
-    # every memory layout: C- or F-ordered, or strided.
+    # otherwise it is slice(None), so that a[rows] is a view, not a copy.
+    # One `a.any(axis=1)` finds the rows in every memory layout: C- or
+    # F-ordered, or strided.
     index = a.any(axis=1).nonzero()[0]
     return slice(None) if index.size == len(a) else index
 
@@ -224,21 +224,13 @@ def _matrix_rows(dims: BipartiteDims, x):
     return a, rows
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    # Whether two arrays hold the same shape and the same bytes, in any
-    # layout: a product of either has the bits of a product of the other.
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int]:
     # The OSR of each coerced operator, zero ones included (rank 0), by the
     # row rule (`_nonzero_rows`, found here unless the caller passes them).
     # An operator with no nonzero row has rank 0 and takes no SVD.  One that
     # is nonzero in row i only is e_i w*, whose OSR is SR(w): those rows
-    # share one `_schmidt_ranks` SVD, which takes a row that equals the row
-    # before it once (`_same_bits`; a collapse family's first mn operators
-    # share one).  Every other operator is ranked from its whole
-    # realignment, all of them in one stacked values-only SVD.
+    # share one `_schmidt_ranks` SVD.  Every other operator is ranked from
+    # its whole realignment, all of them in one stacked values-only SVD.
     m, n = dims.m, dims.n
     if rows is None:
         rows = _nonzero_rows(ops)
@@ -246,15 +238,9 @@ def _op_ranks(dims: BipartiteDims, ops: list, tol: float, rows=None) -> list[int
     whole = [i for i, r in enumerate(rows) if isinstance(r, slice) or r.size > 1]
     ranks = [0] * len(ops)
     if one:
-        lines, owner = [], []
-        for i in one:
-            line = ops[i][rows[i][0]]
-            if not lines or not _same_bits(line, lines[-1]):
-                lines.append(line)
-            owner.append(len(lines) - 1)
-        found = _schmidt_ranks(np.stack(lines), dims, tol)
-        for i, j in zip(one, owner):
-            ranks[i] = found[j]
+        lines = np.stack([ops[i][rows[i][0]] for i in one])
+        for i, rank in zip(one, _schmidt_ranks(lines, dims, tol)):
+            ranks[i] = rank
     if whole:
         # Each operator is reshuffled straight into the stacked copy.
         stack = np.stack([ops[i].reshape(m, n, m, n).swapaxes(1, 2) for i in whole])

@@ -200,20 +200,31 @@ def _construct_lift(args):
     return ok, fields, {"unitary": lambda p: matio.save_array(p, dims, unitary)}
 
 
-# kind -> (required flags, construction); the parser's choices come from here.
+# kind -> (required flags, optional flags, construction); the parser's
+# choices come from here, and a construct flag in neither tuple is refused.
 _CONSTRUCTS = {
-    "collapse": (("target",), _construct_collapse),
-    "embed_k": (("v", "k"), _construct_embed_k),
-    "witness_break": (("w",), _construct_witness_break),
-    "lift": (("u", "v", "w"), _construct_lift),
+    "collapse": (("target",), (), _construct_collapse),
+    "embed_k": (("v", "k"), ("u",), _construct_embed_k),
+    "witness_break": (("w",), ("z",), _construct_witness_break),
+    "lift": (("u", "v", "w"), (), _construct_lift),
 }
+_CONSTRUCT_FLAGS = dict.fromkeys(
+    name for required, optional, _ in _CONSTRUCTS.values() for name in required + optional
+)
 
 
 def _cmd_construct(args) -> int:
-    required, construction = _CONSTRUCTS[args.kind]
+    required, optional, construction = _CONSTRUCTS[args.kind]
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         raise ConekitError(f"construct {args.kind} needs {', '.join(missing)}")
+    others = [
+        f"--{name}"
+        for name in _CONSTRUCT_FLAGS
+        if name not in required + optional and getattr(args, name) is not None
+    ]
+    if others:
+        raise ConekitError(f"construct {args.kind} takes no {', '.join(others)}")
     ok, fields, outputs = construction(args)
     report_obj = {"construct": args.kind, **fields, "verdict": "pass" if ok else "fail"}
     for suffix, write in outputs.items():

@@ -15,23 +15,14 @@ operator, checks its shape, finds its nonzero rows by the row rule
 inf counts as nonzero, so it always lies in them.  The image takes the
 operators and rows that validation read.
 
-The normalization and conjugation sums take each operator over its nonzero
-rows only, and the OSR pass takes no SVD of a zero operator and ranks a
-one-row operator e_i w* by SR(w).  An operator with no zero row keeps its
-dense product and its bits.  With scipy-openblas a row-only product has
-the dense one's bits when the side mn is a multiple of 4 or the rows are
-real; at other sides, such as 3x3 or 5x7, complex rows can round
-differently in the last bit.
-
-On those rows the passes multiply a repeated block once (the
-repeated-block rule, `_sum_products`): an operator whose row block has
-the bits of the block multiplied just before it (`bipartite._same_bits`)
-reuses that product, and in the image its input block X[R, R] must repeat
-too; the one-row OSR pass ranks a row that repeats the row before it
-once.  Each product is still added once per operator, in family order, so
-every sum, residual and rank keeps its bits.  A collapse family's first mn
-operators share the row c v* and one input, so at side mn it takes mn + 1
-Gram products, one image product and mn + 1 one-row SVDs.
+Each sum is one product over the operators' nonzero rows.  The
+normalization sum is R* R, where R stacks every operator's rows A_i[R_i];
+the image is L R over the terms whose input is nonzero, where L holds the
+column blocks A_i[R_i]* X_i[R_i, R_i].  One product rounds within the same
+inner-product bound as the per-operator loop, but not with its bits; a
+family of one operator keeps them.  The OSR pass takes no SVD of a zero
+operator, ranks every one-row operator e_i w* by SR(w) in one stacked
+SVD, and every other one by its whole realignment.
 """
 
 import enum
@@ -52,7 +43,6 @@ from .bipartite import (
     _matrix_rows,
     _nonzero_rows,
     _op_ranks,
-    _same_bits,
     _schmidt_aligned_basis,
     _schmidt_ranks,
     _unit_norm,
@@ -129,27 +119,21 @@ class ConicCombination:
 
 
 def _normalization_sum(dims: BipartiteDims, ops: list, rows=None) -> np.ndarray:
-    # The operator sum A_i* A_i over already coerced operators, in family
-    # order, by the row rule and the repeated-block rule (module docstring);
-    # the rows are found here unless the caller passes them.
+    # The operator sum A_i* A_i over already coerced operators as one
+    # product R* R (module docstring); the rows are found here unless the
+    # caller passes them.
     if rows is None:
         rows = _nonzero_rows(ops)
-    terms = ((r, (a[r],)) for a, r in zip(ops, rows))
-    return _sum_products(dims.total, terms, lambda b: b.conj().T @ b)
+    r = _joined([a[i] for a, i in zip(ops, rows)], dims.total)
+    return r.conj().T @ r
 
 
-def _sum_products(total: int, terms, product) -> np.ndarray:
-    # The sum of product(*blocks) over the (rows, blocks) terms, in order,
-    # by the repeated-block rule (module docstring): a term on the row path
-    # whose blocks have the bits of the blocks multiplied last adds that
-    # product again.
-    out = np.zeros((total, total), dtype=np.complex128)
-    last = value = None
-    for r, blocks in terms:
-        if isinstance(r, slice) or last is None or not all(map(_same_bits, blocks, last)):
-            last, value = blocks, product(*blocks)
-        out += value
-    return out
+def _joined(blocks: list, total: int, axis: int = 0) -> np.ndarray:
+    # The blocks concatenated along axis, from an empty (0, total) or
+    # (total, 0) block: no blocks join to a zero-size array, whose products
+    # are zero matrices.
+    empty = np.empty((0, total) if axis == 0 else (total, 0), dtype=np.complex128)
+    return np.concatenate([empty, *blocks], axis=axis)
 
 
 def validate(family: KrausFamily, tol: float = DEFAULT_TOL) -> MembershipReport:
@@ -221,11 +205,9 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
     and checked once, at its first slot, so the first bad input still
     raises first.  The table keyed by `id` holds each object for the call,
     so no id is reused, and dies with the call.  An input that is exactly
-    zero is checked like any other, but its term is not multiplied out: it
-    adds nothing.  The other terms follow the row rule and the
-    repeated-block rule (module docstring): A[R]* X[R, R] A[R] over A's
-    nonzero rows R, one product for a run of terms whose A[R] and X[R, R]
-    repeat.
+    zero is checked like any other, but its term is left out of the sum:
+    it adds nothing.  The sum is one product L R over the other terms
+    (module docstring).
     """
     report, ops, rows = _validate(family, tol)
     if report.verdict is not Verdict.IN:
@@ -237,17 +219,18 @@ def _validated_image(family: KrausFamily, inputs, tol: float):
             f"need one input per operator, got {len(inputs)} for {len(family.ops)}"
         )
     checked = {}  # id(input) -> (input, coerced, nonzero)
-    terms = []
+    left, right = [], []
     for a, r, x in zip(ops, rows, inputs):
         if id(x) not in checked:
             arr = as_matrix(family.dims, x)
             checked[id(x)] = (x, arr, bool(arr.any()))
         _, x, nonzero = checked[id(x)]
         if nonzero:
-            terms.append((a, r, x))
-    blocks = ((r, (a[r], x[r][:, r])) for a, r, x in terms)
-    out = _sum_products(family.dims.total, blocks, lambda b, xb: b.conj().T @ xb @ b)
-    return out, report
+            b = a[r]
+            left.append(b.conj().T @ x[r][:, r])
+            right.append(b)
+    total = family.dims.total
+    return _joined(left, total, axis=1) @ _joined(right, total), report
 
 
 def _factor_counts(count: int) -> tuple[int, int]:
@@ -263,7 +246,6 @@ def random_family(
     k: int,
     mode: Mode,
     seed: int,
-    tol: float = DEFAULT_TOL,
 ) -> KrausFamily:
     """Seeded random family whose coefficients respect the requested OSR bound.
 
@@ -272,9 +254,8 @@ def random_family(
     polar-normalizes Ginibre draws at k = d, leaving the bound open.  At
     1 < k < d it raises `PreconditionError`, as no known completion
     certifies k (rank-one `eigh` modes certify d): draw `Mode.CONTRACTIVE`
-    at k, or use `collapse_construction`.  `tol` is only checked.
+    at k, or use `collapse_construction`.
     """
-    _check_tol(tol)
     _check_count("count", count)
     _check_k(k, dims)
     _check_seed(seed)

@@ -249,6 +249,23 @@ ROWS = {
         "construct embed_k --v {vec_limit} --k 2 --out {out}", 13,
         lambda files, out, err: "v must be a unit vector" in err,
     ),
+    # A flag its kind does not take is refused before any file is read:
+    # {absent} is never written, and reading it would exit 11.
+    **{
+        f"{kind} takes no {message}": (
+            f"construct {kind} {args} {flags} --out {{out}}", 13,
+            lambda files, out, err, want=f"construct {kind} takes no {message}": want in err,
+        )
+        for kind, args, flags, message in [
+            ("collapse", "--target {absent}", "--k 99", "--k"),
+            ("collapse", "--target {absent}", "--z {bell} --w {eye}", "--w, --z"),
+            ("embed_k", "--v {absent} --k 2", "--z {bell}", "--z"),
+            ("witness_break", "--w {absent}", "--u {bell}", "--u"),
+            ("lift", "--u {absent} --v {absent} --w {absent}", "--k 1", "--k"),
+        ]
+    },
+    # An optional flag is still taken.
+    "embed_k --u": ("construct embed_k --v {bell} --k 2 --u {e0f0} --out {out}", 0, None),
     "rank osr block-sparse 8x8": ("rank osr {osr3}", 0, _prints("3\n")),
     # A float cast would read "1" and "2.5" as numbers.
     "psd string entries": (
@@ -256,10 +273,12 @@ ROWS = {
     ),
 }
 
-# One row for each exit code 0, 1, 2, 11 and 13, and the envelope's edge.
+# One row for each exit code 0, 1, 2, 11 and 13, the envelope's edge and a
+# construct flag refused before any file is read.
 PROCESS_ROWS = [
     "entry point", "blockpos violator 2x2", "blockpos pt_phi 3x3", "psd string entries",
     "seed 2**64 blockpos", "envelope 100000x100000", "lift subnormal",
+    "collapse takes no --k",
 ]
 
 
