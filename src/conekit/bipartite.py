@@ -287,15 +287,13 @@ def _check_count(name: str, value):
 def _unit_norm(name: str, vecs: np.ndarray, tol: float):
     # The unit-vector rule on a coerced vector, or on each row of a coerced
     # (K, D) stack; returns the norm, or the (K, 1) row norms, to divide by.
-    # Each row is normed as the 1-d vector it is: norms of a stack sum in
-    # another order and move the last bits.  A norm past the float range is
-    # inf and refused, without numpy's overflow warning: the errstate is
-    # entered once a call, not once a row.
+    # A norm past the float range is inf and refused, without numpy's
+    # overflow warning.
     if vecs.ndim == 1:
         norms = np.linalg.norm(vecs)
         far = abs(norms - 1.0) > tol
     else:
-        norms = np.array([np.linalg.norm(vec) for vec in vecs]).reshape(-1, 1)
+        norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
         far = np.count_nonzero(abs(norms - 1.0) > tol)
     if far:
         raise NormError(f"{name} must be a unit vector")
@@ -435,6 +433,17 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     1/|x[0]|, which overflows for a subnormal |x[0]|.  A normal |x[0]| is
     not scaled, so its basis keeps its bits.
     """
+    minus_phi, h, a = _reflection(x)
+    b = h[..., :, None] * (h.conj() / (1.0 + a))[..., None, :]
+    np.subtract(_identity(x.shape[-1]), b, out=b)
+    return np.multiply(minus_phi if x.ndim == 1 else minus_phi[..., None], b, out=b)
+
+
+def _reflection(x: np.ndarray):
+    # The factors of B = -phi (I - h h* / (1 + a)) for a unit x (D,) or a
+    # stack (..., D) of unit rows: (-phi, h = x/phi + e_0, a = |x[0]|), the
+    # phase rules of `complete_orthonormal_basis`; -phi and a are scalars
+    # for one vector and (..., 1) arrays for a stack.
     if x.ndim == 1:
         a = abs(x[0])
         first = x[0] * _SUBNORMAL_SCALE if a < _TINY else x[0]
@@ -448,13 +457,11 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
         phi = np.divide(
             first, np.hypot(first.real, first.imag), out=np.ones_like(first), where=nonzero
         )
-        minus_phi = np.where(nonzero, -phi, -1.0)[..., None]
+        minus_phi = np.where(nonzero, -phi, -1.0)
     h = x / phi
     head = h[..., :1]
     head += 1.0
-    b = h[..., :, None] * (h.conj() / (1.0 + a))[..., None, :]
-    np.subtract(_identity(x.shape[-1]), b, out=b)
-    return np.multiply(minus_phi, b, out=b)
+    return minus_phi, h, a
 
 
 @functools.lru_cache(maxsize=8)
@@ -492,18 +499,17 @@ def lift_product_to_target(
     the first column of the other, so the image of the product vector is
     exact up to rounding.  norm_tol must lie in (0, 1).
 
-    The two factors of U are built apart: `_source_adjoint` checks u and v
-    and returns B_{u(x)v}*, and `_target_bases` checks w and returns B_w.
-    A caller that lifts one product vector onto many targets builds the
-    source factor once and the target bases as one stack, and multiplies
-    per target; every U it gets has the bits this function returns.
+    The source factor is built apart: `_source_adjoint` checks u and v and
+    returns B_{u(x)v}*.  A caller that lifts one product vector onto many
+    targets and needs only the images q = U (u (x) v) builds it once and
+    reflects c = B_{u(x)v}* (u (x) v) onto each target (`_target_images`).
     Refusals come in this order: norm_tol, w's shape and finiteness, u and
     v's shapes, their finiteness, then the unit norms of u, v and w.
     """
     _check_tol(norm_tol)
     w = as_vector(dims, w)
     b_source_adjoint = _source_adjoint(u, v, dims, norm_tol)
-    return _target_bases(w, norm_tol) @ b_source_adjoint
+    return complete_orthonormal_basis(w / _unit_norm("w", w, norm_tol)) @ b_source_adjoint
 
 
 def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
@@ -520,8 +526,9 @@ def _source_adjoint(u, v, dims: BipartiteDims, norm_tol: float) -> np.ndarray:
     return complete_orthonormal_basis(source / np.linalg.norm(source)).conj().T
 
 
-def _target_bases(ws: np.ndarray, norm_tol: float) -> np.ndarray:
-    # B_w, the left factor of a lift onto a coerced target w (D,), after its
-    # unit-norm check; or one B_w per row of a coerced (K, D) stack, built
-    # as one (K, D, D) array.  Each w is divided by its own 1-d norm.
-    return complete_orthonormal_basis(ws / _unit_norm("w", ws, norm_tol))
+def _target_images(ws: np.ndarray, c: np.ndarray, norm_tol: float) -> np.ndarray:
+    # B_w c for each row w of a coerced (K, D) stack, after the unit-norm
+    # check of each w, as one (K, D) array: the reflection applied to c,
+    # -phi (c - h (h* c) / (1 + a)), without forming B_w.
+    minus_phi, h, a = _reflection(ws / _unit_norm("w", ws, norm_tol))
+    return minus_phi * (c - h * ((h.conj() @ c)[..., None] / (1.0 + a)))

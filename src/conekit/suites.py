@@ -31,7 +31,7 @@ from .bipartite import (
     _is_int,
     _schmidt_aligned_basis,
     _source_adjoint,
-    _target_bases,
+    _target_images,
     as_matrix,
     basis_vec,
     kron,
@@ -218,17 +218,14 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
     p = product_vec(u, v)
     evals, evecs = np.linalg.eigh((y + y.conj().T) / 2.0)
     keep = evals > 1e-12
-    # Every term lifts the same p = u (x) v onto one kept eigenvector w: the
-    # source factor is built and checked once, and the K target bases B_w
-    # in one stack.  Per term, U = B_w B_{u(x)v}* is one D x D product, with
-    # the bits of lift_product_to_target, and q = U p one matrix-vector
-    # product; the stack of bases is dropped before the K rank-one terms
-    # U (pp*) U* = qq* are formed as one (K, D, D) stack.
-    b_source_adjoint = _source_adjoint(u, v, dims, DEFAULT_TOL)
-    q = np.array(
-        [basis @ b_source_adjoint @ p for basis in _target_bases(evecs[:, keep].T, DEFAULT_TOL)],
-        dtype=np.complex128,
-    ).reshape(-1, total)
+    # Every term lifts the same p = u (x) v onto one kept eigenvector w by
+    # U = B_w B_{u(x)v}*, and needs only q = U p, computed right to left:
+    # c = B_{u(x)v}* p once, after the checks on u and v, then B_w c for
+    # all K targets as one (K, D) array of reflections (`_target_images`),
+    # with no D x D basis of a target.  The K rank-one terms
+    # U (pp*) U* = qq* are one (K, D, D) stack.
+    c = _source_adjoint(u, v, dims, DEFAULT_TOL) @ p
+    q = _target_images(evecs[:, keep].T, c, DEFAULT_TOL)
     terms = q[:, :, None] * q.conj()[:, None, :]
     rebuilt = conic_scale(ConicCombination(dims, evals[keep], terms))
     residual = float(np.linalg.norm(rebuilt - y))
@@ -482,7 +479,11 @@ def probe_intermediate(
 
     Exploratory only: non-PPT outputs are recorded as evidence with their
     partial-transpose eigenvalue, never as failures, and the report carries
-    no theorem verdict.
+    no theorem verdict.  Each coefficient of `structured_exact_family` is a
+    rank-one map A = p b* with SR(b) <= k, so A* X A = <p|X|p> bb*, and
+    every output lies in T_k = MCL_k(P+) by construction.  The
+    `non_ppt_outputs` tally counts T_k states that fail PPT: it is no
+    evidence about the conjectured cone C_PPT,k.
     """
     return run_suite("probe-intermediate", dims, seed, trials, tol, k=k)
 

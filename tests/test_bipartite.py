@@ -30,6 +30,7 @@ from conekit import (
 from conekit.bipartite import (
     _op_ranks,
     _schmidt_ranks,
+    _target_images,
     as_matrix,
     as_vector,
     complete_orthonormal_basis,
@@ -410,6 +411,49 @@ class TestCompleteOrthonormalBasis:
         # The empty combination: no target, no basis.
         bases = complete_orthonormal_basis(np.zeros((0, dim), dtype=np.complex128))
         assert bases.shape == (0, dim, dim) and bases.dtype == np.complex128
+
+
+class TestTargetImages:
+    # Each row of _target_images(ws, c) is B_w c, the reflection applied to
+    # c without forming B_w: the same vector as the product with the basis,
+    # up to rounding of order D eps |c|.
+    @staticmethod
+    def _assert_images(ws, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _target_images(ws, c, 1e-9)
+        assert got.shape == ws.shape and got.dtype == np.complex128
+        bound = 8 * ws.shape[-1] * np.finfo(float).eps * np.linalg.norm(c)
+        for w, row in zip(ws, got):
+            assert np.linalg.norm(row - complete_orthonormal_basis(w) @ c) <= bound
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 16, 64])
+    def test_random_targets(self, dim):
+        gen = np.random.default_rng(dim)
+        ws = np.array([random_unit_vector(gen, dim) for _ in range(5)])
+        c = ginibre(gen, dim, 1)[:, 0]
+        self._assert_images(ws, c)
+
+    @pytest.mark.parametrize("dim", [2, 3, 9, 64])
+    @pytest.mark.parametrize("first", [0.0, 1e-320, 5e-324], ids=repr)
+    def test_zero_and_subnormal_first_entry(self, dim, first):
+        gen = np.random.default_rng(dim)
+        x = np.concatenate([[first], random_unit_vector(gen, dim - 1)])
+        ws = np.array([x, random_unit_vector(gen, dim), basis_vec(dim, dim - 1)])
+        self._assert_images(ws, random_unit_vector(gen, dim))
+
+    @pytest.mark.parametrize("dim", [1, 4, 7])
+    def test_empty_stack(self, dim):
+        # The empty combination: no target, no image.
+        c = random_unit_vector(np.random.default_rng(dim), dim)
+        images = _target_images(np.zeros((0, dim), dtype=np.complex128), c, 1e-9)
+        assert images.shape == (0, dim) and images.dtype == np.complex128
+
+    def test_non_unit_target_refused(self):
+        gen = np.random.default_rng(5)
+        ws = np.array([random_unit_vector(gen, 4), 1.5 * random_unit_vector(gen, 4)])
+        with pytest.raises(NormError, match="w must be a unit vector"):
+            _target_images(ws, random_unit_vector(gen, 4), 1e-9)
 
 
 def _scalar_phase_basis(x):

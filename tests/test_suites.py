@@ -217,12 +217,16 @@ class TestConeCollapseBits:
     # 2 and 7 the rank-deficient class.
     @_CONE_COLLAPSE_CASES
     def test_trial_matches_one_public_lift_per_term(self, m, n, seeds):
+        # The trial reflects c = B_{u(x)v}* p onto each target in place of
+        # forming U = B_w B_{u(x)v}*: the verdict is the same and the
+        # residual moves in its last bits only.
         dims = BipartiteDims(m, n)
         for seed in seeds:
             for t in range(10):
                 got = suites._trial_cone_collapse(suites._trial_rng(seed, t), t, dims, 1e-9)
                 want = _cone_collapse_looped(suites._trial_rng(seed, t), t, dims)
-                assert got == want, (seed, t)
+                assert got[0] == want[0], (seed, t)
+                assert abs(got[1] - want[1]) <= 1e-12, (seed, t)
                 assert got[0]
 
     @_CONE_COLLAPSE_CASES
