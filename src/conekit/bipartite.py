@@ -6,15 +6,16 @@ order for an (m, n) array.  Every reshuffle (partial transpose,
 realignment) is derived from that single convention.
 
 The numerical rules behind every rank and verdict are decided here once:
-the rank rule (`_rank_from_singulars`), the zero refusal of `sr`, `osr`
-and the decompositions (`_nonzero_rank`), the stacked rank passes
-(`_schmidt_ranks`, and `_op_ranks`, which ranks a one-row operator e_i w*
-by SR(w) and every other nonzero one by its whole realignment), the row
-rule that lets the Kraus passes skip each operator's zero rows
+the rank rule (`_rank_from_singulars`), the zero and subnormal rules of
+`sr`, `osr` and the decompositions (`_nonzero_rank`), the stacked rank
+passes (`_schmidt_ranks`, and `_op_ranks`, which ranks a one-row operator
+e_i w* by SR(w) and every other nonzero one by its whole realignment),
+the row rule that lets the Kraus passes skip each operator's zero rows
 (`_nonzero_rows`), the rescaling of an array whose norm overflows or
-underflows (`_largest_part`), the Schmidt-aligned basis of the exact
-rank-one families (`_schmidt_aligned_basis`), and every module's argument
-rules: `_check_tol`, `_check_k`, `_check_seed`, `_check_count` and the
+underflows (`_largest_part`, divided out by `_over_part`), the
+Schmidt-aligned basis of the exact rank-one families
+(`_schmidt_aligned_basis`), and every module's argument rules:
+`_check_tol`, `_check_k`, `_check_seed`, `_check_count` and the
 unit-vector test `_unit_norm`.
 """
 
@@ -27,6 +28,11 @@ import numpy as np
 from .errors import DimError, NormError, PreconditionError, ZeroInputError
 
 DEFAULT_TOL = 1e-9
+
+# The least normal float, and the exact scale of a value below it: 2**54
+# lifts the least subnormal, 2**-1074, to 2**-1020.
+_TINY = np.finfo(np.float64).tiny
+_SUBNORMAL_SCALE = 2.0**54
 
 
 @dataclass(frozen=True)
@@ -180,13 +186,18 @@ def _rank_from_singulars(s: np.ndarray, tol: float):
     return np.add.reduce((s >= tol * top) & (top > 0.0), axis=-1)
 
 
-def _nonzero_rank(s: np.ndarray, tol: float, of: str) -> int:
-    # The rank of one spectrum of a vector or of an operator's realignment
-    # (of names which), refusing a zero input.  Zero is read off the largest
-    # singular value: a norm underflows to 0 below about 1e-162.
-    if s[0] == 0.0:
-        verb = "Schmidt-decompose" if of == "vector" else "decompose"
-        raise ZeroInputError(f"cannot {verb} the zero {of}")
+def _nonzero_rank(mat: np.ndarray, s: np.ndarray, tol: float, of: str) -> int:
+    # The rank of the spectrum s of mat, a vector's reshape or an operator's
+    # realignment (of names which), refusing a zero input.  Zero is read off
+    # the largest singular value: a norm underflows to 0 below about
+    # 1e-162.  Below the normal range, tol * s[0] can underflow to 0 and
+    # count the zero singular values, so the spectrum is taken again of mat
+    # scaled by 2**54, exactly.
+    if s[0] < _TINY:
+        if s[0] == 0.0:
+            verb = "Schmidt-decompose" if of == "vector" else "decompose"
+            raise ZeroInputError(f"cannot {verb} the zero {of}")
+        s = np.linalg.svd(mat * _SUBNORMAL_SCALE, compute_uv=False)
     return _rank_from_singulars(s, tol)
 
 
@@ -254,6 +265,15 @@ def _largest_part(x: np.ndarray) -> float:
     # The largest |Re| or |Im| entry of x, 0 only for an exact zero: x over
     # it has a norm in [1, sqrt(2 x.size)], free of overflow and underflow.
     return float(np.maximum(np.abs(x.real), np.abs(x.imag)).max())
+
+
+def _over_part(x: np.ndarray, c: float) -> np.ndarray:
+    # x / c for c = _largest_part(x) > 0.  numpy divides a complex array by
+    # c through 1/c, which overflows for a subnormal c, so there x and c are
+    # first scaled by 2**54, exactly; a normal c keeps the bits of x / c.
+    if c < _TINY:
+        return (x * _SUBNORMAL_SCALE) / (c * _SUBNORMAL_SCALE)
+    return x / c
 
 
 def _check_k(k, dims: BipartiteDims):
@@ -346,13 +366,14 @@ def schmidt_decompose(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> Schmi
     """Schmidt decomposition of a bipartite vector via SVD of its (m, n) reshape."""
     _check_tol(tol)
     v = as_vector(dims, v)
-    u, s, vh = np.linalg.svd(v.reshape(dims.m, dims.n), full_matrices=False)
+    mat = v.reshape(dims.m, dims.n)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return SchmidtDecomp(
         dims=dims,
         coeffs=s,
         left=np.ascontiguousarray(u.T),
         right=np.ascontiguousarray(vh),
-        rank=_nonzero_rank(s, tol, "vector"),
+        rank=_nonzero_rank(mat, s, tol, "vector"),
         tol=tol,
     )
 
@@ -362,8 +383,8 @@ def op_schmidt_decompose(
 ) -> OpSchmidtDecomp:
     """Operator Schmidt decomposition via SVD of the realignment matrix."""
     _check_tol(tol)
-    a = as_matrix(dims, a)
-    u, s, vh = np.linalg.svd(_realign(a, dims), full_matrices=False)
+    mat = _realign(as_matrix(dims, a), dims)
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     m, n = dims.m, dims.n
     r = s.shape[0]
     return OpSchmidtDecomp(
@@ -371,7 +392,7 @@ def op_schmidt_decompose(
         coeffs=s,
         left=np.ascontiguousarray(u.T).reshape(r, m, m),
         right=np.ascontiguousarray(vh).reshape(r, n, n),
-        rank=_nonzero_rank(s, tol, "operator"),
+        rank=_nonzero_rank(mat, s, tol, "operator"),
         tol=tol,
     )
 
@@ -382,11 +403,12 @@ def sr(v, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
 
     Only the singular values are computed; `schmidt_decompose` applies the
     same rule and also returns the Schmidt vectors.  A zero vector, read off
-    the largest singular value, raises `ZeroInputError`.
+    the largest singular value, raises `ZeroInputError`.  A vector whose
+    largest singular value is subnormal is ranked as it is scaled by 2**54.
     """
     _check_tol(tol)
-    s = np.linalg.svd(as_vector(dims, v).reshape(dims.m, dims.n), compute_uv=False)
-    return _nonzero_rank(s, tol, "vector")
+    mat = as_vector(dims, v).reshape(dims.m, dims.n)
+    return _nonzero_rank(mat, np.linalg.svd(mat, compute_uv=False), tol, "vector")
 
 
 def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
@@ -395,17 +417,12 @@ def osr(a, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> int:
 
     Only the singular values are computed; `op_schmidt_decompose` applies
     the same rule and also returns the factors.  A zero operator, read off
-    the largest singular value, raises `ZeroInputError`.
+    the largest singular value, raises `ZeroInputError`.  An operator whose
+    largest singular value is subnormal is ranked as it is scaled by 2**54.
     """
     _check_tol(tol)
-    s = np.linalg.svd(_realign(as_matrix(dims, a), dims), compute_uv=False)
-    return _nonzero_rank(s, tol, "operator")
-
-
-# The least normal |x[0]|, and the exact scale of the phase of a smaller
-# one: it lifts the least subnormal, 2**-1074, to 2**-1020.
-_TINY = np.finfo(np.float64).tiny
-_SUBNORMAL_SCALE = 2.0**54
+    mat = _realign(as_matrix(dims, a), dims)
+    return _nonzero_rank(mat, np.linalg.svd(mat, compute_uv=False), tol, "operator")
 
 
 def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
@@ -415,18 +432,8 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     B = -phi (I - (y + e_0)(y + e_0)* / (1 + y[0])), a Householder
     reflection (Golub & Van Loan, Matrix Computations, sec. 5.1) times a
     phase.  B e_0 = x, and since y[0] = |x[0]| >= 0 the denominator is at
-    least 1, so no cancellation occurs for any unit x.
-
-    x is one vector (D,), giving B (D, D), or a stack (..., D) of unit
-    rows, giving (..., D, D), one basis per row, built in one array; an
-    empty stack (0, D) gives (0, D, D).  The phase of one vector is taken
-    on numpy scalars, which cost less than 1-element arrays, and that of a
-    stack on arrays; the reflection is one code for both.  Each basis of a
-    stack has the bits of the 1-d call on its row, signed zeros included:
-    hypot rounds |x[0]| as the scalar abs does (numpy's array abs rounds
-    some values differently), -phi is the real -1 where x[0] = 0, so its
-    imaginary zero is +0, and -phi multiplies from the left, as complex
-    products do not commute in their last bits.
+    least 1, so no cancellation occurs for any unit x.  x is one vector
+    (D,), and B is (D, D).
 
     The phase is taken from a copy of x[0] scaled by 2**54, exactly, when
     |x[0]| is below the normal range: numpy's complex division scales by
@@ -434,9 +441,9 @@ def complete_orthonormal_basis(x: np.ndarray) -> np.ndarray:
     not scaled, so its basis keeps its bits.
     """
     minus_phi, h, a = _reflection(x)
-    b = h[..., :, None] * (h.conj() / (1.0 + a))[..., None, :]
-    np.subtract(_identity(x.shape[-1]), b, out=b)
-    return np.multiply(minus_phi if x.ndim == 1 else minus_phi[..., None], b, out=b)
+    b = h[:, None] * (h.conj() / (1.0 + a))
+    np.subtract(_identity(x.shape[0]), b, out=b)
+    return np.multiply(minus_phi, b, out=b)
 
 
 def _reflection(x: np.ndarray):

@@ -43,6 +43,7 @@ from .bipartite import (
     _matrix_rows,
     _nonzero_rows,
     _op_ranks,
+    _over_part,
     _schmidt_aligned_basis,
     _schmidt_ranks,
     _unit_norm,
@@ -392,7 +393,7 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
         top = _largest_part(z)
         if top == 0.0:
             raise PreconditionError("z must be nonzero")
-        z = z / top
+        z = _over_part(z, top)
         nz = np.linalg.norm(z)
     zn = z / nz
     value = float(np.real(np.vdot(zn, w @ zn)))
@@ -408,9 +409,10 @@ def witness_conjugation(w, z, u, v, dims: BipartiteDims, tol: float = DEFAULT_TO
 def conic_scale(combo: ConicCombination) -> np.ndarray:
     """Evaluate the nonnegative combination sum_j lambda_j X_j.
 
-    The terms are a sequence or (K, D, D) stack of matrices.  They are
-    coerced and checked as one stack, then summed one at a time in their
-    order.  The weights must be integers or real floats; a complex,
+    The terms are a sequence or (K, D, D) stack of matrices.  Each is
+    coerced and checked (`as_matrix`) and added in its order, so the first
+    bad term decides the refusal, and a sum past the float range is
+    refused.  The weights must be integers or real floats; a complex,
     boolean, string or object weight is refused, not cast, and so is a list
     that numpy cannot make into one array.  A bool inside a list of numbers
     is refused too, although numpy would promote it to 0 or 1.
@@ -438,8 +440,13 @@ def conic_scale(combo: ConicCombination) -> np.ndarray:
         raise PreconditionError("conic weights must be nonnegative")
     total = combo.dims.total
     out = np.zeros((total, total), dtype=np.complex128)
-    for lam, term in zip(weights, _term_stack(combo.dims, combo.terms)):
-        out += lam * term
+    # Every term is finite, so a sum that is not has overflowed: it is
+    # refused, without numpy's overflow or inf - inf warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, term in zip(weights, combo.terms):
+            out += lam * as_matrix(combo.dims, term)
+    if not np.isfinite(out).all():
+        raise PreconditionError("conic combination overflows a float")
     return out
 
 
@@ -452,16 +459,3 @@ def _length(name: str, matrices) -> int:
         raise PreconditionError(
             f"{name} must be a sequence or stack of matrices, got {type(matrices).__name__}"
         ) from exc
-
-
-def _term_stack(dims: BipartiteDims, terms):
-    # The terms coerced and checked once, as one finite (K, D, D) array.
-    # Terms that numpy cannot stack to that shape are coerced one at a time
-    # (`as_matrix`), so the first bad one is refused as it always was.
-    try:
-        stack = np.asarray(terms, dtype=np.complex128)
-    except (ValueError, TypeError):
-        stack = None
-    if stack is None or stack.shape != (len(terms), dims.total, dims.total):
-        return [as_matrix(dims, term) for term in terms]
-    return _finite(stack)

@@ -21,6 +21,7 @@ from .bipartite import (
     _check_seed,
     _check_tol,
     _largest_part,
+    _over_part,
     _rank_from_singulars,
     as_matrix,
     partial_transpose,
@@ -90,7 +91,7 @@ def hermitian_part(x, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> np.ndarr
         # The test on y = x / c (c = 1 for an exact zero), since
         # |x - x*| > 100 tol |x| is |y - y*| > 100 tol |y|.
         c = _largest_part(x) or 1.0
-        y = x / c
+        y = _over_part(x, c)
         norm = float(np.vdot(y, y).real) ** 0.5
     d = y - y.conj().T
     asym = float(np.vdot(d, d).real) ** 0.5

@@ -45,13 +45,11 @@ from .bipartite import (
 )
 from .errors import PreconditionError
 from .kraus import (
-    ConicCombination,
     KrausFamily,
     Mode,
     _validated_image,
     apply,
     collapse_construction,
-    conic_scale,
     random_family,
     witness_conjugation,
 )
@@ -223,14 +221,14 @@ def _trial_cone_collapse(rng, t, dims, tol, **_):
     # c = B_{u(x)v}* p once, after the checks on u and v, then B_w c for
     # all K targets as one (K, D) array of reflections (`_target_images`),
     # with no D x D basis of a target.  The K rank-one terms
-    # U (pp*) U* = qq* are one (K, D, D) stack.
+    # U (pp*) U* = qq* are summed as one product, with no term formed:
+    # sum_k lambda_k q_k q_k* = (q^T diag(lambda)) conj(q).
     c = _source_adjoint(u, v, dims, DEFAULT_TOL) @ p
     q = _target_images(evecs[:, keep].T, c, DEFAULT_TOL)
-    terms = q[:, :, None] * q.conj()[:, None, :]
-    rebuilt = conic_scale(ConicCombination(dims, evals[keep], terms))
+    rebuilt = (q.T * evals[keep]) @ q.conj()
     residual = float(np.linalg.norm(rebuilt - y))
     ok = residual <= RESIDUAL_BOUND
-    return ok, residual, None if ok else {"terms": len(terms)}
+    return ok, residual, None if ok else {"terms": len(q)}
 
 
 def suite_cone_collapse_pplus(

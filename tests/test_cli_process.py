@@ -85,6 +85,10 @@ INPUTS = {
     "tiny": _matrix(2, 2, lambda: 1e-150 * _gaussian(0, (4, 4))),
     # A unit target whose first entry is subnormal.
     "subnormal_w": _matrix(2, 2, lambda: [1e-320, 1, 0, 0]),
+    # Arrays whose largest part is subnormal: an asymmetric 2x2 matrix, and
+    # a vector with a negative expectation in "violator".
+    "subnormal_asym": _matrix(1, 2, lambda: [[0, 1e-320], [0, 0]]),
+    "subnormal_z": _matrix(2, 2, lambda: [1e-318, 0, 0, 0]),
     "osr3": _matrix(8, 8, _block_sparse),
     "strings": lambda path: Path(path).write_text(
         '{"m": 1, "n": 2, "re": [["1", 0], [0, "2.5"]], "im": [[0, 0], [0, 0]]}'
@@ -226,6 +230,17 @@ ROWS = {
     "psd real limit": ("check psd {real_limit}", 13, _no_inf),
     "psd 1e160": ("check psd {huge}", 13, _no_inf),
     "psd 1e-150": ("check psd {tiny}", 13, _no_inf),
+    # A subnormal largest part is divided out without overflow: the
+    # verdict or refusal is that of the same array scaled into the normal
+    # range.
+    "psd subnormal asymmetry": (
+        "check psd {subnormal_asym}", 13,
+        lambda files, out, err: "not Hermitian (asymmetry 1.414e-320)" in err,
+    ),
+    "witness_break subnormal z": (
+        "construct witness_break --w {violator} --z {subnormal_z} --out {out}", 0,
+        lambda files, out, err: json.loads(out)["product_expectation"] == -1.0,
+    ),
     # A unit-norm check whose norm overflows refuses without numpy's
     # overflow warning, which would be an error here.
     "lift limit": (
@@ -278,7 +293,7 @@ ROWS = {
 PROCESS_ROWS = [
     "entry point", "blockpos violator 2x2", "blockpos pt_phi 3x3", "psd string entries",
     "seed 2**64 blockpos", "envelope 100000x100000", "lift subnormal",
-    "collapse takes no --k",
+    "collapse takes no --k", "psd subnormal asymmetry", "witness_break subnormal z",
 ]
 
 

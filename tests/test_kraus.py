@@ -1305,6 +1305,20 @@ class TestWitnessConjugation:
         assert np.linalg.norm(got - want) <= 1e-14
         assert abs(np.real(np.vdot(q, got @ q)) + 0.5) <= 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-318, 5e-324])
+    def test_subnormal_z_answers_as_scaled_into_range(self, scale):
+        # A subnormal z keeps few bits, so it is compared with itself
+        # scaled by 2**54, exactly: the same answer, bit for bit.
+        d = BipartiteDims(2, 2)
+        b = max_entangled_vector(d)
+        w = partial_transpose(np.outer(b, b.conj()), d)
+        z = scale * np.linalg.eigh(w)[1][:, 0]
+        u, v = basis_vec(2, 0), basis_vec(2, 1)
+        got, _ = witness_conjugation(w, z, u, v, d)
+        want, _ = witness_conjugation(w, z * 2.0**54, u, v, d)
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_z_refused(self):
         d = BipartiteDims(2, 2)
         w = swap_operator(d)
@@ -1485,7 +1499,19 @@ class TestConicScale:
         ids=["nan-then-shape", "shape-then-nan", "string", "ragged", "stack-side", "stack-inf"],
     )
     def test_first_bad_term_refused(self, terms, error, match):
-        # A list that does not stack to (K, D, D) is checked term by term,
-        # so the first bad term decides the refusal.
+        # Terms are checked one at a time, in order, so the first bad term
+        # decides the refusal, in a list or a (K, D, D) stack.
         with pytest.raises(error, match=match):
             conic_scale(ConicCombination(BipartiteDims(2, 2), [1.0, 1.0], terms))
+
+    @pytest.mark.parametrize(
+        "weights,scales",
+        [([1e308, 1e308], [1.0, 1.0]), ([1e308], [10.0]), ([1e308, 1e308], [10.0, -10.0])],
+        ids=["sum", "product", "inf-minus-inf"],
+    )
+    def test_overflowing_sum_refused(self, weights, scales):
+        # Finite weights and terms whose sum leaves the float range: refused,
+        # without numpy's overflow or invalid-value warning.
+        terms = [scale * np.eye(4) for scale in scales]
+        with pytest.raises(PreconditionError, match="conic combination overflows a float"):
+            conic_scale(ConicCombination(BipartiteDims(2, 2), weights, terms))

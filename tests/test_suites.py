@@ -243,6 +243,19 @@ class TestConeCollapseBits:
                 assert got[0] == old[0], (seed, t)
                 assert abs(got[1] - old[1]) <= 1e-12, (seed, t)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (8, 8)])
+    def test_failure_reports_its_term_count(self, m, n, monkeypatch):
+        # Under a bound no residual meets, every trial fails and reports its
+        # K kept eigenvalues: all D of the identity, none of the zero
+        # matrix, and the drawn rank of a rank-deficient trial.
+        monkeypatch.setattr(suites, "RESIDUAL_BOUND", -1.0)
+        dims = BipartiteDims(m, n)
+        report = run_suite("cone-collapse", dims, SEED, trials=3)
+        assert report.passes == 0
+        terms = [failure["info"]["terms"] for failure in report.failures]
+        assert terms[:2] == [dims.total, 0]
+        assert dims.total == 1 or 1 <= terms[2] < dims.total
+
 
 class TestRerun:
     def test_trials_rerun_identically(self, dims):
